@@ -19,14 +19,14 @@ text).  Exit codes: 0 success, 1 a checked property failed (the
 counterexample is serialized in the report), 2 invalid input.  Reports are
 byte-identical given the same input, seed and package version; wall-clock
 timing is only attached on request (``--timing``), since it would break
-that reproducibility.  The thread-count variable ``MONOPOLES_THREADS`` is
-accepted for operational tuning but can never affect results.
+that reproducibility.  The environment variable ``MONOPOLES_THREADS`` is
+ignored: nothing reads it, so it cannot affect results.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
+import json
 import sys
 import time
 import warnings
@@ -44,6 +44,7 @@ from .jsonio import (
     canonical_dumps,
     input_sha256,
     load_problem,
+    parse_metric,
     problem_schema,
 )
 from .kaehler import impossibility_margin, impossibility_margin_closed_form
@@ -217,23 +218,6 @@ def _run_dim(args, argv, start_time) -> int:
     return EXIT_OK
 
 
-def _load_metric_arg(g_arg, b2):
-    if g_arg is None or g_arg == "identity":
-        return identity_metric(b2)
-    import json as _json
-
-    from .jsonio import _rational_field  # reuse the strict rational parser
-
-    with open(g_arg, "r", encoding="utf-8") as fh:
-        doc = _json.load(fh)
-    if not isinstance(doc, list):
-        raise ValidationError("$.g", "expected a JSON matrix of rationals")
-    return tuple(
-        tuple(_rational_field(x, f"$.g[{i}][{j}]") for j, x in enumerate(row))
-        for i, row in enumerate(doc)
-    )
-
-
 def _run_reductions(args, argv, start_time) -> int:
     problem = load_problem(args.input)
     base = problem.bounds
@@ -244,9 +228,10 @@ def _run_reductions(args, argv, start_time) -> int:
         raise ValidationError(
             "$.bounds.c_trace", "required (give --c-trace or a bounds block in the input)"
         )
-    if args.g is not None:
-        metric = _load_metric_arg(args.g, problem.manifold.b2)
-    elif base is not None:
+    if args.g not in (None, "identity"):
+        with open(args.g, "r", encoding="utf-8") as fh:
+            metric = parse_metric(json.load(fh), problem.manifold.b2, "$.g")
+    elif args.g is None and base is not None:
         metric = base.metric
     else:
         metric = identity_metric(problem.manifold.b2)
@@ -313,52 +298,56 @@ def _run_strata(args, argv, start_time) -> int:
     return EXIT_OK
 
 
-def _run_mu(args, argv, start_time) -> int:
-    if args.mu_kind == "properness":
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            report = properness_constant_estimate(
-                args.n, args.tau, starts=args.starts, seed=args.seed, tol=args.tol
-            )
-        result = report.as_dict()
-        result["n"] = args.n
-        result["tau"] = args.tau
-        _emit(_envelope(argv, result, [str(w.message) for w in caught]), args, start_time)
-        return EXIT_OK
-    report = mu_suite(suite=args.suite, samples=args.samples, seed=args.seed)
+def _emit_certificate(args, argv, start_time, estimate, extra=dict) -> int:
+    """Report ``estimate()`` at ``--n``/``--tau`` with the warnings it raised.
+
+    ``extra()`` adds fields; it runs after the estimate has checked its input.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = estimate().as_dict()
+    result.update(n=args.n, tau=args.tau, **extra())
+    _emit(_envelope(argv, result, [str(w.message) for w in caught]), args, start_time)
+    return EXIT_OK
+
+
+def _emit_suite(report, args, argv, start_time) -> int:
     result = {
         "suite": report.suite,
         "seed": report.seed,
         "all_passed": report.all_passed,
-        "checks": [c for c in report.checks],
+        "checks": list(report.checks),
     }
     _emit(_envelope(argv, result, []), args, start_time)
     return EXIT_OK if report.all_passed else EXIT_PROPERTY_FAILURE
+
+
+def _run_mu(args, argv, start_time) -> int:
+    if args.mu_kind == "properness":
+        return _emit_certificate(
+            args, argv, start_time,
+            lambda: properness_constant_estimate(
+                args.n, args.tau, starts=args.starts, seed=args.seed, tol=args.tol
+            ),
+        )
+    report = mu_suite(suite=args.suite, samples=args.samples, seed=args.seed)
+    return _emit_suite(report, args, argv, start_time)
 
 
 def _run_kaehler(args, argv, start_time) -> int:
     if args.ka_kind == "margin":
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            report = impossibility_margin(
+        return _emit_certificate(
+            args, argv, start_time,
+            lambda: impossibility_margin(
                 args.n, args.tau, args.lam, starts=args.starts, seed=args.seed
-            )
-        result = report.as_dict()
-        result["n"] = args.n
-        result["tau"] = args.tau
-        result["lambda"] = args.lam
-        result["closed_form"] = impossibility_margin_closed_form(args.n, args.tau, args.lam)
-        _emit(_envelope(argv, result, [str(w.message) for w in caught]), args, start_time)
-        return EXIT_OK
+            ),
+            lambda: {
+                "lambda": args.lam,
+                "closed_form": impossibility_margin_closed_form(args.n, args.tau, args.lam),
+            },
+        )
     report = kaehler_suite(suite=args.suite, samples=args.samples, seed=args.seed)
-    result = {
-        "suite": report.suite,
-        "seed": report.seed,
-        "all_passed": report.all_passed,
-        "checks": [c for c in report.checks],
-    }
-    _emit(_envelope(argv, result, []), args, start_time)
-    return EXIT_OK if report.all_passed else EXIT_PROPERTY_FAILURE
+    return _emit_suite(report, args, argv, start_time)
 
 
 def _run_tau0(args, argv, start_time) -> int:
@@ -374,7 +363,6 @@ def _run_tau0(args, argv, start_time) -> int:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    os.environ.get("MONOPOLES_THREADS")  # accepted; results never depend on it
     parser = _build_parser()
     args = parser.parse_args(argv)
     start_time = time.monotonic()

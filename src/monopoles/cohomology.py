@@ -44,6 +44,7 @@ __all__ = [
     "un_dimension_report",
     "asd_dimension_report",
     "characteristic_defects",
+    "inertia",
 ]
 
 
@@ -99,7 +100,7 @@ def _det_exact(mat: Sequence[Sequence[int]]) -> Fraction:
     return det
 
 
-def _inertia(mat: Sequence[Sequence[int]]) -> tuple[int, int, int]:
+def inertia(mat: Sequence[Sequence]) -> tuple[int, int, int]:
     """(positive, negative, zero) inertia of a symmetric matrix, exactly.
 
     Congruence diagonalization over Q: diagonal pivots are cleared with
@@ -217,7 +218,7 @@ class FourManifold:
             raise ValueError(
                 "intersection form is degenerate over Q (determinant 0)"
             )
-        pos, neg, null = _inertia(self.intersection_form)
+        pos, neg, null = inertia(self.intersection_form)
         assert null == 0  # guaranteed by det != 0
         if self.b2plus is None:
             self.b2plus = pos

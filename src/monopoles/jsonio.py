@@ -31,6 +31,7 @@ __all__ = [
     "Problem",
     "RunOptions",
     "parse_problem",
+    "parse_metric",
     "load_problem",
     "problem_schema",
     "to_jsonable",
@@ -210,6 +211,22 @@ def problem_schema() -> dict:
     }
 
 
+def parse_metric(g: Any, b2: int, path: str) -> tuple[tuple[Fraction, ...], ...]:
+    """A ``b2 x b2`` harmonic metric: ``"identity"`` or a matrix of rationals at ``path``."""
+    if g == "identity":
+        return identity_metric(b2)
+    if not isinstance(g, list):
+        raise ValidationError(path, "expected \"identity\" or a matrix of rationals")
+    rows = []
+    for i, row in enumerate(g):
+        if not isinstance(row, list):
+            raise ValidationError(f"{path}[{i}]", "expected a list of rationals")
+        rows.append(tuple(_rational_field(x, f"{path}[{i}][{j}]") for j, x in enumerate(row)))
+    if len(rows) != b2 or any(len(r) != b2 for r in rows):
+        raise ValidationError(path, f"expected a {b2}x{b2} matrix")
+    return tuple(rows)
+
+
 def parse_problem(doc: Any) -> Problem:
     """Validate a problem document against the published schema, strictly."""
     doc = _require_mapping(doc, "$")
@@ -256,22 +273,7 @@ def parse_problem(doc: Any) -> Problem:
         c_trace = _number_field(_get(kdoc, "c_trace", "$.bounds"), "$.bounds.c_trace")
         c_plus = _number_field(_get(kdoc, "c_plus", "$.bounds"), "$.bounds.c_plus")
         c_minus = _number_field(_get(kdoc, "c_minus", "$.bounds"), "$.bounds.c_minus")
-        g = kdoc.get("g", "identity")
-        if g == "identity":
-            metric = identity_metric(manifold.b2)
-        elif isinstance(g, list):
-            rows = []
-            for i, row in enumerate(g):
-                if not isinstance(row, list):
-                    raise ValidationError(f"$.bounds.g[{i}]", "expected a list of rationals")
-                rows.append(
-                    tuple(_rational_field(x, f"$.bounds.g[{i}][{j}]") for j, x in enumerate(row))
-                )
-            metric = tuple(rows)
-            if len(metric) != manifold.b2 or any(len(r) != manifold.b2 for r in metric):
-                raise ValidationError("$.bounds.g", f"expected a {manifold.b2}x{manifold.b2} matrix")
-        else:
-            raise ValidationError("$.bounds.g", "expected \"identity\" or a matrix of rationals")
+        metric = parse_metric(kdoc.get("g", "identity"), manifold.b2, "$.bounds.g")
         try:
             bounds = CurvatureBounds(c_trace, c_plus, c_minus, metric)
         except ValueError as exc:

@@ -383,18 +383,9 @@ def impossibility_margin(
         gauge=_rebalance,
         fixed_starts=[np.zeros(4 * n)],
     )
-    values = tuple(float(sqrt(max(v, 0.0))) for v in values_sq)
-    estimate = min(values)
     argmin = SpinorPair(
         x_best[:n] + 1j * x_best[2 * n : 3 * n], x_best[n : 2 * n] + 1j * x_best[3 * n :]
     )
-    return OptimizationReport(
-        estimate=estimate,
-        argmin=argmin,
-        starts=len(values),
-        seed=seed,
-        iterations_per_start=max_iter,
-        gradient_tolerance=tol,
-        values_per_start=values,
-        converged_per_start=flags,
+    return OptimizationReport.from_squares(
+        values_sq, flags, argmin, seed=seed, max_iter=max_iter, tol=tol
     )

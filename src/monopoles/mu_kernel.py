@@ -38,10 +38,13 @@ __all__ = [
     "outer",
     "project_P",
     "project_Q",
+    "batch_project_P",
+    "batch_project_Q",
     "mu",
     "quartic_form",
     "mu_norm_batch",
     "random_sphere_search",
+    "properness_value_grad",
     "properness_constant_estimate",
     "zero_divisor_margin",
     "DEFAULT_POSITIVITY_FLOOR",
@@ -143,7 +146,7 @@ def outer(psi: SpinorPair, phi: SpinorPair) -> BlockEndo:
     return BlockEndo(np.outer(psi.vector, phi.vector.conj()))
 
 
-def _batch_project_P(mats: np.ndarray, n: int) -> np.ndarray:
+def batch_project_P(mats: np.ndarray, n: int) -> np.ndarray:
     """Batched projection onto sl(2) (x) sl(n); mats has shape (..., 2n, 2n)."""
     out = mats.copy()
     half = 0.5 * (out[..., :n, :n] + out[..., n:, n:])
@@ -158,7 +161,7 @@ def _batch_project_P(mats: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _batch_project_Q(mats: np.ndarray, n: int) -> np.ndarray:
+def batch_project_Q(mats: np.ndarray, n: int) -> np.ndarray:
     """Batched projection onto sl(2) (x) C id."""
     out = np.zeros_like(mats)
     half_tr = 0.5 * (
@@ -188,7 +191,7 @@ def project_P(m: BlockEndo) -> BlockEndo:
     traceless; the map is idempotent and orthogonal for the Frobenius
     pairing.
     """
-    return BlockEndo(_batch_project_P(m.mat[None, :, :], m.n)[0])
+    return BlockEndo(batch_project_P(m.mat[None, :, :], m.n)[0])
 
 
 def project_Q(m: BlockEndo) -> BlockEndo:
@@ -198,7 +201,7 @@ def project_Q(m: BlockEndo) -> BlockEndo:
     blocks opposite; composing with :func:`project_P` in either order gives
     zero.
     """
-    return BlockEndo(_batch_project_Q(m.mat[None, :, :], m.n)[0])
+    return BlockEndo(batch_project_Q(m.mat[None, :, :], m.n)[0])
 
 
 def mu(tau: float, psi: SpinorPair, phi: SpinorPair | None = None) -> BlockEndo:
@@ -212,8 +215,8 @@ def mu(tau: float, psi: SpinorPair, phi: SpinorPair | None = None) -> BlockEndo:
     if phi is None:
         phi = psi
     m = outer(psi, phi)
-    p = _batch_project_P(m.mat[None, :, :], m.n)[0]
-    q = _batch_project_Q(m.mat[None, :, :], m.n)[0]
+    p = batch_project_P(m.mat[None, :, :], m.n)[0]
+    q = batch_project_Q(m.mat[None, :, :], m.n)[0]
     return BlockEndo(p + tau * q)
 
 
@@ -304,7 +307,7 @@ def _unpack(x: np.ndarray) -> np.ndarray:
     return x[:half] + 1j * x[half:]
 
 
-def _properness_value_grad(n: int, tau: float):
+def properness_value_grad(n: int, tau: float):
     """Objective ||mu(tau, psi, psi)||^2 on R^{4n} with its exact gradient.
 
     With M = psi psi^* and R = P(M) + tau^2 Q(M), the value is <R, M> and
@@ -314,7 +317,7 @@ def _properness_value_grad(n: int, tau: float):
     def value_and_grad(x: np.ndarray):
         v = _unpack(x)
         m = np.outer(v, v.conj())[None, :, :]
-        r = (_batch_project_P(m, n) + tau * tau * _batch_project_Q(m, n))[0]
+        r = (batch_project_P(m, n) + tau * tau * batch_project_Q(m, n))[0]
         value = float(np.real(np.vdot(r, m[0])))
         grad_c = 4.0 * (r @ v)
         return value, np.concatenate([grad_c.real, grad_c.imag])
@@ -345,7 +348,7 @@ def properness_constant_estimate(
         warnings.warn(f"tau={tau} lies outside [0, 1]", stacklevel=2)
     project, tangent = sphere_blocks_projector([4 * n])
     x_best, values_sq, flags = multistart_minimize(
-        _properness_value_grad(n, tau),
+        properness_value_grad(n, tau),
         lambda rng: rng.standard_normal(4 * n),
         starts=starts,
         seed=seed,
@@ -354,19 +357,9 @@ def properness_constant_estimate(
         project=project,
         tangent=tangent,
     )
-    values = tuple(float(np.sqrt(max(v, 0.0))) for v in values_sq)
-    estimate = min(values)
-    return OptimizationReport(
-        estimate=estimate,
-        argmin=SpinorPair.from_vector(_unpack(x_best)),
-        starts=len(values),
-        seed=seed,
-        iterations_per_start=max_iter,
-        gradient_tolerance=tol,
-        values_per_start=values,
-        converged_per_start=flags,
-        positivity_floor=positivity_floor,
-        success=(estimate > positivity_floor) if n > 1 else None,
+    return OptimizationReport.from_squares(
+        values_sq, flags, SpinorPair.from_vector(_unpack(x_best)), seed=seed,
+        max_iter=max_iter, tol=tol, positivity_floor=positivity_floor, judge=n > 1,
     )
 
 
@@ -382,7 +375,7 @@ def _zero_divisor_value_grad(n: int, tau: float):
         v = _unpack(x[:half])
         w = _unpack(x[half:])
         k = np.outer(v, w.conj())[None, :, :]
-        r = (_batch_project_P(k, n) + tau * tau * _batch_project_Q(k, n))[0]
+        r = (batch_project_P(k, n) + tau * tau * batch_project_Q(k, n))[0]
         value = float(np.real(np.vdot(r, k[0])))
         grad_v = 2.0 * (r @ w)
         grad_w = 2.0 * (r.conj().T @ v)
@@ -429,22 +422,12 @@ def zero_divisor_margin(
         project=project,
         tangent=tangent,
     )
-    values = tuple(float(np.sqrt(max(v, 0.0))) for v in values_sq)
-    estimate = min(values)
     half = x_best.size // 2
     argmin = (
         SpinorPair.from_vector(_unpack(x_best[:half])),
         SpinorPair.from_vector(_unpack(x_best[half:])),
     )
-    return OptimizationReport(
-        estimate=estimate,
-        argmin=argmin,
-        starts=len(values),
-        seed=seed,
-        iterations_per_start=max_iter,
-        gradient_tolerance=tol,
-        values_per_start=values,
-        converged_per_start=flags,
+    return OptimizationReport.from_squares(
+        values_sq, flags, argmin, seed=seed, max_iter=max_iter, tol=tol,
         positivity_floor=positivity_floor,
-        success=estimate > positivity_floor,
     )

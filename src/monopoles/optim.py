@@ -11,6 +11,7 @@ performed in start-index order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -40,6 +41,40 @@ class OptimizationReport:
     converged_per_start: tuple[bool, ...]
     positivity_floor: float | None = None
     success: bool | None = None
+
+    @classmethod
+    def from_squares(
+        cls,
+        values_sq: Sequence[float],
+        converged: tuple[bool, ...],
+        argmin,
+        *,
+        seed: int,
+        max_iter: int,
+        tol: float,
+        positivity_floor: float | None = None,
+        judge: bool = True,
+    ) -> "OptimizationReport":
+        """Report of a minimized squared norm: every value is its square root.
+
+        ``success`` is ``estimate > positivity_floor`` when a floor is given
+        and ``judge`` holds, otherwise ``None``.
+        """
+        values = tuple(math.sqrt(max(v, 0.0)) for v in values_sq)
+        estimate = min(values)
+        judged = judge and positivity_floor is not None
+        return cls(
+            estimate=estimate,
+            argmin=argmin,
+            starts=len(values),
+            seed=seed,
+            iterations_per_start=max_iter,
+            gradient_tolerance=tol,
+            values_per_start=values,
+            converged_per_start=converged,
+            positivity_floor=positivity_floor,
+            success=(estimate > positivity_floor) if judged else None,
+        )
 
     def as_dict(self) -> dict:
         return {

@@ -33,6 +33,7 @@ from .cohomology import (
     expected_dim_asd,
     expected_dim_pun,
     expected_dim_un,
+    inertia,
     p1_su,
 )
 
@@ -83,31 +84,6 @@ def _rational_matrix(rows: Sequence[Sequence], what: str) -> tuple[tuple[Fractio
     return mat
 
 
-def _leading_minors_positive(g: tuple[tuple[Fraction, ...], ...]) -> bool:
-    """Sylvester criterion, evaluated exactly."""
-    m = len(g)
-    for k in range(1, m + 1):
-        sub = [list(row[:k]) for row in g[:k]]
-        det = Fraction(1)
-        for c in range(k):
-            piv = next((r for r in range(c, k) if sub[r][c] != 0), None)
-            if piv is None:
-                return False
-            if piv != c:
-                sub[c], sub[piv] = sub[piv], sub[c]
-                det = -det
-            det *= sub[c][c]
-            inv = 1 / sub[c][c]
-            for r in range(c + 1, k):
-                f = sub[r][c] * inv
-                if f:
-                    for t in range(c, k):
-                        sub[r][t] -= f * sub[c][t]
-        if det <= 0:
-            return False
-    return True
-
-
 def identity_metric(b2: int) -> tuple[tuple[Fraction, ...], ...]:
     """The standard inner product on H^2 coordinates, as an exact matrix."""
     return tuple(
@@ -135,7 +111,7 @@ class CurvatureBounds:
             if not (float(v) >= 0.0):
                 raise ValueError(f"{name} must be a nonnegative real")
         g = _rational_matrix(metric, "harmonic metric")
-        if not _leading_minors_positive(g):
+        if inertia(g) != (len(g), 0, 0):
             raise ValueError("harmonic metric must be positive definite")
         object.__setattr__(self, "c_trace", float(c_trace))
         object.__setattr__(self, "c_plus", float(c_plus))
@@ -187,7 +163,7 @@ def lattice_points_in_ball(
     denominator integer quadratic form.
     """
     g = _rational_matrix(metric, "metric")
-    if not _leading_minors_positive(g):
+    if inertia(g) != (len(g), 0, 0):
         raise ValueError("metric must be positive definite")
     r2 = _as_fraction(radius_sq, "radius_sq")
     if r2 < 0:

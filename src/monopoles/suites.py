@@ -11,7 +11,7 @@ reference implementations they are checking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -27,13 +27,14 @@ from .kaehler import (
 )
 from .mu_kernel import (
     SpinorPair,
-    _batch_project_P,
-    _batch_project_Q,
+    batch_project_P,
+    batch_project_Q,
     mu,
     mu_norm_batch,
     outer,
     project_P,
     properness_constant_estimate,
+    properness_value_grad,
     quartic_form,
 )
 
@@ -91,9 +92,44 @@ def _random_su(rng, k: int, batch: int | None = None) -> np.ndarray:
     return q * (det ** (-1.0 / k))[..., None, None]
 
 
-def _traceless(m: np.ndarray) -> np.ndarray:
-    n = m.shape[0]
-    return m - np.trace(m) / n * np.eye(n)
+def _grid_check(
+    name: str, tol: float, cells: Iterable[tuple[object, Callable[[int], dict]]]
+) -> CheckResult:
+    """Worst deviation over ``cells`` and the first counterexample above ``tol``.
+
+    ``cells`` yields ``(deviations, counterexample)`` pairs, one per grid
+    cell: an array (or scalar) of per-sample deviations and a builder of the
+    report entry for the sample at a flat index.  The counterexample comes
+    from the first cell whose maximum raises the running worst above
+    ``tol``, at that maximum.  The builder is called before ``cells``
+    advances, so it may read the generator's current locals.
+    """
+    worst, bad, total = 0.0, None, 0
+    for devs, counterexample in cells:
+        devs = np.asarray(devs)
+        dev = float(devs.max())
+        total += devs.size
+        if dev > worst:
+            worst = dev
+            if dev > tol and bad is None:
+                bad = counterexample(int(devs.argmax()))
+    return CheckResult(name, worst <= tol, total, worst, tol, bad)
+
+
+def _grid(name: str, tol: float):
+    """Decorator: a cell generator ``cells(rng, samples, seed)`` becomes a check.
+
+    The check has the registry signature ``(seed, index, samples)`` and runs
+    :func:`_grid_check` on the cells drawn from the check's own stream.
+    """
+
+    def wrap(cells):
+        def check(seed, index, samples):
+            return _grid_check(name, tol, cells(_rng(seed, index), samples, seed))
+
+        return check
+
+    return wrap
 
 
 # ---------------------------------------------------------------------------
@@ -162,15 +198,14 @@ def _batch_frob_sq(mats: np.ndarray) -> np.ndarray:
 def _batch_mu_mats(tau: float, v: np.ndarray, w: np.ndarray | None, n: int):
     """(mu matrices, P part, Q part) for stacked spinor vectors."""
     k = v[:, :, None] * (v if w is None else w).conj()[:, None, :]
-    p = _batch_project_P(k, n)
-    q = _batch_project_Q(k, n)
+    p = batch_project_P(k, n)
+    q = batch_project_Q(k, n)
     return p + tau * q, p, q
 
 
-def _check_quartic_identity(seed, index, samples, tol=1e-10):
+@_grid("quartic_equals_P2_plus_tau_Q2", 1e-10)
+def _check_quartic_identity(rng, samples, seed):
     """quartic_form == ||P||^2 + tau ||Q||^2, batched with API spot checks."""
-    worst, bad, total = 0.0, None, 0
-    rng = _rng(seed, index)
     for n in _MU_GRID_NS:
         for tau in _MU_GRID_TAUS:
             v = _complex_rows(rng, samples, 2 * n)
@@ -182,22 +217,14 @@ def _check_quartic_identity(seed, index, samples, tol=1e-10):
                 psi = SpinorPair(v[i, :n], v[i, n:])
                 rel_i = abs(quartic_form(tau, psi) - lhs[i]) / max(abs(lhs[i]), 1e-30)
                 rel[i] = max(rel[i], rel_i)
-            dev = float(rel.max())
-            total += samples
-            if dev > worst:
-                worst = dev
-                if dev > tol and bad is None:
-                    i = int(rel.argmax())
-                    bad = _spinor_counterexample(
-                        SpinorPair(v[i, :n], v[i, n:]), tau, float(lhs[i]), float(rhs[i])
-                    )
-    return CheckResult("quartic_equals_P2_plus_tau_Q2", worst <= tol, total, worst, tol, bad)
+            yield rel, lambda i: _spinor_counterexample(
+                SpinorPair(v[i, :n], v[i, n:]), tau, float(lhs[i]), float(rhs[i])
+            )
 
 
-def _check_block_formula(seed, index, samples, tol=1e-12):
+@_grid("projection_matches_block_formula", 1e-12)
+def _check_block_formula(rng, samples, seed):
     """Projection route against the explicit four-block matrix, built separately."""
-    worst, bad, total = 0.0, None, 0
-    rng = _rng(seed, index)
     for n in _MU_GRID_NS:
         v = _complex_rows(rng, samples, 2 * n)
         a, b = v[:, :n], v[:, n:]
@@ -215,31 +242,25 @@ def _check_block_formula(seed, index, samples, tol=1e-12):
         ref[:, :n, n:] = tl(ab)
         ref[:, n:, :n] = tl(ba)
         ref[:, n:, n:] = 0.5 * tl(bb - aa)
-        got = _batch_project_P(_batch_outer_self(v), n)
+        got = batch_project_P(_batch_outer_self(v), n)
         dev_all = np.abs(got - ref).max(axis=(1, 2))
         for i in range(min(8, samples)):
             psi = SpinorPair(a[i], b[i])
             api = project_P(outer(psi, psi)).mat
             dev_all[i] = max(dev_all[i], float(np.abs(api - ref[i]).max()))
-        dev = float(dev_all.max())
-        total += samples
-        if dev > worst:
-            worst = dev
-            if dev > tol and bad is None:
-                i = int(dev_all.argmax())
-                bad = _spinor_counterexample(SpinorPair(a[i], b[i]), 0.0, dev, 0.0)
-    return CheckResult("projection_matches_block_formula", worst <= tol, total, worst, tol, bad)
+        yield dev_all, lambda i: _spinor_counterexample(
+            SpinorPair(a[i], b[i]), 0.0, float(dev_all[i]), 0.0
+        )
 
 
-def _check_orthogonality(seed, index, samples, tol=1e-10):
-    worst, bad, total = 0.0, None, 0
-    rng = _rng(seed, index)
+@_grid("projections_orthogonal", 1e-10)
+def _check_orthogonality(rng, samples, seed):
     for n in _MU_GRID_NS:
         m = rng.standard_normal((samples, 2 * n, 2 * n)) + 1j * rng.standard_normal(
             (samples, 2 * n, 2 * n)
         )
-        p = _batch_project_P(m, n)
-        q = _batch_project_Q(m, n)
+        p = batch_project_P(m, n)
+        q = batch_project_Q(m, n)
         scale = np.maximum(_batch_frob_sq(m), 1e-30)
         devs = np.stack(
             [
@@ -248,19 +269,11 @@ def _check_orthogonality(seed, index, samples, tol=1e-10):
                 np.abs(np.einsum("mij,mij->m", q.conj(), m) - _batch_frob_sq(q)),
             ]
         ).max(axis=0) / scale
-        dev = float(devs.max())
-        total += samples
-        if dev > worst:
-            worst = dev
-            if dev > tol and bad is None:
-                i = int(devs.argmax())
-                bad = {"n": n, "matrix": m[i].tolist()}
-    return CheckResult("projections_orthogonal", worst <= tol, total, worst, tol, bad)
+        yield devs, lambda i: {"n": n, "matrix": m[i].tolist()}
 
 
-def _check_hermiticity(seed, index, samples, tol=1e-12):
-    worst, bad, total = 0.0, None, 0
-    rng = _rng(seed, index)
+@_grid("mu_hermitian_and_traceless_at_tau0", 1e-12)
+def _check_hermiticity(rng, samples, seed):
     for n in _MU_GRID_NS:
         for tau in _MU_GRID_TAUS:
             v = _complex_rows(rng, samples, 2 * n)
@@ -277,21 +290,14 @@ def _check_hermiticity(seed, index, samples, tol=1e-12):
                     dev_all = np.maximum(dev_all, tr)
             norms = np.einsum("mi,mi->m", v.conj(), v).real
             dev_all = dev_all / np.maximum(norms, 1e-30)
-            dev = float(dev_all.max())
-            total += samples
-            if dev > worst:
-                worst = dev
-                if dev > tol and bad is None:
-                    i = int(dev_all.argmax())
-                    bad = _spinor_counterexample(SpinorPair(v[i, :n], v[i, n:]), tau, dev, 0.0)
-    return CheckResult("mu_hermitian_and_traceless_at_tau0", worst <= tol, total, worst, tol, bad)
+            yield dev_all, lambda i: _spinor_counterexample(
+                SpinorPair(v[i, :n], v[i, n:]), tau, float(dev_all[i]), 0.0
+            )
 
 
-def _check_norm_monotonicity(seed, index, samples):
+@_grid("mu_norm_monotone_in_tau", 1e-12)
+def _check_norm_monotonicity(rng, samples, seed):
     """||mu(tau)|| >= ||mu(0)||, through the matrix route."""
-    worst, bad, total = 0.0, None, 0
-    rng = _rng(seed, index)
-    tol = 1e-12
     for n in _MU_GRID_NS:
         for tau in _MU_GRID_TAUS:
             v = _complex_rows(rng, samples, 2 * n)
@@ -299,20 +305,12 @@ def _check_norm_monotonicity(seed, index, samples):
             norm_tau = np.sqrt(_batch_frob_sq(p) + tau * tau * _batch_frob_sq(q))
             norm_0 = np.sqrt(_batch_frob_sq(p))
             gap = (norm_0 - norm_tau) / np.maximum(norm_tau, 1e-30)
-            dev = float(gap.max())
-            total += samples
-            if dev > worst:
-                worst = dev
-                if dev > tol and bad is None:
-                    i = int(gap.argmax())
-                    bad = {"tau": tau, "alpha": v[i, :n].tolist(), "beta": v[i, n:].tolist()}
-    return CheckResult("mu_norm_monotone_in_tau", worst <= tol, total, worst, tol, bad)
+            yield gap, lambda i: {"tau": tau, "alpha": v[i, :n].tolist(), "beta": v[i, n:].tolist()}
 
 
-def _check_equivariance(seed, index, samples, tol=1e-10):
+@_grid("mu_equivariant_under_su2_x_sun", 1e-10)
+def _check_equivariance(rng, samples, seed):
     """mu((u x v) psi, (u x v) phi) == (u x v) mu(psi, phi) (u x v)^*."""
-    worst, bad, total = 0.0, None, 0
-    rng = _rng(seed, index)
     for n in _MU_GRID_NS:
         for tau in _MU_GRID_TAUS:
             us = _random_su(rng, 2, batch=samples)
@@ -328,21 +326,13 @@ def _check_equivariance(seed, index, samples, tol=1e-10):
             lhs, _, _ = _batch_mu_mats(tau, rot, rot_phi, n)
             scale = np.maximum(np.abs(rhs).max(axis=(1, 2)), 1e-30)
             dev_all = np.abs(lhs - rhs).max(axis=(1, 2)) / scale
-            dev = float(dev_all.max())
-            total += samples
-            if dev > worst:
-                worst = dev
-                if dev > tol and bad is None:
-                    i = int(dev_all.argmax())
-                    bad = _spinor_counterexample(
-                        SpinorPair(psi[i, :n], psi[i, n:]), tau, dev, 0.0
-                    )
-    return CheckResult("mu_equivariant_under_su2_x_sun", worst <= tol, total, worst, tol, bad)
+            yield dev_all, lambda i: _spinor_counterexample(
+                SpinorPair(psi[i, :n], psi[i, n:]), tau, float(dev_all[i]), 0.0
+            )
 
 
-def _check_phase_invariance(seed, index, samples, tol=1e-12):
-    worst, bad, total = 0.0, None, 0
-    rng = _rng(seed, index)
+@_grid("mu_phase_invariant", 1e-12)
+def _check_phase_invariance(rng, samples, seed):
     for n in _MU_GRID_NS:
         for tau in _MU_GRID_TAUS:
             v = _complex_rows(rng, samples, 2 * n)
@@ -351,18 +341,14 @@ def _check_phase_invariance(seed, index, samples, tol=1e-12):
             rhs, _, _ = _batch_mu_mats(tau, v, None, n)
             norms = np.einsum("mi,mi->m", v.conj(), v).real
             dev_all = np.abs(lhs - rhs).max(axis=(1, 2)) / np.maximum(norms, 1e-30)
-            dev = float(dev_all.max())
-            total += samples
-            if dev > worst:
-                worst = dev
-                if dev > tol and bad is None:
-                    i = int(dev_all.argmax())
-                    bad = _spinor_counterexample(SpinorPair(v[i, :n], v[i, n:]), tau, dev, 0.0)
-    return CheckResult("mu_phase_invariant", worst <= tol, total, worst, tol, bad)
+            yield dev_all, lambda i: _spinor_counterexample(
+                SpinorPair(v[i, :n], v[i, n:]), tau, float(dev_all[i]), 0.0
+            )
 
 
-def _check_zero_divisor_identity(seed, index, samples, tol=1e-10):
+def _check_zero_divisor_identity(seed, index, samples):
     worst, bad, total = 0.0, None, 0
+    tol = 1e-10
     rng = _rng(seed, index)
     for n in (2, 3, 4, 5, 6):
         m = max(samples, 1)
@@ -386,11 +372,9 @@ def _check_zero_divisor_identity(seed, index, samples, tol=1e-10):
     return CheckResult("traceless_outer_zero_divisor", worst <= tol, total, worst, tol, bad)
 
 
-def _check_properness_inequality(seed, index, samples):
+@_grid("properness_inequality", 0.0)
+def _check_properness_inequality(rng, samples, seed):
     """quartic_form(tau, psi) >= (estimate - tol)^2 |psi|^4, own estimate."""
-    worst, bad, total = 0.0, None, 0
-    tol = 0.0
-    rng = _rng(seed, index)
     for n in (2, 3, 4):
         for tau in (0.0, 0.5, 1.0):
             report = properness_constant_estimate(n, tau, starts=16, seed=seed)
@@ -407,48 +391,31 @@ def _check_properness_inequality(seed, index, samples):
                 + tau * (mu_norm_batch(1.0, a, b) ** 2 - mu_norm_batch(0.0, a, b) ** 2)
             )
             gap = p_plus_tau_q - floor * norms4
-            dev = float((-gap).max())
-            total += samples
-            if dev > worst:
-                worst = dev
-                if dev > tol and bad is None:
-                    i = int((-gap).argmax())
-                    bad = {"n": n, "tau": tau, "alpha": a[i].tolist(), "beta": b[i].tolist()}
-    return CheckResult("properness_inequality", worst <= tol, total, worst, tol, bad)
+            yield -gap, lambda i: {"n": n, "tau": tau, "alpha": a[i].tolist(), "beta": b[i].tolist()}
 
 
-def _check_bilinear_diagonal(seed, index, samples, tol=1e-12):
+@_grid("bilinear_diagonal_consistency", 1e-12)
+def _check_bilinear_diagonal(rng, samples, seed):
     """mu on the diagonal psi = phi agrees with the quadratic evaluation.
 
     A code-path consistency check on the public API, so a reduced sample
     count is enough.
     """
-    worst, bad, total = 0.0, None, 0
-    rng = _rng(seed, index)
-    samples = max(samples // 100, 25)
     for n in (1, 2, 3, 4):
         for tau in _MU_GRID_TAUS:
-            for _ in range(samples):
+            for _ in range(max(samples // 100, 25)):
                 psi = SpinorPair(*_complex_rows(rng, 2, n))
                 dev = float(np.abs(mu(tau, psi, psi).mat - mu(tau, psi).mat).max())
-                total += 1
-                if dev > worst:
-                    worst = dev
-                    if dev > tol and bad is None:
-                        bad = _spinor_counterexample(psi, tau, dev, 0.0)
-    return CheckResult("bilinear_diagonal_consistency", worst <= tol, total, worst, tol, bad)
+                yield dev, lambda i: _spinor_counterexample(psi, tau, dev, 0.0)
 
 
-def _check_gradient_finite_difference(seed, index, samples, tol=1e-6):
+@_grid("analytic_gradient_matches_fd", 1e-6)
+def _check_gradient_finite_difference(rng, samples, seed):
     """Analytic gradient of the sphere objective vs central differences."""
-    from .mu_kernel import _properness_value_grad
-
-    worst, bad, total = 0.0, None, 0
-    rng = _rng(seed, index)
     h = 1e-6
     for n in (2, 3):
         for tau in (0.0, 0.5, 1.0):
-            vg = _properness_value_grad(n, tau)
+            vg = properness_value_grad(n, tau)
             for _ in range(max(samples // 100, 3)):
                 x = rng.standard_normal(4 * n)
                 x /= np.linalg.norm(x)
@@ -463,12 +430,7 @@ def _check_gradient_finite_difference(seed, index, samples, tol=1e-6):
                 rel = float(
                     np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-30)
                 )
-                total += 1
-                if rel > worst:
-                    worst = rel
-                    if rel > tol and bad is None:
-                        bad = {"n": n, "tau": tau, "x": x.tolist()}
-    return CheckResult("analytic_gradient_matches_fd", worst <= tol, total, worst, tol, bad)
+                yield rel, lambda i: {"n": n, "tau": tau, "x": x.tolist()}
 
 
 _MU_CHECKS: tuple[tuple[str, Callable], ...] = (
@@ -486,29 +448,37 @@ _MU_CHECKS: tuple[tuple[str, Callable], ...] = (
 )
 
 
+def _run_suite(kind: str, checks, first_index: int, suite: str, samples: int, seed: int) -> SuiteReport:
+    """Run the registry entries ``checks`` selected by ``suite``.
+
+    The check at registry position ``i`` draws from stream ``first_index + i``.
+    """
+    names = [name for name, _ in checks]
+    if suite != "all" and suite not in names:
+        raise ValueError(f"unknown {kind} suite {suite!r}; choose from {['all', *names]}")
+    results = tuple(
+        fn(seed, first_index + index, samples)
+        for index, (name, fn) in enumerate(checks)
+        if suite in ("all", name)
+    )
+    return SuiteReport(suite=f"{kind}:{suite}", seed=seed, checks=results)
+
+
 def mu_suite(suite: str = "all", samples: int = 200, seed: int = 0) -> SuiteReport:
     """Run the spinor-map property checks.
 
     ``samples`` is the per-(n, tau) cell sample count for grid checks;
     ``suite`` selects a single named check or ``"all"``.
     """
-    names = [name for name, _ in _MU_CHECKS]
-    if suite != "all" and suite not in names:
-        raise ValueError(f"unknown mu suite {suite!r}; choose from {['all', *names]}")
-    checks = []
-    for index, (name, fn) in enumerate(_MU_CHECKS):
-        if suite in ("all", name):
-            checks.append(fn(seed, index, samples))
-    return SuiteReport(suite=f"mu:{suite}", seed=seed, checks=tuple(checks))
+    return _run_suite("mu", _MU_CHECKS, 0, suite, samples, seed)
 
 
 # ---------------------------------------------------------------------------
 # kaehler suite
 # ---------------------------------------------------------------------------
 
-def _check_brace_algebra(seed, index, samples, tol=1e-12):
-    worst, bad, total = 0.0, None, 0
-    rng = _rng(seed, index)
+@_grid("brace_linear_unit_trace_scaling", 1e-12)
+def _check_brace_algebra(rng, samples, seed):
     for n in (1, 2, 3, 5):
         for _ in range(samples):
             f = _complex_rows(rng, n, n)
@@ -521,18 +491,11 @@ def _check_brace_algebra(seed, index, samples, tol=1e-12):
                 float(np.abs(brace(f, 1.0) - f).max()),
                 abs(np.trace(brace(f, tau)) - tau * np.trace(f)),
             )
-            dev = max(devs) / scale
-            total += 1
-            if dev > worst:
-                worst = dev
-                if dev > tol and bad is None:
-                    bad = {"n": n, "tau": tau, "f": f.tolist()}
-    return CheckResult("brace_linear_unit_trace_scaling", worst <= tol, total, worst, tol, bad)
+            yield max(devs) / scale, lambda i: {"n": n, "tau": tau, "f": f.tolist()}
 
 
-def _check_mu_kaehler_matches_mu(seed, index, samples, tol=1e-12):
-    worst, bad, total = 0.0, None, 0
-    rng = _rng(seed, index)
+@_grid("kaehler_blocks_match_projection_mu", 1e-12)
+def _check_mu_kaehler_matches_mu(rng, samples, seed):
     for n in (1, 2, 3, 4, 5):
         for tau in (0.0, 0.25, 1.0):
             for _ in range(samples):
@@ -540,24 +503,19 @@ def _check_mu_kaehler_matches_mu(seed, index, samples, tol=1e-12):
                 b = _complex_rows(rng, 1, n)[0]
                 lhs = mu_kaehler(a, b, tau).mat
                 rhs = mu(tau, SpinorPair(a, b)).mat
-                dev = float(np.abs(lhs - rhs).max())
-                total += 1
-                if dev > worst:
-                    worst = dev
-                    if dev > tol and bad is None:
-                        bad = {"n": n, "tau": tau, "alpha": a.tolist(), "beta": b.tolist()}
-    return CheckResult("kaehler_blocks_match_projection_mu", worst <= tol, total, worst, tol, bad)
+                yield float(np.abs(lhs - rhs).max()), lambda i: {
+                    "n": n, "tau": tau, "alpha": a.tolist(), "beta": b.tolist()
+                }
 
 
-def _check_clifford(seed, index, samples, tol=1e-12):
+@_grid("clifford_traceless_su2_types", 1e-12)
+def _check_clifford(rng, samples, seed):
     """Trace and symmetry type of the Clifford action.
 
     Always traceless; a real-valued form (real contraction, conjugate
     (2,0)/(0,2) pair) lands in su(2), an imaginary-valued one in i*su(2)
     (Hermitian traceless).
     """
-    worst, bad, total = 0.0, None, 0
-    rng = _rng(seed, index)
     for _ in range(samples * 4):
         lam = rng.standard_normal()
         e02 = complex(*rng.standard_normal(2))
@@ -569,19 +527,11 @@ def _check_clifford(seed, index, samples, tol=1e-12):
             float(np.abs(g_real + g_real.conj().T).max()),
             float(np.abs(g_imag - g_imag.conj().T).max()),
         )
-        dev = max(float(d) for d in devs)
-        total += 1
-        if dev > worst:
-            worst = dev
-            if dev > tol and bad is None:
-                bad = {"eta_lambda": lam, "eta02": [e02.real, e02.imag]}
-    return CheckResult("clifford_traceless_su2_types", worst <= tol, total, worst, tol, bad)
+        yield max(float(d) for d in devs), lambda i: {"eta_lambda": lam, "eta02": [e02.real, e02.imag]}
 
 
-def _check_decoupling(seed, index, samples):
-    worst, bad, total = 0.0, None, 0
-    tol = 0.0
-    rng = _rng(seed, index)
+@_grid("decoupling_inequality", 1e-12)
+def _check_decoupling(rng, samples, seed):
     for n in (1, 2, 3, 4, 6):
         m = max(samples, 1)
         a = _complex_rows(rng, m, n)
@@ -590,37 +540,26 @@ def _check_decoupling(seed, index, samples):
         lhs, rhs = decoupling_bound_batch(a, b, taus)
         scale = np.maximum(np.abs(rhs), 1e-30)
         dev_pair = np.maximum(rhs - lhs, -rhs) / scale  # violations of lhs>=rhs>=0
-        dev = float(dev_pair.max())
-        total += m
-        if dev > worst:
-            worst = dev
-            if dev > 1e-12 and bad is None:
-                i = int(dev_pair.argmax())
-                bad = {"n": n, "tau": float(taus[i]), "alpha": a[i].tolist(), "beta": b[i].tolist()}
-    return CheckResult("decoupling_inequality", worst <= 1e-12, total, worst, tol, bad)
+        yield dev_pair, lambda i: {
+            "n": n, "tau": float(taus[i]), "alpha": a[i].tolist(), "beta": b[i].tolist()
+        }
 
 
-def _check_margin_closed_form(seed, index, samples, tol=1e-4):
-    worst, bad, total = 0.0, None, 0
+@_grid("margin_matches_closed_form", 1e-4)
+def _check_margin_closed_form(rng, samples, seed):
     starts = max(8, min(24, samples))
     for n in (2, 3):
         for tau in (0.25, 0.5, 1.0):
             for lam in (1.0, 2j):
                 measured = impossibility_margin(n, tau, lam, starts=starts, seed=seed)
                 expected = impossibility_margin_closed_form(n, tau, lam)
-                rel = abs(measured.estimate - expected) / expected
-                total += 1
-                if rel > worst:
-                    worst = rel
-                    if rel > tol and bad is None:
-                        bad = {
-                            "n": n,
-                            "tau": tau,
-                            "lambda": [complex(lam).real, complex(lam).imag],
-                            "measured": measured.estimate,
-                            "expected": expected,
-                        }
-    return CheckResult("margin_matches_closed_form", worst <= tol, total, worst, tol, bad)
+                yield abs(measured.estimate - expected) / expected, lambda i: {
+                    "n": n,
+                    "tau": tau,
+                    "lambda": [complex(lam).real, complex(lam).imag],
+                    "measured": measured.estimate,
+                    "expected": expected,
+                }
 
 
 def make_satisfying_field(rng, n: int, tau: float) -> PointwiseField:
@@ -636,8 +575,9 @@ def make_satisfying_field(rng, n: int, tau: float) -> PointwiseField:
     return PointwiseField(a, b, f02, lam, eta02, eta_lambda, tau)
 
 
-def _check_curvature_split(seed, index, samples, tol=1e-9):
+def _check_curvature_split(seed, index, samples):
     worst, bad, total = 0.0, None, 0
+    tol = 1e-9
     rng = _rng(seed, index)
     false_verdicts = 0
     for _ in range(samples):
@@ -694,11 +634,4 @@ _KAEHLER_CHECKS: tuple[tuple[str, Callable], ...] = (
 
 def kaehler_suite(suite: str = "all", samples: int = 200, seed: int = 0) -> SuiteReport:
     """Run the Kahler fiber-algebra checks; see :func:`mu_suite` for knobs."""
-    names = [name for name, _ in _KAEHLER_CHECKS]
-    if suite != "all" and suite not in names:
-        raise ValueError(f"unknown kaehler suite {suite!r}; choose from {['all', *names]}")
-    checks = []
-    for index, (name, fn) in enumerate(_KAEHLER_CHECKS):
-        if suite in ("all", name):
-            checks.append(fn(seed, 100 + index, samples))
-    return SuiteReport(suite=f"kaehler:{suite}", seed=seed, checks=tuple(checks))
+    return _run_suite("kaehler", _KAEHLER_CHECKS, 100, suite, samples, seed)

@@ -303,6 +303,15 @@ class TestCli:
         assert code == 0
         assert json.loads(out)["result"]["count"] == 5
 
+    def test_metric_file_of_wrong_size_names_the_field(self, hyperbolic_file, tmp_path, capsys):
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+        argv = ["reductions", "enumerate", "--input", hyperbolic_file, "--c-trace", "6.2832"]
+        code = main(argv + ["--g", str(g)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: $.g: ") and "2x2" in err
+
     def test_schema_command(self, capsys):
         code, out = run_cli(["schema"], capsys)
         assert code == 0

@@ -230,3 +230,4 @@ class TestSplitRhsHelper:
 def test_kaehler_suite_all_green_small():
     report = kaehler_suite(samples=100, seed=3)
     assert report.all_passed, [c.name for c in report.failures()]
+    assert all(c.worst <= c.tolerance for c in report.checks)

@@ -18,7 +18,7 @@ from monopoles import (
 )
 from monopoles.mu_kernel import (
     BlockEndo,
-    _properness_value_grad,
+    properness_value_grad,
     _zero_divisor_value_grad,
     random_sphere_search,
 )
@@ -218,7 +218,7 @@ class TestZeroDivisorMargin:
     def test_diagonal_restriction_matches_properness_objective(self, rng):
         n = 3
         vg_pair = _zero_divisor_value_grad(n, 0.25)
-        vg_diag = _properness_value_grad(n, 0.25)
+        vg_diag = properness_value_grad(n, 0.25)
         for _ in range(20):
             x = rng.standard_normal(4 * n)
             x /= np.linalg.norm(x)
@@ -230,3 +230,4 @@ class TestZeroDivisorMargin:
 def test_mu_suite_all_green_small():
     report = mu_suite(samples=150, seed=2)
     assert report.all_passed, [c.name for c in report.failures()]
+    assert all(c.worst <= c.tolerance for c in report.checks)
