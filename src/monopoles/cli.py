@@ -26,7 +26,9 @@ ignored: nothing reads it, so it cannot affect results.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import sys
 import time
 import warnings
@@ -63,17 +65,41 @@ EXIT_PROPERTY_FAILURE = 1
 EXIT_INVALID_INPUT = 2
 
 
-def _parse_complex(text: str) -> complex:
-    """Parse '1+0i', '2i', '-0.5-1.5i' (also accepts 'j' notation)."""
-    cleaned = text.strip().replace("i", "j")
-    try:
-        return complex(cleaned)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse complex number {text!r}") from None
+def _flag_type(parse, accept, expected: str):
+    """An argparse ``type``: ``parse`` the text, then insist on ``accept(value)``."""
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return convert
+
+
+_finite_float = _flag_type(float, math.isfinite, "a finite number")
+_nonnegative_float = _flag_type(
+    float, lambda v: math.isfinite(v) and v >= 0.0, "a finite nonnegative number"
+)
+_positive_int = _flag_type(int, lambda v: v >= 1, "an integer >= 1")
+# '1+0i', '2i', '-0.5-1.5i' (also 'j' notation)
+_finite_complex = _flag_type(
+    lambda text: complex(text.strip().replace("i", "j")), cmath.isfinite, "a finite complex number"
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors as one line on stderr, exit 2: ``<prog>: error: argument --flag: ...``."""
+
+    def error(self, message):
+        self.exit(EXIT_INVALID_INPUT, f"{self.prog}: error: {message}\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="monopoles",
         description="expected dimensions, spinor-map certificates, Kahler fiber "
         "algebra and reduction censuses for higher-rank monopole theory",
@@ -99,9 +125,9 @@ def _build_parser() -> argparse.ArgumentParser:
     red_sub = red.add_subparsers(dest="red_kind", required=True)
     enum_p = red_sub.add_parser("enumerate")
     add_common(enum_p, input_file=True)
-    enum_p.add_argument("--c-trace", type=float, default=None)
-    enum_p.add_argument("--c-plus", type=float, default=None)
-    enum_p.add_argument("--c-minus", type=float, default=None)
+    enum_p.add_argument("--c-trace", type=_nonnegative_float, default=None)
+    enum_p.add_argument("--c-plus", type=_nonnegative_float, default=None)
+    enum_p.add_argument("--c-minus", type=_nonnegative_float, default=None)
     enum_p.add_argument("--g", default=None, help='"identity" or a JSON file with a rational matrix')
     enum_p.add_argument("--kmax", type=int, default=None)
     enum_p.add_argument("--dirac-multiplicity", type=int, choices=(1, 2), default=None)
@@ -116,14 +142,14 @@ def _build_parser() -> argparse.ArgumentParser:
     prop = mu_sub.add_parser("properness")
     add_common(prop)
     prop.add_argument("--n", type=int, required=True)
-    prop.add_argument("--tau", type=float, required=True)
-    prop.add_argument("--starts", type=int, default=64)
+    prop.add_argument("--tau", type=_finite_float, required=True)
+    prop.add_argument("--starts", type=_positive_int, default=64)
     prop.add_argument("--seed", type=int, default=0)
-    prop.add_argument("--tol", type=float, default=1e-8)
+    prop.add_argument("--tol", type=_finite_float, default=1e-8)
     check = mu_sub.add_parser("check")
     add_common(check)
     check.add_argument("--suite", default="all")
-    check.add_argument("--samples", type=int, default=200)
+    check.add_argument("--samples", type=_positive_int, default=200)
     check.add_argument("--seed", type=int, default=0)
 
     ka = sub.add_parser("kaehler", help="Kahler fiber algebra")
@@ -131,14 +157,14 @@ def _build_parser() -> argparse.ArgumentParser:
     kcheck = ka_sub.add_parser("check")
     add_common(kcheck)
     kcheck.add_argument("--suite", default="all")
-    kcheck.add_argument("--samples", type=int, default=200)
+    kcheck.add_argument("--samples", type=_positive_int, default=200)
     kcheck.add_argument("--seed", type=int, default=0)
     margin = ka_sub.add_parser("margin")
     add_common(margin)
     margin.add_argument("--n", type=int, required=True)
-    margin.add_argument("--tau", type=float, required=True)
-    margin.add_argument("--lambda", dest="lam", type=_parse_complex, required=True)
-    margin.add_argument("--starts", type=int, default=64)
+    margin.add_argument("--tau", type=_finite_float, required=True)
+    margin.add_argument("--lambda", dest="lam", type=_finite_complex, required=True)
+    margin.add_argument("--starts", type=_positive_int, default=64)
     margin.add_argument("--seed", type=int, default=0)
 
     tau0 = sub.add_parser("tau0", help="generic vanishing of the tau=0 trace equation")
@@ -235,7 +261,11 @@ def _run_reductions(args, argv, start_time) -> int:
         metric = base.metric
     else:
         metric = identity_metric(problem.manifold.b2)
-    bounds = CurvatureBounds(c_trace, c_plus, c_minus, metric)
+    try:
+        bounds = CurvatureBounds(c_trace, c_plus, c_minus, metric)
+    except ValueError as exc:
+        # the flags and the problem's bounds are validated already: only a --g metric is left
+        raise ValidationError("$.g", str(exc)) from None
     kmax = args.kmax if args.kmax is not None else problem.options.kmax
     mult = (
         args.dirac_multiplicity

@@ -10,6 +10,8 @@ Serialization is canonical so identical inputs and seeds produce
 byte-identical reports: keys are sorted, exact rationals are emitted as
 ``{"num", "den"}`` objects rather than corrupted to floats, complex numbers
 as ``{"re", "im"}``, and floats through their shortest round-trip repr.
+Reports are strict JSON: ``NaN`` and infinities are refused on input and
+output alike.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
@@ -77,6 +80,8 @@ def _int_field(value, path: str) -> int:
 def _number_field(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(path, f"expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValidationError(path, f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -347,8 +352,14 @@ def to_jsonable(obj: Any) -> Any:
 
 
 def canonical_dumps(obj: Any) -> str:
-    """Deterministic JSON text: sorted keys, fixed separators, 2-space indent."""
-    return json.dumps(to_jsonable(obj), sort_keys=True, indent=2, separators=(",", ": "))
+    """Deterministic strict JSON text: sorted keys, fixed separators, 2-space indent.
+
+    Non-finite floats raise ``ValueError`` instead of becoming the bare
+    ``NaN``/``Infinity`` tokens that strict JSON parsers reject.
+    """
+    return json.dumps(
+        to_jsonable(obj), sort_keys=True, indent=2, separators=(",", ": "), allow_nan=False
+    )
 
 
 def input_sha256(doc: Any) -> str:

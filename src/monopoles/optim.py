@@ -29,6 +29,10 @@ class OptimizationReport:
     per-start post-processed values in start order, so
     ``estimate == min(values_per_start)`` whenever at least one start ran.
     ``success`` is ``None`` when no positivity criterion applies.
+    ``converged_per_start[i]`` is ``False`` only when start ``i`` ran out of
+    ``iterations_per_start`` iterations; a start that met the gradient
+    tolerance or could make no strict decrease at machine precision reads
+    ``True``.
     """
 
     estimate: float
@@ -131,9 +135,15 @@ def _descend(value_and_grad, x0, project, tangent, gtol, max_iter, gauge=None):
     """Projected gradient descent with spectral (Barzilai-Borwein) steps.
 
     The BB1 step length <s,s>/<s,y> is clipped to [1e-12, 1e8] and
-    safeguarded by monotone Armijo backtracking, which keeps every accepted
-    step a strict decrease while converging far faster than a fixed-step
-    scheme on these quartic objectives.
+    safeguarded by monotone Armijo backtracking, converging far faster than
+    a fixed-step scheme on these quartic objectives.
+
+    Returns ``(x, f, converged)``.  The descent stops converged when the
+    projected gradient norm drops below ``gtol`` or when no strict decrease
+    is representable at machine precision: backtracking accepts no step, or
+    it accepts one with ``f_new == f`` because the Armijo decrease has
+    fallen below ulp(f).  ``converged`` is ``False`` only when ``max_iter``
+    iterations ran out.
     """
     x = project(np.asarray(x0, dtype=float))
     f, g = value_and_grad(x)
@@ -154,7 +164,7 @@ def _descend(value_and_grad, x0, project, tangent, gtol, max_iter, gauge=None):
                 accepted = True
                 break
             t *= 0.5
-        if not accepted:
+        if not accepted or not f_new < f:
             # no decrease representable at machine precision
             converged = True
             break

@@ -117,6 +117,11 @@ class TestSerialization:
     def test_complex_encoding(self):
         assert to_jsonable(2j) == {"re": 0.0, "im": 2.0}
 
+    def test_canonical_dumps_refuses_non_finite_floats(self):
+        for bad in (float("nan"), float("inf"), complex(1.0, float("-inf"))):
+            with pytest.raises(ValueError):
+                canonical_dumps({"x": [bad]})
+
     def test_canonical_dumps_sorted_and_stable(self):
         a = canonical_dumps({"b": 1, "a": Fraction(1, 3)})
         b = canonical_dumps({"a": Fraction(1, 3), "b": 1})
@@ -312,6 +317,48 @@ class TestCli:
         assert code == 2
         assert err.startswith("error: $.g: ") and "2x2" in err
 
+    def test_metric_file_not_positive_definite_names_the_field(
+        self, hyperbolic_file, tmp_path, capsys
+    ):
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps([[1, 2], [2, 1]]))
+        argv = ["reductions", "enumerate", "--input", hyperbolic_file, "--c-trace", "6.2832"]
+        code = main(argv + ["--g", str(g)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: $.g: ") and "positive definite" in err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["mu", "properness", "--n", "2", "--tau", "nan"], "--tau"),
+            (["mu", "properness", "--n", "2", "--tau", "0.5", "--tol", "inf"], "--tol"),
+            (["kaehler", "margin", "--n", "2", "--tau", "inf", "--lambda", "1"], "--tau"),
+            (["kaehler", "margin", "--n", "2", "--tau", "0.5", "--lambda", "nan"], "--lambda"),
+            (["mu", "check", "--samples", "0"], "--samples"),
+            (["kaehler", "check", "--samples", "-1"], "--samples"),
+            (["reductions", "enumerate", "--input", "p.json", "--c-trace", "inf"], "--c-trace"),
+            (["reductions", "enumerate", "--input", "p.json", "--c-plus", "nan"], "--c-plus"),
+            (["reductions", "enumerate", "--input", "p.json", "--c-minus", "-1"], "--c-minus"),
+        ],
+    )
+    def test_bad_numeric_flag_exits_2_naming_the_flag(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and f"argument {flag}: " in captured.err
+
+    def test_non_finite_number_in_problem_file_names_the_field(self, tmp_path, capsys):
+        doc = problem_doc(options={"tol": float("nan")})
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))  # Python writes the non-standard NaN token
+        code = main(["dim", "pun", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: $.options.tol: ")
+
     def test_schema_command(self, capsys):
         code, out = run_cli(["schema"], capsys)
         assert code == 0
@@ -329,6 +376,14 @@ class TestCli:
             main(["--version"])
         assert exc.value.code == 0
         assert "monopoles" in capsys.readouterr().out
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = subprocess.run(
+        [sys.executable, "-m", "monopoles", "--version"], capture_output=True, check=False
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().startswith("monopoles ")
 
 
 class TestDeterminism:
