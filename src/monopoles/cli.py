@@ -48,6 +48,7 @@ from .jsonio import (
     load_problem,
     parse_metric,
     problem_schema,
+    to_jsonable,
 )
 from .kaehler import impossibility_margin, impossibility_margin_closed_form
 from .mu_kernel import properness_constant_estimate
@@ -201,8 +202,6 @@ def _flatten(obj, prefix=""):
 
 
 def _render(report: dict, fmt: str) -> str:
-    from .jsonio import to_jsonable
-
     if fmt == "json":
         return canonical_dumps(report)
     rows = list(_flatten(to_jsonable(report)))
@@ -328,15 +327,20 @@ def _run_strata(args, argv, start_time) -> int:
     return EXIT_OK
 
 
-def _emit_certificate(args, argv, start_time, estimate, extra=dict) -> int:
+def _emit_certificate(args, argv, start_time, scale, estimate, extra=dict) -> int:
     """Report ``estimate()`` at ``--n``/``--tau`` with the warnings it raised.
 
     ``extra()`` adds fields; it runs after the estimate has checked its input.
+    ``scale`` is the ``(flag, value)`` that sizes the estimate: a result that
+    overflows to ``inf``/``nan`` is refused naming that flag.
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         result = estimate().as_dict()
     result.update(n=args.n, tau=args.tau, **extra())
+    if any(isinstance(v, float) and not math.isfinite(v) for _, v in _flatten(to_jsonable(result))):
+        flag, value = scale
+        raise ValueError(f"argument {flag}: {value} overflows the estimate; expected a smaller magnitude")
     _emit(_envelope(argv, result, [str(w.message) for w in caught]), args, start_time)
     return EXIT_OK
 
@@ -355,7 +359,7 @@ def _emit_suite(report, args, argv, start_time) -> int:
 def _run_mu(args, argv, start_time) -> int:
     if args.mu_kind == "properness":
         return _emit_certificate(
-            args, argv, start_time,
+            args, argv, start_time, ("--tau", args.tau),
             lambda: properness_constant_estimate(
                 args.n, args.tau, starts=args.starts, seed=args.seed, tol=args.tol
             ),
@@ -367,7 +371,7 @@ def _run_mu(args, argv, start_time) -> int:
 def _run_kaehler(args, argv, start_time) -> int:
     if args.ka_kind == "margin":
         return _emit_certificate(
-            args, argv, start_time,
+            args, argv, start_time, ("--lambda", args.lam),
             lambda: impossibility_margin(
                 args.n, args.tau, args.lam, starts=args.starts, seed=args.seed
             ),

@@ -296,8 +296,13 @@ def cup(x: CohClass2, y: CohClass2, manifold: FourManifold) -> int:
         raise ValueError(
             f"class length mismatch: got {len(x)} and {len(y)}, expected b2={b2}"
         )
-    q = manifold.intersection_form
-    return sum(x.coeffs[i] * q[i][j] * y.coeffs[j] for i in range(b2) for j in range(b2))
+    q, yc = manifold.intersection_form, y.coeffs
+    # classes are mostly zeros and unimodular forms sparse: skip both
+    return sum(
+        xi * sum(qij * yc[j] for j, qij in enumerate(q[i]) if qij)
+        for i, xi in enumerate(x.coeffs)
+        if xi
+    )
 
 
 def characteristic_defects(s: SpincStructure, manifold: FourManifold) -> tuple[int, ...]:

@@ -8,6 +8,15 @@ the trace bound confines ``c1(F)`` to a ball of the harmonic-form metric
 ``G``, and the self-dual/anti-self-dual bounds confine ``<c2(F)>`` to an
 integer window around ``<c1(F)^2>/2``.
 
+The ball is enumerated by Fincke-Pohst depth-first search over an exact
+``L D L^T`` factorization of ``G``, so the work follows the ball's own
+search tree rather than a bounding box around it.  The class-dependent data
+(window, ``<c1(F) c1(Fperp)>``, norm) is computed once per ball point.  For
+rank ``N-1`` the line-bundle complement has ``c2 = 0``, which forces
+``c2(F) = c2(E) - k - <c1(F) c1(Fperp)>``: that single value is checked
+against the window instead of walking the window, and the other window
+entries are counted as pruned, as a walk would have counted them.
+
 All filtering is exact: ``G`` is a rational positive-definite matrix, the
 ball test clears denominators and compares integers, and window endpoints
 are floored/ceiled through exact rationals.  Enumeration order is
@@ -20,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Sequence
 
 from .cohomology import (
@@ -123,33 +131,23 @@ class CurvatureBounds:
         return len(self.metric)
 
 
-def _metric_inverse(g: tuple[tuple[Fraction, ...], ...]) -> list[list[Fraction]]:
+def _ldl(g: tuple[tuple[Fraction, ...], ...]) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """``G = L D L^T`` exactly: unit lower-triangular ``L`` and the diagonal of ``D``.
+
+    The pivots ``d_j`` are ratios of leading principal minors, so ``G`` is
+    positive definite exactly when every pivot is positive (Sylvester).
+    """
     m = len(g)
-    a = [list(row) + [Fraction(int(i == j)) for j in range(m)] for i, row in enumerate(g)]
-    for c in range(m):
-        piv = next(r for r in range(c, m) if a[r][c] != 0)
-        a[c], a[piv] = a[piv], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for r in range(m):
-            if r != c and a[r][c]:
-                f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    return [row[m:] for row in a]
-
-
-def _floor_sqrt(x: Fraction) -> int:
-    """floor(sqrt(x)) for a nonnegative rational, exactly."""
-    if x < 0:
-        raise ValueError("negative radicand")
-    # floor of sqrt(p/q): integer square root of floor(p*q) over q
-    p, q = x.numerator, x.denominator
-    r = math.isqrt(p * q) // q
-    while (r + 1) * (r + 1) <= x:
-        r += 1
-    while r * r > x:
-        r -= 1
-    return r
+    low = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+    d = []
+    for j in range(m):
+        dj = g[j][j] - sum(low[j][k] * low[j][k] * d[k] for k in range(j))
+        if dj <= 0:
+            raise ValueError("metric must be positive definite")
+        d.append(dj)
+        for i in range(j + 1, m):
+            low[i][j] = (g[i][j] - sum(low[i][k] * low[j][k] * d[k] for k in range(j))) / dj
+    return low, d
 
 
 def lattice_points_in_ball(
@@ -157,37 +155,43 @@ def lattice_points_in_ball(
 ) -> list[tuple[int, ...]]:
     """All integer vectors with v^T G v <= radius_sq, exactly, sorted.
 
-    Bounding-box enumeration: the box half-widths come from the diagonal of
-    the exact inverse metric (for v in the ball, v_i^2 <= radius_sq *
-    (G^{-1})_{ii}), then every box point is filtered through the cleared-
-    denominator integer quadratic form.
+    Fincke-Pohst enumeration (Math. Comp. 44, 1985): with ``G = L D L^T``,
+    ``v^T G v = sum_i d_i (v_i + c_i)^2`` where ``c_i = sum_{j>i} L_ji v_j``
+    depends only on the later coordinates.  A depth-first search fixes
+    ``v_{m-1}, ..., v_0`` in turn; at coordinate ``i``, with ``budget`` left
+    of ``radius_sq``, ``v_i`` ranges over the integers with
+    ``|v_i + c_i| <= sqrt(budget / d_i)``, so the search visits the ball's
+    own tree and no box around it.  The range is computed exactly: scaling
+    by ``a^2 b`` (``a``, ``b`` the common denominators of ``L`` and ``D``)
+    turns each test into ``w_i (a v_i + s_i)^2 <= B`` with integers
+    ``w_i = b d_i``, ``s_i = a c_i`` and ``B = floor(a^2 b radius_sq)``,
+    whose solutions are ``|a v_i + s_i| <= isqrt(B // w_i)``.
     """
     g = _rational_matrix(metric, "metric")
-    if inertia(g) != (len(g), 0, 0):
-        raise ValueError("metric must be positive definite")
+    low, d = _ldl(g)
     r2 = _as_fraction(radius_sq, "radius_sq")
     if r2 < 0:
         return []
     m = len(g)
-    if m == 0:
-        return [()]
-
-    ginv = _metric_inverse(g)
-    bounds = [_floor_sqrt(r2 * ginv[i][i]) for i in range(m)]
-    denom = math.lcm(*(e.denominator for row in g for e in row))
-
-    gi = [[int(e * denom) for e in row] for row in g]
-    threshold = r2 * denom  # compare integers against this exact rational
+    a = math.lcm(*(x.denominator for row in low for x in row))
+    b = math.lcm(*(x.denominator for x in d))
+    w = [int(x * b) for x in d]
+    lint = [[int(x * a) for x in row] for row in low]
     points = []
-    for v in product(*(range(-b, b + 1) for b in bounds)):
-        q = 0
-        for i in range(m):
-            vi = v[i]
-            if vi:
-                row = gi[i]
-                q += vi * sum(row[j] * v[j] for j in range(m))
-        if q <= threshold:
-            points.append(v)
+    v = [0] * m
+
+    def descend(i: int, budget: int) -> None:
+        if i < 0:
+            points.append(tuple(v))
+            return
+        s = sum(lint[j][i] * v[j] for j in range(i + 1, m))
+        h = math.isqrt(budget // w[i])
+        for t in range(-((s + h) // a), (h - s) // a + 1):
+            v[i] = t
+            descend(i - 1, budget - w[i] * (a * t + s) ** 2)
+        v[i] = 0
+
+    descend(m - 1, math.floor(r2 * b * a * a))
     points.sort()
     return points
 
@@ -317,6 +321,11 @@ def enumerate_reductions(
     forced by Whitney arithmetic, inconsistent rank-1 complements pruned and
     counted.  The census is finite for any positive-definite metric and
     finite bounds, and is returned sorted by (rank, stratum, c1, c2).
+
+    The radius is the float ``c_trace / (2 pi)``, squared exactly as a
+    rational.  A class whose norm equals the intended radius exactly can
+    therefore fall on either side of the ball, depending on how that float
+    quotient rounds; give ``c_trace`` a little slack to keep such a class.
     """
     if bounds.b2 != manifold.b2:
         raise ValueError("harmonic metric size does not match b2")
@@ -334,32 +343,38 @@ def enumerate_reductions(
     radius = bounds.c_trace / (2.0 * math.pi)
     radius_sq = Fraction(radius) * Fraction(radius)
     points = lattice_points_in_ball(bounds.metric, radius_sq)
+    g = bounds.metric
+    classes = []  # per ball point: c1(F), its c2 window, <c1F . c1Fperp>, ||c1F||
+    for v in points:
+        c1f = CohClass2(v)
+        support = [(i, x) for i, x in enumerate(v) if x]
+        norm_sq = sum(x * g[i][j] * y for i, x in support for j, y in support)
+        classes.append((
+            c1f,
+            chern_weil_c2_window(c1f, manifold, bounds),
+            cup(c1f, bundle.c1 - c1f, manifold),
+            math.sqrt(float(norm_sq)),
+        ))
     big_n = bundle.rank
     candidates = []
     pruned = 0
     for n in range(1, big_n):
         tau = tau_parameter(n, big_n)
         for k in range(k_max + 1):
-            for v in points:
-                c1f = CohClass2(v)
-                window = chern_weil_c2_window(c1f, manifold, bounds)
-                for c2f in window:
-                    if n == 1 and c2f != 0:
-                        continue
+            for c1f, window, pairing, c1_norm in classes:
+                # a line subbundle has c2 = 0
+                eligible = window if n > 1 else range(int(0 in window))
+                if n == big_n - 1:
+                    # the line-bundle complement has c2 = 0, which forces c2(F)
+                    forced = (bundle.c2 - k) - pairing
+                    kept = (forced,) if forced in eligible else ()
+                    pruned += len(eligible) - len(kept)
+                    eligible = kept
+                for c2f in eligible:
                     sub = BundleData(n, c1f, c2f)
-                    try:
-                        perp = whitney_complement(bundle, sub, manifold, k)
-                    except InconsistentCandidateError:
-                        pruned += 1
-                        continue
+                    perp = whitney_complement(bundle, sub, manifold, k)
                     dim_un, dim_asd, total = component_dims(
                         bundle, s, manifold, sub, k, dirac_multiplicity
-                    )
-                    g = bounds.metric
-                    norm_sq = sum(
-                        Fraction(v[i]) * g[i][j] * v[j]
-                        for i in range(len(v))
-                        for j in range(len(v))
                     )
                     candidates.append(
                         ReductionCandidate(
@@ -370,7 +385,7 @@ def enumerate_reductions(
                             dim_asd_part=dim_asd,
                             total_dim=total,
                             stratum_k=k,
-                            c1_norm=math.sqrt(float(norm_sq)),
+                            c1_norm=c1_norm,
                         )
                     )
     candidates.sort(key=ReductionCandidate.sort_key)

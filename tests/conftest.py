@@ -123,7 +123,11 @@ def instanton_dimension_oracle(k: int, b2plus: int) -> int:
 
 
 def brute_force_ball(metric, radius_sq: Fraction) -> list[tuple[int, ...]]:
-    """Lattice ball by eigenvalue bounding box + exact Fraction filter."""
+    """Lattice ball by eigenvalue bounding box + exact filter.
+
+    The filter clears the metric's denominators once and compares the
+    integer ``den * v^T G v`` with ``floor(den * radius_sq)``.
+    """
     g = [[Fraction(x) for x in row] for row in metric]
     m = len(g)
     if m == 0:
@@ -132,10 +136,13 @@ def brute_force_ball(metric, radius_sq: Fraction) -> list[tuple[int, ...]]:
     lam_min = float(eigs.min())
     assert lam_min > 0
     box = int(math.floor(math.sqrt(float(radius_sq) / lam_min) + 1e-9)) + 1
+    den = math.lcm(*(x.denominator for row in g for x in row))
+    gi = [[int(x * den) for x in row] for row in g]
+    bound = math.floor(Fraction(radius_sq) * den)
     out = []
     for v in product(range(-box, box + 1), repeat=m):
-        q = sum(Fraction(v[i]) * g[i][j] * v[j] for i in range(m) for j in range(m))
-        if q <= radius_sq:
+        q = sum(v[i] * gi[i][j] * v[j] for i in range(m) for j in range(m))
+        if q <= bound:
             out.append(v)
     out.sort()
     return out

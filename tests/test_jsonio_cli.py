@@ -350,6 +350,20 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and f"argument {flag}: " in captured.err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["kaehler", "margin", "--n", "2", "--tau", "0.5", "--lambda", "1e300"], "--lambda"),
+            (["mu", "properness", "--n", "2", "--tau", "1e300"], "--tau"),
+        ],
+    )
+    def test_overflowing_estimate_exits_2_naming_the_flag(self, argv, flag, capsys):
+        code = main(argv + ["--starts", "2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: argument {flag}: ")
+
     def test_non_finite_number_in_problem_file_names_the_field(self, tmp_path, capsys):
         doc = problem_doc(options={"tol": float("nan")})
         path = tmp_path / "nan.json"

@@ -165,6 +165,47 @@ class TestLatticeEnumeration:
         # boundary point: v = (1, -1) has v^T G v = 1 - 1 + 2/3 = 2/3 <= 5/2
         assert (1, -1) in got
 
+    def test_matches_brute_force_on_sheared_rational_metrics(self):
+        """G = S^T D S with non-integer shears and diagonal, radius^2 on the boundary."""
+        rng = make_rng(2024)
+        for _ in range(12):
+            b2 = int(rng.integers(1, 6))
+            shear = [[Fraction(int(i == j)) for j in range(b2)] for i in range(b2)]
+            for i in range(b2):
+                for j in range(i + 1, b2):
+                    shear[i][j] = Fraction(int(rng.integers(-1, 2)), int(rng.integers(2, 4)))
+            diag = [Fraction(2 * int(rng.integers(1, 4)) + 1, 2) for _ in range(b2)]
+            metric = tuple(
+                tuple(sum(shear[k][i] * diag[k] * shear[k][j] for k in range(b2)) for j in range(b2))
+                for i in range(b2)
+            )
+            assert metric[0][0].denominator > 1
+
+            def norm_sq(v):
+                return sum(v[i] * metric[i][j] * v[j] for i in range(b2) for j in range(b2))
+
+            # radius^2 attained by a short vector, so the ball has boundary points
+            v = tuple(int(x) for x in rng.integers(-1, 2, size=b2))
+            radius_sq = norm_sq(v)
+            got = lattice_points_in_ball(metric, radius_sq)
+            assert got == brute_force_ball(metric, radius_sq)
+            assert v in got and tuple(-x for x in v) in got
+
+    def test_k3_unit_ball_is_origin_and_basis_vectors(self):
+        got = lattice_points_in_ball(identity_metric(22), 1)
+        expected = [(0,) * 22] + [
+            tuple(sign * int(i == j) for j in range(22)) for i in range(22) for sign in (1, -1)
+        ]
+        assert len(got) == 45
+        assert got == sorted(expected)
+
+    def test_negative_radius_is_empty(self):
+        assert lattice_points_in_ball(identity_metric(3), Fraction(-1, 4)) == []
+
+    def test_b2_zero_is_the_empty_vector(self):
+        assert lattice_points_in_ball((), 0) == [()]
+        assert lattice_points_in_ball((), 5) == [()]
+
     def test_rejects_indefinite_metric(self):
         with pytest.raises(ValueError, match="positive definite"):
             lattice_points_in_ball(((Fraction(1), Fraction(0)), (Fraction(0), Fraction(-1))), 4)
@@ -205,6 +246,7 @@ class TestEnumerateReductions:
         from conftest import characteristic_class, unimodular_manifold
 
         rng = make_rng(123)
+        instances = []
         for _ in range(10):
             m = unimodular_manifold(rng, b2_max=4)
             b2 = m.b2
@@ -226,13 +268,23 @@ class TestEnumerateReductions:
                 float(rng.uniform(0, 12)),
                 g,
             )
+            instances.append((m, s, e, bounds))
+        # N = 2 with zero energies: the window of c1 = (1, 1) is [1], which excludes 0
+        m = FourManifold("diag", 0, [[1, 0], [0, 1]])
+        instances.append(
+            (m, SpincStructure([1, 1]), BundleData(2, [0, 0], 0),
+             CurvatureBounds(3 * math.pi, 0.0, 0.0, identity_metric(2)))
+        )
+        assert list(chern_weil_c2_window(CohClass2([1, 1]), m, instances[-1][3])) == [1]
+        for m, s, e, bounds in instances:
             rep = enumerate_reductions(m, e, s, bounds, k_max=1)
             # oracle: rebuild the census from scratch
             r = Fraction(bounds.c_trace / (2 * math.pi))
             expected = []
-            for n in range(1, big_n):
+            pruned = 0
+            for n in range(1, e.rank):
                 for k in (0, 1):
-                    for v in brute_force_ball(g, r * r):
+                    for v in brute_force_ball(bounds.metric, r * r):
                         for c2f in chern_weil_c2_window(CohClass2(v), m, bounds):
                             if n == 1 and c2f != 0:
                                 continue
@@ -240,12 +292,14 @@ class TestEnumerateReductions:
                             try:
                                 whitney_complement(e, f, m, k)
                             except InconsistentCandidateError:
+                                pruned += 1
                                 continue
                             expected.append((n, k, tuple(v), c2f))
             got = [
                 (c.F.rank, c.stratum_k, c.F.c1.coeffs, c.F.c2) for c in rep.candidates
             ]
             assert got == sorted(expected)
+            assert rep.pruned_inconsistent == pruned
 
     def test_unimodular_basis_change_permutes_census(self, rng):
         m, s, e, bounds = _basic_census()
