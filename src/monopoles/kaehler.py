@@ -4,7 +4,10 @@ On a Kahler surface the positive spinor bundle splits as
 ``(0,0)-forms (+) (0,2)-forms``, so a spinor is a pair ``(alpha, beta)`` of
 ``E``-valued coefficients, and the curvature equation becomes matrix algebra
 in a fixed fiber.  Everything in this module is pointwise linear algebra:
-no differential operator is discretized.
+no differential operator is discretized.  The fiber algebra (brace, the
+brace-block quadratic map, the Clifford action, the split residuals) takes
+leading batch axes, and each slice of a stack is computed bit for bit as
+the slice alone would be.
 
 Fiberwise trivialization, fixed once: unit-norm generators of the (2,0) and
 (0,2) form lines are chosen with their wedge pairing normalized to 1, and
@@ -25,6 +28,7 @@ such forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import sqrt
 
 import numpy as np
@@ -35,9 +39,13 @@ from .optim import OptimizationReport, multistart_minimize
 __all__ = [
     "brace",
     "mu_kaehler",
+    "batch_mu_kaehler",
     "clifford_sd",
     "PointwiseField",
     "CurvatureSplitVerdict",
+    "split_equation_rhs",
+    "batch_split_rhs",
+    "batch_split_residuals",
     "verify_curvature_split",
     "decoupling_bound",
     "holomorphic_pairing_term",
@@ -48,21 +56,43 @@ __all__ = [
 
 def _square_matrix(f, what: str) -> np.ndarray:
     m = np.asarray(f, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{what} must be a square matrix")
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+        raise ValueError(f"{what} must be a square matrix or a stack of square matrices")
     return m
 
 
-def brace(f, tau: float) -> np.ndarray:
+@lru_cache(maxsize=64)
+def _eye(n: int) -> np.ndarray:
+    """The read-only n x n identity, built once per n (brace runs in descent loops)."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
+def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Stacked outer products ``u v^*``: (..., n) x (..., n) -> (..., n, n)."""
+    return u[..., :, None] * v.conj()[..., None, :]
+
+
+def brace(f, tau) -> np.ndarray:
     """Trace interpolation (f)_0 + (tau/n) tr(f) id of a square matrix.
 
     At ``tau = 1`` this is the identity map; at ``tau = 0`` the traceless
     part.  The trace scales linearly: ``tr brace(f, tau) = tau tr(f)``.
+    ``f`` may carry leading batch axes, ``(..., n, n)``; ``tau`` is a scalar
+    or an array broadcasting over them.  Each slice of a stack is computed
+    bit for bit as the slice alone would be.
     """
     m = _square_matrix(f, "brace input")
-    n = m.shape[0]
-    tr = np.trace(m)
-    return m - ((1.0 - tau) / n) * tr * np.eye(n)
+    n = m.shape[-1]
+    try:
+        coef = ((1.0 - tau) / n) * m.trace(axis1=-2, axis2=-1)
+    except ValueError:
+        raise ValueError(
+            f"tau of shape {np.shape(tau)} does not broadcast over the leading axes "
+            f"{m.shape[:-2]} of the brace input"
+        ) from None
+    return m - coef[..., None, None] * _eye(n)
 
 
 def _vec(v, what: str) -> np.ndarray:
@@ -72,6 +102,35 @@ def _vec(v, what: str) -> np.ndarray:
     return arr
 
 
+def _spinor_rows(alphas, betas) -> tuple[np.ndarray, np.ndarray]:
+    a = np.asarray(alphas, dtype=complex)
+    b = np.asarray(betas, dtype=complex)
+    if a.ndim < 1 or a.shape != b.shape:
+        raise ValueError(
+            f"alpha and beta must have equal shapes (..., n), got {a.shape} and {b.shape}"
+        )
+    return a, b
+
+
+def batch_mu_kaehler(alphas, betas, tau) -> np.ndarray:
+    """Brace-block matrices of :func:`mu_kaehler` for stacked spinor components.
+
+    ``alphas`` and ``betas`` have equal shapes ``(..., n)``, ``tau`` is a
+    scalar or broadcasts over the leading axes; the result has shape
+    ``(..., 2n, 2n)``.
+    """
+    a, b = _spinor_rows(alphas, betas)
+    n = a.shape[-1]
+    aa = brace(_outer(a, a), tau)
+    bb = brace(_outer(b, b), tau)
+    out = np.empty(aa.shape[:-2] + (2 * n, 2 * n), dtype=complex)
+    out[..., :n, :n] = 0.5 * (aa - bb)
+    out[..., :n, n:] = brace(_outer(a, b), tau)
+    out[..., n:, :n] = brace(_outer(b, a), tau)
+    out[..., n:, n:] = 0.5 * (bb - aa)
+    return out
+
+
 def mu_kaehler(alpha, beta, tau: float) -> BlockEndo:
     """The quadratic spinor map assembled from brace blocks.
 
@@ -79,33 +138,38 @@ def mu_kaehler(alpha, beta, tau: float) -> BlockEndo:
               [brace(ba*), (brace(bb*) - brace(aa*))/2]]`` with all braces at
     the same ``tau``.  Built independently of the projection route in
     :func:`monopoles.mu_kernel.mu`; their agreement on the diagonal is a
-    tested identity, not an implementation shortcut.
+    tested identity, not an implementation shortcut.  The arithmetic is
+    :func:`batch_mu_kaehler` on a single pair.
     """
-    a = _vec(alpha, "alpha")
-    b = _vec(beta, "beta")
-    if a.shape != b.shape:
-        raise ValueError("alpha and beta must have equal length")
-    aa = brace(np.outer(a, a.conj()), tau)
-    bb = brace(np.outer(b, b.conj()), tau)
-    ab = brace(np.outer(a, b.conj()), tau)
-    ba = brace(np.outer(b, a.conj()), tau)
-    top = np.hstack([0.5 * (aa - bb), ab])
-    bot = np.hstack([ba, 0.5 * (bb - aa)])
-    return BlockEndo(np.vstack([top, bot]))
+    return BlockEndo(batch_mu_kaehler(_vec(alpha, "alpha"), _vec(beta, "beta"), tau))
 
 
-def clifford_sd(eta_lambda: complex, eta20: complex, eta02: complex) -> np.ndarray:
+def clifford_sd(eta_lambda, eta20, eta02) -> np.ndarray:
     """Clifford action of a self-dual 2-form on the split spinor fiber.
 
     Inputs are the metric contraction of the (1,1) part and the two
     coefficients against the fixed form-line generators.  The output is the
     traceless 2x2 matrix ``4 [[-i*eta_lambda, -eta20], [eta02,
     i*eta_lambda]]``; for a real-valued form (``eta_lambda`` real and
-    ``eta02 = conj(eta20)``) it lands in su(2).
+    ``eta02 = conj(eta20)``) it lands in su(2).  The inputs may be arrays
+    broadcasting together to a shape ``S``; the result then has shape
+    ``S + (2, 2)``.
     """
-    return 4.0 * np.array(
-        [[-1j * eta_lambda, -eta20], [eta02, 1j * eta_lambda]], dtype=complex
-    )
+    try:
+        lam, e20, e02 = np.broadcast_arrays(
+            *(np.asarray(x, dtype=complex) for x in (eta_lambda, eta20, eta02))
+        )
+    except ValueError:
+        raise ValueError(
+            "eta_lambda, eta20 and eta02 must broadcast together, got shapes "
+            f"{np.shape(eta_lambda)}, {np.shape(eta20)} and {np.shape(eta02)}"
+        ) from None
+    out = np.empty(lam.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = -1j * lam
+    out[..., 0, 1] = -e20
+    out[..., 1, 0] = e02
+    out[..., 1, 1] = 1j * lam
+    return 4.0 * out
 
 
 @dataclass(frozen=True)
@@ -128,14 +192,11 @@ class PointwiseField:
     tau: float
 
     def __init__(self, alpha, beta, f02, lambda_f, eta02, eta_lambda, tau):
-        a = _vec(alpha, "alpha")
-        b = _vec(beta, "beta")
-        if a.shape != b.shape:
-            raise ValueError("alpha and beta must have equal length")
+        a, b = _spinor_rows(_vec(alpha, "alpha"), _vec(beta, "beta"))
         n = a.size
         f02m = _square_matrix(f02, "f02")
         lf = _square_matrix(lambda_f, "lambda_f")
-        if f02m.shape[0] != n or lf.shape[0] != n:
+        if f02m.shape != (n, n) or lf.shape != (n, n):
             raise ValueError("matrix fields must be n x n with n = len(alpha)")
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "beta", b)
@@ -150,26 +211,43 @@ class PointwiseField:
         return self.alpha.size
 
 
-def _gamma_fplus(field: PointwiseField) -> np.ndarray:
+def _gamma_fplus(f02: np.ndarray, lambda_f: np.ndarray) -> np.ndarray:
     """Clifford action of the self-dual curvature, blockwise on C^2 (x) C^n.
 
     The scalar formula of :func:`clifford_sd` extends to matrix
     coefficients; with ``lambda_f = i L(F)`` the diagonal blocks become
     ``-+ lambda_f`` and the (2,0) coefficient is ``-f02^H`` (conjugation on
-    forms, adjoint on endomorphisms).
+    forms, adjoint on endomorphisms).  Stacked ``(..., n, n)`` inputs give
+    ``(..., 2n, 2n)``.
     """
-    lf = field.lambda_f
-    f02 = field.f02
-    top = np.hstack([-lf, f02.conj().T])
-    bot = np.hstack([f02, lf])
-    return 4.0 * np.vstack([top, bot])
+    n = f02.shape[-1]
+    out = np.empty(f02.shape[:-2] + (2 * n, 2 * n), dtype=complex)
+    out[..., :n, :n] = -lambda_f
+    out[..., :n, n:] = np.swapaxes(f02.conj(), -1, -2)
+    out[..., n:, :n] = f02
+    out[..., n:, n:] = lambda_f
+    return 4.0 * out
 
 
-def _gamma_eta_id(field: PointwiseField) -> np.ndarray:
-    """gamma(eta) tensored with the identity of the fiber of E."""
-    n = field.n
-    gamma = clifford_sd(field.eta_lambda, -np.conj(field.eta02), field.eta02)
-    return np.kron(gamma, np.eye(n))
+def _gamma_eta_id(eta02, eta_lambda, n: int) -> np.ndarray:
+    """gamma(eta) tensored with the identity of the fiber of E (a stacked ``np.kron``)."""
+    eta02 = np.asarray(eta02, dtype=complex)
+    gamma = clifford_sd(eta_lambda, -np.conj(eta02), eta02)
+    blocks = gamma[..., :, None, :, None] * _eye(n)[:, None, :]
+    return blocks.reshape(gamma.shape[:-2] + (2 * n, 2 * n))
+
+
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    """Frobenius norms over the trailing two axes.
+
+    Each norm is the square root of the dot products of the flattened real
+    and imaginary parts, summed as ``np.linalg.norm`` sums a single matrix,
+    so a stack and its slices agree bit for bit.
+    """
+    flat = x.reshape(x.shape[:-2] + (1, -1))
+    re, im = flat.real, flat.imag
+    sq = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)
+    return np.sqrt(sq[..., 0, 0])
 
 
 @dataclass(frozen=True)
@@ -198,32 +276,82 @@ class CurvatureSplitVerdict:
     equivalent: bool
 
 
-def split_equation_rhs(field: PointwiseField) -> tuple[np.ndarray, np.ndarray]:
-    """Right-hand sides (f02, lambda_f) that solve the split equations exactly."""
-    n = field.n
-    a, b, tau = field.alpha, field.beta, field.tau
-    f02 = 0.25 * brace(np.outer(b, a.conj()), tau) + field.eta02 * np.eye(n)
+def _field_stack(alphas, betas, f02, lambda_f, eta02, eta_lambda, tau):
+    """Validated arrays of stacked pointwise fields; errors name the argument."""
+    a, b = _spinor_rows(alphas, betas)
+    lead, want = a.shape[:-1], a.shape + a.shape[-1:]
+    mats = []
+    for name, m in (("f02", f02), ("lambda_f", lambda_f)):
+        m = np.asarray(m, dtype=complex)
+        if m.shape != want:
+            raise ValueError(f"{name} must have shape {want} to match alpha, got {m.shape}")
+        mats.append(m)
+    for name, v in (("eta02", eta02), ("eta_lambda", eta_lambda), ("tau", tau)):
+        try:
+            fits = np.ndim(v) == 0 or np.broadcast_shapes(np.shape(v), lead) == lead
+        except ValueError:
+            fits = False
+        if not fits:
+            raise ValueError(
+                f"{name} of shape {np.shape(v)} does not broadcast over the leading axes {lead}"
+            )
+    return a, b, mats[0], mats[1]
+
+
+def batch_split_rhs(alphas, betas, eta02, eta_lambda, tau) -> tuple[np.ndarray, np.ndarray]:
+    """Right-hand sides (f02, lambda_f) of the split equations for stacked data.
+
+    ``alphas``/``betas`` have shape ``(..., n)``; ``eta02``, ``eta_lambda``
+    and ``tau`` are scalars or broadcast over the leading axes.
+    """
+    a, b = _spinor_rows(alphas, betas)
+    eye = _eye(a.shape[-1])
+    f02 = 0.25 * brace(_outer(b, a), tau) + np.asarray(eta02, dtype=complex)[..., None, None] * eye
     lam = (
-        brace(np.outer(b, b.conj()) - np.outer(a, a.conj()), tau) / 8.0
-        + 1j * field.eta_lambda * np.eye(n)
+        brace(_outer(b, b) - _outer(a, a), tau) / 8.0
+        + (1j * np.asarray(eta_lambda, dtype=complex))[..., None, None] * eye
     )
     return f02, lam
+
+
+def split_equation_rhs(field: PointwiseField) -> tuple[np.ndarray, np.ndarray]:
+    """Right-hand sides (f02, lambda_f) that solve the split equations exactly."""
+    return batch_split_rhs(field.alpha, field.beta, field.eta02, field.eta_lambda, field.tau)
+
+
+def batch_split_residuals(alphas, betas, f02, lambda_f, eta02, eta_lambda, tau):
+    """Residuals ``(matrix, f02, lambda_f)`` of the curvature equation, stacked.
+
+    The matrix residual is the Frobenius norm of ``gamma(F^+) - mu(tau, Psi)
+    - gamma(eta) id``; the other two are those of the split equations (see
+    :class:`CurvatureSplitVerdict`).  Shapes: ``alphas``/``betas``
+    ``(..., n)``, ``f02``/``lambda_f`` ``(..., n, n)``; ``eta02``,
+    ``eta_lambda`` and ``tau`` scalars or broadcasting over the leading
+    axes.  Each residual array has the leading shape.
+    """
+    a, b, f02, lf = _field_stack(alphas, betas, f02, lambda_f, eta02, eta_lambda, tau)
+    lhs = _gamma_fplus(f02, lf) - batch_mu_kaehler(a, b, tau)
+    rhs = _gamma_eta_id(eta02, eta_lambda, a.shape[-1])
+    f02_target, lam_target = batch_split_rhs(a, b, eta02, eta_lambda, tau)
+    return _frobenius(lhs - rhs), _frobenius(f02 - f02_target), _frobenius(lf - lam_target)
 
 
 def verify_curvature_split(field: PointwiseField, tol: float = 1e-9) -> CurvatureSplitVerdict:
     """Check the matrix curvature equation against its split component form.
 
     Evaluates both sides of ``gamma(F^+) - mu(tau, Psi) = gamma(eta) id``
-    blockwise and both computable split equations, reports every residual,
-    and declares the two formulations equivalent when they agree on whether
-    the field is a solution at tolerance ``tol``.
+    blockwise and both computable split equations through
+    :func:`batch_split_residuals`, reports every residual, and declares the
+    two formulations equivalent when they agree on whether the field is a
+    solution at tolerance ``tol``.
     """
-    lhs = _gamma_fplus(field) - mu_kaehler(field.alpha, field.beta, field.tau).mat
-    rhs = _gamma_eta_id(field)
-    residual_matrix = float(np.linalg.norm(lhs - rhs))
-    f02_target, lam_target = split_equation_rhs(field)
-    residual_f02 = float(np.linalg.norm(field.f02 - f02_target))
-    residual_lambda = float(np.linalg.norm(field.lambda_f - lam_target))
+    residual_matrix, residual_f02, residual_lambda = (
+        float(r)
+        for r in batch_split_residuals(
+            field.alpha, field.beta, field.f02, field.lambda_f,
+            field.eta02, field.eta_lambda, field.tau,
+        )
+    )
     matrix_ok = residual_matrix < tol
     split_ok = residual_f02 < tol and residual_lambda < tol
     return CurvatureSplitVerdict(
@@ -251,10 +379,7 @@ def decoupling_bound(alpha, beta, tau: float, n: int | None = None) -> tuple[flo
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError("decoupling bound requires tau in [0, 1]")
-    a = _vec(alpha, "alpha")
-    b = _vec(beta, "beta")
-    if a.shape != b.shape:
-        raise ValueError("alpha and beta must have equal length")
+    a, b = _spinor_rows(_vec(alpha, "alpha"), _vec(beta, "beta"))
     if n is None:
         n = a.size
     elif n != a.size:

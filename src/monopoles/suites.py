@@ -17,12 +17,14 @@ import numpy as np
 
 from .kaehler import (
     PointwiseField,
+    batch_mu_kaehler,
+    batch_split_residuals,
+    batch_split_rhs,
     brace,
     clifford_sd,
     impossibility_margin,
     impossibility_margin_closed_form,
     mu_kaehler,
-    split_equation_rhs,
     verify_curvature_split,
 )
 from .mu_kernel import (
@@ -127,9 +129,34 @@ def _grid(name: str, tol: float):
         def check(seed, index, samples):
             return _grid_check(name, tol, cells(_rng(seed, index), samples, seed))
 
+        check.cells = cells  # the undecorated generator, for runs at another tolerance
         return check
 
     return wrap
+
+
+_CHUNK = 4096  # samples per array call; bounds the temporaries of a large --samples
+
+
+def _chunked(samples: int, chunk_cell: Callable):
+    """One grid cell of ``samples`` samples, evaluated ``_CHUNK`` at a time.
+
+    ``chunk_cell(start, m)`` draws and evaluates samples ``start`` to
+    ``start + m`` of the cell and returns ``(deviations, counterexample)``.
+    Yields the cell once (nothing for ``samples < 1``): the chunks'
+    deviations concatenated and a builder that routes a cell index to its
+    chunk, so the chunk size changes neither the draws nor the report.
+    """
+    parts = [chunk_cell(start, min(_CHUNK, samples - start)) for start in range(0, samples, _CHUNK)]
+    if not parts:
+        return
+    offsets = np.cumsum([0] + [devs.size for devs, _ in parts])
+
+    def counterexample(i):
+        k = int(np.searchsorted(offsets, i, side="right")) - 1
+        return parts[k][1](i - int(offsets[k]))
+
+    yield np.concatenate([devs for devs, _ in parts]), counterexample
 
 
 # ---------------------------------------------------------------------------
@@ -479,33 +506,66 @@ def mu_suite(suite: str = "all", samples: int = 200, seed: int = 0) -> SuiteRepo
 
 @_grid("brace_linear_unit_trace_scaling", 1e-12)
 def _check_brace_algebra(rng, samples, seed):
+    """Linearity, the unit at tau = 1 and the trace scaling of brace, per n.
+
+    The draws stay per sample (they mix uniforms and normals); the
+    arithmetic is one batched brace call per chunk.
+    """
     for n in (1, 2, 3, 5):
-        for _ in range(samples):
-            f = _complex_rows(rng, n, n)
-            g = _complex_rows(rng, n, n)
-            tau = float(rng.random())
-            c = complex(*rng.standard_normal(2))
-            scale = max(float(np.abs(f).max() + np.abs(g).max()), 1e-30)
-            devs = (
-                float(np.abs(brace(f + c * g, tau) - brace(f, tau) - c * brace(g, tau)).max()),
-                float(np.abs(brace(f, 1.0) - f).max()),
-                abs(np.trace(brace(f, tau)) - tau * np.trace(f)),
-            )
-            yield max(devs) / scale, lambda i: {"n": n, "tau": tau, "f": f.tolist()}
+
+        def chunk(start, m):
+            f = np.empty((m, n, n), dtype=complex)
+            g = np.empty((m, n, n), dtype=complex)
+            tau = np.empty(m)
+            c = np.empty(m, dtype=complex)
+            for i in range(m):
+                f[i] = _complex_rows(rng, n, n)
+                g[i] = _complex_rows(rng, n, n)
+                tau[i] = rng.random()
+                c[i] = complex(*rng.standard_normal(2))
+            cb = c[:, None, None]
+            bf = brace(f, tau)
+            scale = np.maximum(np.abs(f).max(axis=(1, 2)) + np.abs(g).max(axis=(1, 2)), 1e-30)
+            tr_gap = np.trace(bf, axis1=1, axis2=2) - tau * np.trace(f, axis1=1, axis2=2)
+            devs = np.maximum.reduce([
+                np.abs(brace(f + cb * g, tau) - bf - cb * brace(g, tau)).max(axis=(1, 2)),
+                np.abs(brace(f, 1.0) - f).max(axis=(1, 2)),
+                # hypot is abs() of one complex number; np.abs of a complex
+                # array may round the last bit differently
+                np.hypot(tr_gap.real, tr_gap.imag),
+            ]) / scale
+            for i in range(min(8 - start, m)):  # tie the scalar API to the batch route
+                devs[i] = max(devs[i], float(np.abs(brace(f[i], tau[i]) - bf[i]).max()) / scale[i])
+            return devs, lambda i: {"n": n, "tau": float(tau[i]), "f": f[i].tolist()}
+
+        yield from _chunked(samples, chunk)
 
 
 @_grid("kaehler_blocks_match_projection_mu", 1e-12)
 def _check_mu_kaehler_matches_mu(rng, samples, seed):
+    """Brace blocks against the projection route, one array call per chunk.
+
+    ``standard_normal((m, 4, n))`` holds Re alpha, Im alpha, Re beta and
+    Im beta of each sample in the order the per-sample draws took them.
+    """
     for n in (1, 2, 3, 4, 5):
         for tau in (0.0, 0.25, 1.0):
-            for _ in range(samples):
-                a = _complex_rows(rng, 1, n)[0]
-                b = _complex_rows(rng, 1, n)[0]
-                lhs = mu_kaehler(a, b, tau).mat
-                rhs = mu(tau, SpinorPair(a, b)).mat
-                yield float(np.abs(lhs - rhs).max()), lambda i: {
-                    "n": n, "tau": tau, "alpha": a.tolist(), "beta": b.tolist()
-                }
+
+            def chunk(start, m):
+                z = rng.standard_normal((m, 4, n))
+                a = z[:, 0] + 1j * z[:, 1]
+                b = z[:, 2] + 1j * z[:, 3]
+                lhs = batch_mu_kaehler(a, b, tau)
+                rhs, _, _ = _batch_mu_mats(tau, np.concatenate([a, b], axis=1), None, n)
+                devs = np.abs(lhs - rhs).max(axis=(1, 2))
+                for i in range(min(8 - start, m)):  # tie the scalar API to the batch route
+                    api_lhs = mu_kaehler(a[i], b[i], tau).mat
+                    api_rhs = mu(tau, SpinorPair(a[i], b[i])).mat
+                    devs[i] = max(devs[i], float(np.abs(api_lhs - lhs[i]).max()),
+                                  float(np.abs(api_rhs - rhs[i]).max()))
+                return devs, lambda i: {"n": n, "tau": tau, "alpha": a[i].tolist(), "beta": b[i].tolist()}
+
+            yield from _chunked(samples, chunk)
 
 
 @_grid("clifford_traceless_su2_types", 1e-12)
@@ -514,20 +574,28 @@ def _check_clifford(rng, samples, seed):
 
     Always traceless; a real-valued form (real contraction, conjugate
     (2,0)/(0,2) pair) lands in su(2), an imaginary-valued one in i*su(2)
-    (Hermitian traceless).
+    (Hermitian traceless).  Each row of ``standard_normal((m, 3))`` is the
+    contraction and the (0,2) coefficient of one sample.
     """
-    for _ in range(samples * 4):
-        lam = rng.standard_normal()
-        e02 = complex(*rng.standard_normal(2))
+
+    def chunk(start, m):
+        z = rng.standard_normal((m, 3))
+        lam = z[:, 0]
+        e02 = z[:, 1] + 1j * z[:, 2]
         g_real = clifford_sd(lam, np.conj(e02), e02)
         g_imag = clifford_sd(1j * lam, -np.conj(e02), e02)
-        devs = (
-            abs(np.trace(g_real)),
-            abs(np.trace(g_imag)),
-            float(np.abs(g_real + g_real.conj().T).max()),
-            float(np.abs(g_imag - g_imag.conj().T).max()),
-        )
-        yield max(float(d) for d in devs), lambda i: {"eta_lambda": lam, "eta02": [e02.real, e02.imag]}
+        devs = np.maximum.reduce([
+            np.abs(np.trace(g_real, axis1=1, axis2=2)),
+            np.abs(np.trace(g_imag, axis1=1, axis2=2)),
+            np.abs(g_real + g_real.conj().transpose(0, 2, 1)).max(axis=(1, 2)),
+            np.abs(g_imag - g_imag.conj().transpose(0, 2, 1)).max(axis=(1, 2)),
+        ])
+        for i in range(min(8 - start, m)):  # tie the scalar API to the batch route
+            api = clifford_sd(lam[i], np.conj(e02[i]), e02[i])
+            devs[i] = max(devs[i], float(np.abs(api - g_real[i]).max()))
+        return devs, lambda i: {"eta_lambda": float(lam[i]), "eta02": [float(e02[i].real), float(e02[i].imag)]}
+
+    yield from _chunked(4 * samples, chunk)
 
 
 @_grid("decoupling_inequality", 1e-12)
@@ -562,61 +630,95 @@ def _check_margin_closed_form(rng, samples, seed):
                 }
 
 
-def make_satisfying_field(rng, n: int, tau: float) -> PointwiseField:
-    """Random field solving the split curvature equations exactly."""
+def _field_draws(rng, n: int):
+    """alpha, beta, eta02 and eta_lambda of one random field, in stream order."""
     a = _complex_rows(rng, 1, n)[0]
     b = _complex_rows(rng, 1, n)[0]
     eta02 = complex(*rng.standard_normal(2))
     eta_lambda = 1j * rng.standard_normal()
-    probe = PointwiseField(
-        a, b, np.zeros((n, n)), np.zeros((n, n)), eta02, eta_lambda, tau
-    )
-    f02, lam = split_equation_rhs(probe)
+    return a, b, eta02, eta_lambda
+
+
+def make_satisfying_field(rng, n: int, tau: float) -> PointwiseField:
+    """Random field solving the split curvature equations exactly."""
+    a, b, eta02, eta_lambda = _field_draws(rng, n)
+    f02, lam = batch_split_rhs(a, b, eta02, eta_lambda, tau)
     return PointwiseField(a, b, f02, lam, eta02, eta_lambda, tau)
 
 
-def _check_curvature_split(seed, index, samples):
-    worst, bad, total = 0.0, None, 0
-    tol = 1e-9
-    rng = _rng(seed, index)
-    false_verdicts = 0
-    for _ in range(samples):
+def _split_chunk(rng, start: int, m: int, tol: float):
+    """Verdicts of ``m`` satisfying fields and of their one-entry perturbations.
+
+    Returns the largest matrix residual of the satisfying fields, a boolean
+    array marking the samples whose verdicts are wrong, and a builder of the
+    counterexample for a sample.  Draws stay per sample (n and tau are
+    drawn); the residuals are one batched call per n.
+    """
+    draws = []
+    for _ in range(m):
         n = int(rng.integers(1, 5))
         tau = float(rng.random())
-        field = make_satisfying_field(rng, n, tau)
-        verdict = verify_curvature_split(field, tol=tol)
-        ok = verdict.matrix_satisfied and verdict.split_satisfied and verdict.equivalent
-        worst = max(worst, verdict.residual_matrix)
-        # violate exactly one split equation
+        fields = _field_draws(rng, n)
         which = int(rng.integers(0, 2))
         bump = 1.0 + rng.random()
-        if which == 0:
-            f02 = field.f02.copy()
-            f02[0, 0] += bump
-            broken = PointwiseField(
-                field.alpha, field.beta, f02, field.lambda_f,
-                field.eta02, field.eta_lambda, tau,
-            )
-        else:
-            lam = field.lambda_f.copy()
-            lam[0, 0] += bump
-            broken = PointwiseField(
-                field.alpha, field.beta, field.f02, lam,
-                field.eta02, field.eta_lambda, tau,
-            )
-        bad_verdict = verify_curvature_split(broken, tol=tol)
-        ok = ok and not bad_verdict.matrix_satisfied and not bad_verdict.split_satisfied
-        ok = ok and bad_verdict.equivalent
-        total += 2
-        if not ok:
-            false_verdicts += 1
-            if bad is None:
-                bad = {"n": n, "tau": tau, "perturbed": "f02" if which == 0 else "lambda_f"}
+        draws.append((n, tau, fields, which, bump))
+    worst, wrong = 0.0, np.zeros(m, dtype=bool)
+    for n in sorted({d[0] for d in draws}):
+        idx = np.array([i for i, d in enumerate(draws) if d[0] == n])
+        tau = np.array([draws[i][1] for i in idx])
+        a, b, eta02, eta_lambda = (np.array(col) for col in zip(*(draws[i][2] for i in idx)))
+        which = np.array([draws[i][3] for i in idx])
+        bump = np.array([draws[i][4] for i in idx])
+        f02, lam = batch_split_rhs(a, b, eta02, eta_lambda, tau)
+        good = batch_split_residuals(a, b, f02, lam, eta02, eta_lambda, tau)
+        f02_bad, lam_bad = f02.copy(), lam.copy()
+        f02_bad[which == 0, 0, 0] += bump[which == 0]  # violate exactly one split equation
+        lam_bad[which == 1, 0, 0] += bump[which == 1]
+        broken = batch_split_residuals(a, b, f02_bad, lam_bad, eta02, eta_lambda, tau)
+        # right verdicts: the solution satisfies both forms, the perturbation neither
+        right = (good[0] < tol) & (good[1] < tol) & (good[2] < tol)
+        right &= ~(broken[0] < tol) & ~((broken[1] < tol) & (broken[2] < tol))
+        for j in np.flatnonzero(start + idx < 8):  # tie the scalar API to the batch route
+            for f02_j, lam_j, res in ((f02, lam, good), (f02_bad, lam_bad, broken)):
+                v = verify_curvature_split(
+                    PointwiseField(a[j], b[j], f02_j[j], lam_j[j], eta02[j], eta_lambda[j], tau[j]), tol
+                )
+                got = (v.residual_matrix, v.residual_f02, v.residual_lambda)
+                worst = max(worst, *(abs(x - float(r[j])) for x, r in zip(got, res)))
+        wrong[idx] = ~right
+        worst = max(worst, float(good[0].max()))
+
+    def counterexample(i):
+        n, tau, _, which, _ = draws[i]
+        return {"n": n, "tau": tau, "perturbed": "f02" if which == 0 else "lambda_f"}
+
+    return worst, wrong, counterexample
+
+
+def _check_curvature_split(seed, index, samples, tol=1e-9):
+    """Matrix and split forms of the curvature equation give the same verdicts.
+
+    Each sample is a random exact solution and a copy with one entry of one
+    split equation perturbed; both verdicts count as samples.  ``worst`` is
+    the largest matrix residual of the solutions; the counterexample is the
+    first sample in draw order with a wrong verdict, with the number of such
+    samples as ``false_verdicts``.
+    """
+    rng = _rng(seed, index)
+    worst, bad, false_verdicts = 0.0, None, 0
+    for start in range(0, samples, _CHUNK):
+        chunk_worst, wrong, counterexample = _split_chunk(rng, start, min(_CHUNK, samples - start), tol)
+        worst = max(worst, chunk_worst)
+        if bad is None and wrong.any():
+            bad = counterexample(int(wrong.argmax()))
+        false_verdicts += int(wrong.sum())
+    if bad is not None:
+        bad["false_verdicts"] = false_verdicts
     return CheckResult(
         "curvature_split_equivalence",
-        false_verdicts == 0,
-        total,
-        float(false_verdicts if false_verdicts else worst),
+        false_verdicts == 0 and worst <= tol,
+        2 * max(samples, 0),
+        worst,
         tol,
         bad,
     )

@@ -1,5 +1,7 @@
 """Problem-file validation, canonical serialization and the CLI surface."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,8 +9,11 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monopoles.cli import main
+from monopoles.suites import _KAEHLER_CHECKS, _MU_CHECKS
 from monopoles.jsonio import (
     ValidationError,
     canonical_dumps,
@@ -438,3 +443,34 @@ class TestDeterminism:
             ["mu", "properness", "--n", "3", "--tau", "0", "--starts", "4", "--seed", "2"], 1
         )
         assert json.loads(a)["result"]["values_per_start"] != json.loads(b)["result"]["values_per_start"]
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-strict JSON constant {token}")
+
+
+# every suite check except the two that run multistart optimizations
+FUZZ_SUITES = [("mu", name) for name, _ in _MU_CHECKS if name != "properness"] + [
+    ("kaehler", name) for name, _ in _KAEHLER_CHECKS if name != "margin"
+]
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    suite=st.sampled_from(FUZZ_SUITES),
+    samples=st.integers(1, 4),
+    seed=st.integers(0, 50),
+)
+def test_suite_check_cli_fuzz(suite, samples, seed):
+    """Small `mu check`/`kaehler check` runs end in exit 0/1 with strict JSON, or exit 2."""
+    kind, name = suite
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([kind, "check", "--suite", name, "--samples", str(samples), "--seed", str(seed)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        return
+    report = json.loads(out.getvalue(), parse_constant=_reject_constant)["result"]
+    assert report["all_passed"] is (code == 0)
+    assert len(report["checks"]) == 1 and report["checks"][0]["samples"] >= 1

@@ -15,8 +15,13 @@ from monopoles import (
     mu_kaehler,
     verify_curvature_split,
 )
-from monopoles.kaehler import split_equation_rhs
-from monopoles.suites import kaehler_suite, make_satisfying_field
+from monopoles.kaehler import (
+    batch_mu_kaehler,
+    batch_split_residuals,
+    batch_split_rhs,
+    split_equation_rhs,
+)
+from monopoles.suites import decoupling_bound_batch, kaehler_suite, make_satisfying_field
 
 from conftest import make_rng, schur_margin_oracle
 
@@ -225,6 +230,154 @@ class TestSplitRhsHelper:
             f02, lam = split_equation_rhs(field)
             solved = PointwiseField(a, b, f02, lam, field.eta02, field.eta_lambda, 0.4)
             assert verify_curvature_split(solved).residual_matrix < 1e-12
+
+
+BATCH_NS = (1, 2, 3, 4, 5, 8)
+
+
+def _crandn(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _taus(rng, m):
+    """A scalar tau and a per-sample tau array, with the per-slice values."""
+    scalar = float(rng.random())
+    per_sample = rng.random(m)
+    return ((scalar, [scalar] * m), (per_sample, list(per_sample)))
+
+
+class TestBatchForms:
+    """Batched calls equal per-slice scalar calls bit for bit."""
+
+    M = 40
+
+    def test_brace(self):
+        rng = make_rng(21)
+        for n in BATCH_NS:
+            f = _crandn(rng, self.M, n, n)
+            for tau, per in _taus(rng, self.M):
+                want = np.stack([brace(f[i], per[i]) for i in range(self.M)])
+                assert np.array_equal(brace(f, tau), want), n
+                # the defining formula, with the trace of each matrix alone
+                ref = [f[i] - ((1.0 - per[i]) / n) * np.trace(f[i]) * np.eye(n) for i in range(self.M)]
+                assert np.array_equal(want, np.stack(ref)), n
+
+    def test_brace_two_leading_axes(self):
+        rng = make_rng(22)
+        f = _crandn(rng, 3, 4, 5, 5)
+        tau = rng.random((3, 4))
+        got = brace(f, tau)
+        assert got.shape == f.shape
+        for i in range(3):
+            for j in range(4):
+                assert np.array_equal(got[i, j], brace(f[i, j], tau[i, j]))
+
+    def test_mu_kaehler(self):
+        rng = make_rng(23)
+        for n in BATCH_NS:
+            a = _crandn(rng, self.M, n)
+            b = _crandn(rng, self.M, n)
+            for tau, per in _taus(rng, self.M):
+                want = np.stack([mu_kaehler(a[i], b[i], per[i]).mat for i in range(self.M)])
+                got = batch_mu_kaehler(a, b, tau)
+                assert got.shape == (self.M, 2 * n, 2 * n)
+                assert np.array_equal(got, want), n
+
+    def test_clifford_sd(self):
+        rng = make_rng(24)
+        lam = rng.standard_normal(self.M)
+        e02 = _crandn(rng, self.M)
+        for args in ((lam, np.conj(e02), e02), (1j * lam, -np.conj(e02), e02), (0.5, e02, 0.0)):
+            got = clifford_sd(*args)
+            assert got.shape == (self.M, 2, 2)
+            per = [np.broadcast_to(x, (self.M,)) for x in args]
+            want = np.stack([clifford_sd(*(x[i] for x in per)) for i in range(self.M)])
+            assert np.array_equal(got, want)
+
+    def test_split_residuals_and_rhs(self):
+        rng = make_rng(25)
+        for n in BATCH_NS:
+            a, b = _crandn(rng, self.M, n), _crandn(rng, self.M, n)
+            f02, lf = _crandn(rng, self.M, n, n), _crandn(rng, self.M, n, n)
+            eta02, eta_lambda = _crandn(rng, self.M), 1j * rng.standard_normal(self.M)
+            for tau, per in _taus(rng, self.M):
+                got = batch_split_residuals(a, b, f02, lf, eta02, eta_lambda, tau)
+                rhs = batch_split_rhs(a, b, eta02, eta_lambda, tau)
+                for i in range(self.M):
+                    field = PointwiseField(a[i], b[i], f02[i], lf[i], eta02[i], eta_lambda[i], per[i])
+                    v = verify_curvature_split(field)
+                    assert (v.residual_matrix, v.residual_f02, v.residual_lambda) == tuple(
+                        float(r[i]) for r in got
+                    )
+                    for x, y in zip(split_equation_rhs(field), rhs):
+                        assert np.array_equal(x, y[i])
+
+    def test_split_residuals_match_the_assembled_matrices(self):
+        """Reference: np.kron, hstack/vstack and np.linalg.norm, one slice at a time."""
+        rng = make_rng(26)
+        for n in BATCH_NS:
+            a, b = _crandn(rng, self.M, n), _crandn(rng, self.M, n)
+            f02, lf = _crandn(rng, self.M, n, n), _crandn(rng, self.M, n, n)
+            eta02, eta_lambda = _crandn(rng, self.M), 1j * rng.standard_normal(self.M)
+            tau = rng.random(self.M)
+            got = batch_split_residuals(a, b, f02, lf, eta02, eta_lambda, tau)
+            for i in range(self.M):
+                gamma_f = 4.0 * np.vstack(
+                    [np.hstack([-lf[i], f02[i].conj().T]), np.hstack([f02[i], lf[i]])]
+                )
+                gamma_eta = np.kron(
+                    clifford_sd(eta_lambda[i], -np.conj(eta02[i]), eta02[i]), np.eye(n)
+                )
+                lhs = gamma_f - mu_kaehler(a[i], b[i], tau[i]).mat
+                assert got[0][i] == np.linalg.norm(lhs - gamma_eta)
+                f02_t = 0.25 * brace(np.outer(b[i], a[i].conj()), tau[i]) + eta02[i] * np.eye(n)
+                lam_t = brace(
+                    np.outer(b[i], b[i].conj()) - np.outer(a[i], a[i].conj()), tau[i]
+                ) / 8.0 + 1j * eta_lambda[i] * np.eye(n)
+                assert got[1][i] == np.linalg.norm(f02[i] - f02_t)
+                assert got[2][i] == np.linalg.norm(lf[i] - lam_t)
+
+    def test_shape_errors_name_the_argument(self):
+        z = np.zeros
+        with pytest.raises(ValueError, match="brace input must be a square"):
+            brace(z((4, 2, 3)), 0.5)
+        with pytest.raises(ValueError, match="tau of shape"):
+            brace(z((4, 2, 2)), z(3))
+        with pytest.raises(ValueError, match="alpha and beta"):
+            batch_mu_kaehler(z((3, 2)), z((4, 2)), 0.5)
+        with pytest.raises(ValueError, match="alpha and beta"):
+            batch_mu_kaehler(z((3, 2)), z((3, 3)), 0.5)
+        with pytest.raises(ValueError, match="tau of shape"):
+            batch_mu_kaehler(z((3, 2)), z((3, 2)), z(4))
+        with pytest.raises(ValueError, match="alpha must be a 1-d"):
+            mu_kaehler(z((3, 2)), z((3, 2)), 0.5)
+        with pytest.raises(ValueError, match="eta_lambda, eta20 and eta02"):
+            clifford_sd(z(3), z(4), 0.0)
+        a, m = z((3, 2)), z((3, 2, 2))
+        with pytest.raises(ValueError, match="f02 must have shape"):
+            batch_split_residuals(a, a, z((3, 3, 3)), m, 0, 0, 0.5)
+        with pytest.raises(ValueError, match="lambda_f must have shape"):
+            batch_split_residuals(a, a, m, z((4, 2, 2)), 0, 0, 0.5)
+        with pytest.raises(ValueError, match="eta02 of shape"):
+            batch_split_residuals(a, a, m, m, z(4), 0, 0.5)
+        with pytest.raises(ValueError, match="eta_lambda of shape"):
+            batch_split_residuals(a, a, m, m, 0, z((2, 3)), 0.5)
+        with pytest.raises(ValueError, match="tau of shape"):
+            batch_split_residuals(a, a, m, m, 0, 0, z(2))
+
+
+def test_decoupling_bound_scalar_matches_batch_route():
+    """The scalar (vdot) and batch (einsum) routes agree to rounding."""
+    rng = make_rng(27)
+    for n in (1, 2, 3, 4, 6):
+        a, b = _crandn(rng, 50, n), _crandn(rng, 50, n)
+        taus = rng.random(50)
+        lhs, rhs = decoupling_bound_batch(a, b, taus)
+        for i in range(50):
+            want_lhs, want_rhs = decoupling_bound(a[i], b[i], taus[i])
+            scale = np.linalg.norm(a[i]) ** 2 * np.linalg.norm(b[i]) ** 2
+            assert abs(lhs[i] - want_lhs) <= 1e-14 * scale
+            assert abs(rhs[i] - want_rhs) <= 1e-14 * scale
 
 
 def test_kaehler_suite_all_green_small():

@@ -1,8 +1,13 @@
-"""The grid-check harness shared by the property suites."""
+"""The grid-check harness shared by the property suites, and the batched
+Kahler checks against their per-sample predecessors."""
 
 import numpy as np
+import pytest
 
-from monopoles.suites import _grid_check
+import monopoles.suites as suites
+from monopoles import PointwiseField, SpinorPair, brace, clifford_sd, mu, mu_kaehler
+from monopoles.kaehler import split_equation_rhs, verify_curvature_split
+from monopoles.suites import CheckResult, _complex_rows, _grid_check, _rng, kaehler_suite
 
 
 def test_grid_check_first_cell_above_tolerance_supplies_counterexample():
@@ -38,3 +43,211 @@ def test_grid_check_builder_runs_before_the_generator_advances():
     report = _grid_check("demo", 1.5, cells())
     assert report.counterexample == {"n": 2, "i": 0}
     assert report.samples == 6 and report.worst == 3.0
+
+
+# ---------------------------------------------------------------------------
+# The per-sample Kahler checks as they were before the batch routes, kept as
+# an oracle: same draws, scalar API calls, one cell per sample.
+# ---------------------------------------------------------------------------
+
+
+def _oracle_brace(rng, samples, seed):
+    for n in (1, 2, 3, 5):
+        for _ in range(samples):
+            f = _complex_rows(rng, n, n)
+            g = _complex_rows(rng, n, n)
+            tau = float(rng.random())
+            c = complex(*rng.standard_normal(2))
+            scale = max(float(np.abs(f).max() + np.abs(g).max()), 1e-30)
+            devs = (
+                float(np.abs(brace(f + c * g, tau) - brace(f, tau) - c * brace(g, tau)).max()),
+                float(np.abs(brace(f, 1.0) - f).max()),
+                abs(np.trace(brace(f, tau)) - tau * np.trace(f)),
+            )
+            yield max(devs) / scale, lambda i: {"n": n, "tau": tau, "f": f.tolist()}
+
+
+def _oracle_mu_match(rng, samples, seed):
+    for n in (1, 2, 3, 4, 5):
+        for tau in (0.0, 0.25, 1.0):
+            for _ in range(samples):
+                a = _complex_rows(rng, 1, n)[0]
+                b = _complex_rows(rng, 1, n)[0]
+                lhs = mu_kaehler(a, b, tau).mat
+                rhs = mu(tau, SpinorPair(a, b)).mat
+                yield float(np.abs(lhs - rhs).max()), lambda i: {
+                    "n": n, "tau": tau, "alpha": a.tolist(), "beta": b.tolist()
+                }
+
+
+def _oracle_clifford(rng, samples, seed):
+    for _ in range(samples * 4):
+        lam = rng.standard_normal()
+        e02 = complex(*rng.standard_normal(2))
+        g_real = clifford_sd(lam, np.conj(e02), e02)
+        g_imag = clifford_sd(1j * lam, -np.conj(e02), e02)
+        devs = (
+            abs(np.trace(g_real)),
+            abs(np.trace(g_imag)),
+            float(np.abs(g_real + g_real.conj().T).max()),
+            float(np.abs(g_imag - g_imag.conj().T).max()),
+        )
+        yield max(float(d) for d in devs), lambda i: {"eta_lambda": lam, "eta02": [e02.real, e02.imag]}
+
+
+def _oracle_satisfying_field(rng, n, tau):
+    a = _complex_rows(rng, 1, n)[0]
+    b = _complex_rows(rng, 1, n)[0]
+    eta02 = complex(*rng.standard_normal(2))
+    eta_lambda = 1j * rng.standard_normal()
+    probe = PointwiseField(a, b, np.zeros((n, n)), np.zeros((n, n)), eta02, eta_lambda, tau)
+    f02, lam = split_equation_rhs(probe)
+    return PointwiseField(a, b, f02, lam, eta02, eta_lambda, tau)
+
+
+def _oracle_split(seed, index, samples, tol=1e-9):
+    """The old check, which reported the count of wrong verdicts as ``worst``."""
+    worst, bad, total = 0.0, None, 0
+    rng = _rng(seed, index)
+    false_verdicts = 0
+    for _ in range(samples):
+        n = int(rng.integers(1, 5))
+        tau = float(rng.random())
+        field = _oracle_satisfying_field(rng, n, tau)
+        verdict = verify_curvature_split(field, tol=tol)
+        ok = verdict.matrix_satisfied and verdict.split_satisfied and verdict.equivalent
+        worst = max(worst, verdict.residual_matrix)
+        which = int(rng.integers(0, 2))
+        bump = 1.0 + rng.random()
+        if which == 0:
+            f02 = field.f02.copy()
+            f02[0, 0] += bump
+            broken = PointwiseField(
+                field.alpha, field.beta, f02, field.lambda_f, field.eta02, field.eta_lambda, tau
+            )
+        else:
+            lam = field.lambda_f.copy()
+            lam[0, 0] += bump
+            broken = PointwiseField(
+                field.alpha, field.beta, field.f02, lam, field.eta02, field.eta_lambda, tau
+            )
+        bad_verdict = verify_curvature_split(broken, tol=tol)
+        ok = ok and not bad_verdict.matrix_satisfied and not bad_verdict.split_satisfied
+        ok = ok and bad_verdict.equivalent
+        total += 2
+        if not ok:
+            false_verdicts += 1
+            if bad is None:
+                bad = {"n": n, "tau": tau, "perturbed": "f02" if which == 0 else "lambda_f"}
+    return CheckResult(
+        "curvature_split_equivalence", false_verdicts == 0, total,
+        float(false_verdicts if false_verdicts else worst), tol, bad,
+    )
+
+
+# suite name, registry index, oracle generator, samples per grid cell as a
+# function of --samples, reported name, tolerance
+ORACLE_GRID_CHECKS = (
+    ("brace", 100, _oracle_brace, lambda s: s, "brace_linear_unit_trace_scaling", 1e-12),
+    ("mu_match", 101, _oracle_mu_match, lambda s: s, "kaehler_blocks_match_projection_mu", 1e-12),
+    ("clifford", 102, _oracle_clifford, lambda s: 4 * s, "clifford_traceless_su2_types", 1e-12),
+)
+SPLIT_INDEX = 105
+ORACLE_CASES = [(seed, samples) for seed in (0, 7, 11) for samples in (1, 3, 40)]
+
+
+def _same(new: CheckResult, old: CheckResult):
+    assert (new.name, new.passed, new.samples, new.tolerance) == (
+        old.name, old.passed, old.samples, old.tolerance
+    )
+    assert new.worst == old.worst and repr(new.worst) == repr(old.worst)
+    assert new.counterexample == old.counterexample
+
+
+def _registry_check(name):
+    return dict(suites._KAEHLER_CHECKS)[name]
+
+
+def test_kaehler_registry_indices_match_the_oracle_table():
+    names = [name for name, _ in suites._KAEHLER_CHECKS]
+    for name, index, *_ in ORACLE_GRID_CHECKS:
+        assert 100 + names.index(name) == index
+    assert 100 + names.index("split") == SPLIT_INDEX
+
+
+def _first_failing_cell_worst(oracle_samples, cell_size, tol):
+    """Counterexample at the worst sample of the first cell whose maximum exceeds tol."""
+    for start in range(0, len(oracle_samples), cell_size):
+        cell = oracle_samples[start : start + cell_size]
+        devs = [d for d, _ in cell]
+        if max(devs) > tol:
+            return cell[int(np.argmax(devs))][1]
+    return None
+
+
+def _as_cells(samples):
+    return ((d, lambda i, c=c: c) for d, c in samples)
+
+
+def test_batched_kaehler_checks_match_the_per_sample_oracle():
+    """Same passed, samples, worst (bitwise) and counterexample as the oracle.
+
+    Also per sample, in draw order: deviations (bitwise) and counterexample
+    entries, which reach what a passing report cannot show (the clifford
+    deviations are exact zeros).  With the tolerance forced to half the
+    worst, a failing check reports the worst sample of the first failing
+    grid cell.
+    """
+    for seed, samples in ORACLE_CASES:
+        for name, index, oracle, cell_size, check_name, tol in ORACLE_GRID_CHECKS:
+            want = [(float(d), build(0)) for d, build in oracle(_rng(seed, index), samples, seed)]
+            new = kaehler_suite(name, samples=samples, seed=seed).checks[0]
+            _same(new, _grid_check(check_name, tol, _as_cells(want)))
+            cells = [
+                (devs, [build(i) for i in range(devs.size)])
+                for devs, build in _registry_check(name).cells(_rng(seed, index), samples, seed)
+            ]
+            got = [(float(d), c) for devs, entries in cells for d, c in zip(devs, entries)]
+            assert [d for d, _ in got] == [d for d, _ in want], name
+            assert [c for _, c in got] == [c for _, c in want], name
+            if new.worst > 0.0:  # exact zeros cannot be forced to fail
+                forced = new.worst / 2
+                failing = _grid_check(name, forced, ((d, lambda i, e=e: e[i]) for d, e in cells))
+                assert failing.passed is False and failing.worst == new.worst
+                assert failing.counterexample == _first_failing_cell_worst(want, cell_size(samples), forced)
+        _same(kaehler_suite("split", samples=samples, seed=seed).checks[0],
+              _oracle_split(seed, SPLIT_INDEX, samples))
+
+
+def test_split_failure_keeps_worst_residual_and_counts_wrong_verdicts():
+    for seed, samples in ((7, 40), (0, 3)):
+        passing = suites._check_curvature_split(seed, SPLIT_INDEX, samples)
+        assert passing.passed and passing.counterexample is None
+        tol = passing.worst / 2
+        old = _oracle_split(seed, SPLIT_INDEX, samples, tol=tol)
+        new = suites._check_curvature_split(seed, SPLIT_INDEX, samples, tol=tol)
+        assert old.passed is new.passed is False
+        assert new.worst == passing.worst  # the old check reported the count here
+        assert new.counterexample == {**old.counterexample, "false_verdicts": int(old.worst)}
+        assert new.samples == old.samples and new.tolerance == tol
+
+
+def test_chunk_size_changes_nothing(monkeypatch):
+    """Passing and forced-failing reports are equal with chunks of 7 samples."""
+    seed, samples = 7, 40
+
+    def reports():
+        out = []
+        for name, index, *_ in ORACLE_GRID_CHECKS:
+            check = _registry_check(name)
+            out.append(check(seed, index, samples))
+            out.append(_grid_check(name, out[-1].worst / 2, check.cells(_rng(seed, index), samples, seed)))
+        split = suites._check_curvature_split(seed, SPLIT_INDEX, samples)
+        return out + [split, suites._check_curvature_split(seed, SPLIT_INDEX, samples, tol=split.worst / 2)]
+
+    default = reports()
+    monkeypatch.setattr(suites, "_CHUNK", 7)
+    chunked = reports()
+    assert all(r.samples > 7 for r in default)
+    for new, old in zip(chunked, default):
+        _same(new, old)
