@@ -455,8 +455,8 @@ def _rebalance(x: np.ndarray) -> np.ndarray:
     """Gauge-fix the scale split between alpha and beta.
 
     ``(alpha, beta) -> (s alpha, beta / s)`` with real ``s`` leaves
-    ``beta alpha^*`` unchanged; balancing the two norms keeps the descent
-    well conditioned along this flat direction.
+    ``beta alpha^*`` unchanged; balancing the two norms picks one witness on
+    this flat direction, which the descent itself leaves unfixed.
     """
     n = x.size // 4
     a = x[:n] + 1j * x[2 * n : 3 * n]
@@ -483,7 +483,10 @@ def impossibility_margin(
 
     Requires ``n >= 2`` and ``tau`` in (0, 1].  Multistart gradient descent
     over unconstrained pairs; the origin is pinned as an extra start so the
-    margin for ``lam = 0`` is exactly zero.  The report's estimate should
+    margin for ``lam = 0`` is exactly zero.  The descent leaves the scale
+    split between alpha and beta free; only the reported ``argmin`` is
+    rebalanced to equal norms, which leaves its value unchanged.  The
+    report's estimate should
     match :func:`impossibility_margin_closed_form`; the closed form is a
     derivation, the measurement is an optimization, and their agreement is
     part of the test suite.
@@ -505,9 +508,9 @@ def impossibility_margin(
         seed=seed,
         gradient_tolerance=tol,
         max_iter=max_iter,
-        gauge=_rebalance,
         fixed_starts=[np.zeros(4 * n)],
     )
+    x_best = _rebalance(x_best)
     argmin = SpinorPair(
         x_best[:n] + 1j * x_best[2 * n : 3 * n], x_best[n : 2 * n] + 1j * x_best[3 * n :]
     )

@@ -131,7 +131,7 @@ def sphere_blocks_projector(block_sizes: Sequence[int]):
     return project, tangent
 
 
-def _descend(value_and_grad, x0, project, tangent, gtol, max_iter, gauge=None):
+def _descend(value_and_grad, x0, project, tangent, gtol, max_iter):
     """Projected gradient descent with spectral (Barzilai-Borwein) steps.
 
     The BB1 step length <s,s>/<s,y> is clipped to [1e-12, 1e8] and
@@ -168,9 +168,6 @@ def _descend(value_and_grad, x0, project, tangent, gtol, max_iter, gauge=None):
             # no decrease representable at machine precision
             converged = True
             break
-        if gauge is not None:
-            x_new = gauge(x_new)
-            f_new, g_new = value_and_grad(x_new)
         direction_new = tangent(x_new, g_new)
         s = x_new - x
         y = direction_new - direction
@@ -191,7 +188,6 @@ def multistart_minimize(
     max_iter: int = 2000,
     project=None,
     tangent=None,
-    gauge=None,
     fixed_starts: Sequence[np.ndarray] = (),
 ) -> tuple[np.ndarray, tuple[float, ...], tuple[bool, ...]]:
     """Run descent from ``starts`` seeded random points plus ``fixed_starts``.
@@ -214,7 +210,7 @@ def multistart_minimize(
         initial_points.append(sample_start(rng))
     for x0 in initial_points:
         x, f, ok = _descend(
-            value_and_grad, x0, project, tangent, gradient_tolerance, max_iter, gauge
+            value_and_grad, x0, project, tangent, gradient_tolerance, max_iter
         )
         xs.append(x)
         values.append(float(f))
