@@ -28,12 +28,18 @@ such forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import sqrt
 
 import numpy as np
 
-from .mu_kernel import BlockEndo, SpinorPair
+from .mu_kernel import (
+    BlockEndo,
+    SpinorPair,
+    batch_matvec,
+    batch_outer,
+    identity_matrix,
+    real_pairing,
+)
 from .optim import OptimizationReport, multistart_minimize
 
 __all__ = [
@@ -61,19 +67,6 @@ def _square_matrix(f, what: str) -> np.ndarray:
     return m
 
 
-@lru_cache(maxsize=64)
-def _eye(n: int) -> np.ndarray:
-    """The read-only n x n identity, built once per n (brace runs in descent loops)."""
-    eye = np.eye(n)
-    eye.flags.writeable = False
-    return eye
-
-
-def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Stacked outer products ``u v^*``: (..., n) x (..., n) -> (..., n, n)."""
-    return u[..., :, None] * v.conj()[..., None, :]
-
-
 def brace(f, tau) -> np.ndarray:
     """Trace interpolation (f)_0 + (tau/n) tr(f) id of a square matrix.
 
@@ -92,7 +85,7 @@ def brace(f, tau) -> np.ndarray:
             f"tau of shape {np.shape(tau)} does not broadcast over the leading axes "
             f"{m.shape[:-2]} of the brace input"
         ) from None
-    return m - coef[..., None, None] * _eye(n)
+    return m - coef[..., None, None] * identity_matrix(n)
 
 
 def _vec(v, what: str) -> np.ndarray:
@@ -121,12 +114,12 @@ def batch_mu_kaehler(alphas, betas, tau) -> np.ndarray:
     """
     a, b = _spinor_rows(alphas, betas)
     n = a.shape[-1]
-    aa = brace(_outer(a, a), tau)
-    bb = brace(_outer(b, b), tau)
+    aa = brace(batch_outer(a, a), tau)
+    bb = brace(batch_outer(b, b), tau)
     out = np.empty(aa.shape[:-2] + (2 * n, 2 * n), dtype=complex)
     out[..., :n, :n] = 0.5 * (aa - bb)
-    out[..., :n, n:] = brace(_outer(a, b), tau)
-    out[..., n:, :n] = brace(_outer(b, a), tau)
+    out[..., :n, n:] = brace(batch_outer(a, b), tau)
+    out[..., n:, :n] = brace(batch_outer(b, a), tau)
     out[..., n:, n:] = 0.5 * (bb - aa)
     return out
 
@@ -233,7 +226,7 @@ def _gamma_eta_id(eta02, eta_lambda, n: int) -> np.ndarray:
     """gamma(eta) tensored with the identity of the fiber of E (a stacked ``np.kron``)."""
     eta02 = np.asarray(eta02, dtype=complex)
     gamma = clifford_sd(eta_lambda, -np.conj(eta02), eta02)
-    blocks = gamma[..., :, None, :, None] * _eye(n)[:, None, :]
+    blocks = gamma[..., :, None, :, None] * identity_matrix(n)[:, None, :]
     return blocks.reshape(gamma.shape[:-2] + (2 * n, 2 * n))
 
 
@@ -305,10 +298,10 @@ def batch_split_rhs(alphas, betas, eta02, eta_lambda, tau) -> tuple[np.ndarray, 
     and ``tau`` are scalars or broadcast over the leading axes.
     """
     a, b = _spinor_rows(alphas, betas)
-    eye = _eye(a.shape[-1])
-    f02 = 0.25 * brace(_outer(b, a), tau) + np.asarray(eta02, dtype=complex)[..., None, None] * eye
+    eye = identity_matrix(a.shape[-1])
+    f02 = 0.25 * brace(batch_outer(b, a), tau) + np.asarray(eta02, dtype=complex)[..., None, None] * eye
     lam = (
-        brace(_outer(b, b) - _outer(a, a), tau) / 8.0
+        brace(batch_outer(b, b) - batch_outer(a, a), tau) / 8.0
         + (1j * np.asarray(eta_lambda, dtype=complex))[..., None, None] * eye
     )
     return f02, lam
@@ -433,19 +426,20 @@ def _impossibility_value_grad(n: int, tau: float, lam: complex):
     The brace map is self-adjoint for the Frobenius pairing, so with
     G = brace(beta alpha^*, tau) - lam id the gradients are
     2 brace(G, tau) alpha in beta and 2 brace(G, tau)^H beta in alpha.
+    Points may carry leading batch axes, ``(..., 4n)``; each slice of a
+    stack is computed bit for bit as the slice alone would be.
     """
-    eye = np.eye(n)
+    lam_id = lam * np.eye(n)
 
     def value_and_grad(x: np.ndarray):
-        a = x[:n] + 1j * x[2 * n : 3 * n]
-        b = x[n : 2 * n] + 1j * x[3 * n :]
-        g = brace(np.outer(b, a.conj()), tau) - lam * eye
-        value = float(np.real(np.vdot(g, g)))
+        a = x[..., :n] + 1j * x[..., 2 * n : 3 * n]
+        b = x[..., n : 2 * n] + 1j * x[..., 3 * n :]
+        g = brace(batch_outer(b, a), tau) - lam_id
         tg = brace(g, tau)
-        grad_b = 2.0 * (tg @ a)
-        grad_a = 2.0 * (tg.conj().T @ b)
-        return value, np.concatenate(
-            [grad_a.real, grad_b.real, grad_a.imag, grad_b.imag]
+        grad_b = 2.0 * batch_matvec(tg, a)
+        grad_a = 2.0 * batch_matvec(np.swapaxes(tg.conj(), -1, -2), b)
+        return real_pairing(g, g), np.concatenate(
+            [grad_a.real, grad_b.real, grad_a.imag, grad_b.imag], axis=-1
         )
 
     return value_and_grad

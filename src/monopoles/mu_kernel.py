@@ -27,15 +27,20 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .optim import OptimizationReport, multistart_minimize, sphere_blocks_projector
+from .optim import OptimizationReport, multistart_minimize, row_dots, sphere_blocks_projector
 
 __all__ = [
     "SpinorPair",
     "BlockEndo",
     "outer",
+    "batch_outer",
+    "batch_matvec",
+    "identity_matrix",
+    "real_pairing",
     "project_P",
     "project_Q",
     "batch_project_P",
@@ -146,17 +151,51 @@ def outer(psi: SpinorPair, phi: SpinorPair) -> BlockEndo:
     return BlockEndo(np.outer(psi.vector, phi.vector.conj()))
 
 
+def batch_outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Stacked outer products ``u v^*``: (..., n) x (..., n) -> (..., n, n).
+
+    Each slice is ``np.outer(u_row, v_row.conj())`` bit for bit.
+    """
+    return u[..., :, None] * v.conj()[..., None, :]
+
+
+@lru_cache(maxsize=64)
+def identity_matrix(n: int) -> np.ndarray:
+    """The read-only n x n identity, built once per n (the projections run in descent loops)."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
+def batch_matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Stacked ``m @ v``: (..., p, n) x (..., n) -> (..., p).
+
+    Each slice is the 2-d ``m_slice @ v_row``, the same BLAS gemv, bit for bit.
+    """
+    return (m @ v[..., None])[..., 0]
+
+
+def real_pairing(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``Re <a, b>`` of stacked matrices over the trailing two axes.
+
+    Each slice is ``np.real(np.vdot(a_slice, b_slice))`` bit for bit (see
+    :func:`monopoles.optim.row_dots`).
+    """
+    lead = a.shape[:-2]
+    return row_dots(a.conj().reshape(lead + (-1,)), b.reshape(lead + (-1,))).real
+
+
 def batch_project_P(mats: np.ndarray, n: int) -> np.ndarray:
     """Batched projection onto sl(2) (x) sl(n); mats has shape (..., 2n, 2n)."""
     out = mats.copy()
     half = 0.5 * (out[..., :n, :n] + out[..., n:, n:])
     out[..., :n, :n] -= half
     out[..., n:, n:] -= half
-    eye = np.eye(n)
+    eye = identity_matrix(n)
     for (ra, rb) in ((slice(0, n), slice(0, n)), (slice(0, n), slice(n, 2 * n)),
                      (slice(n, 2 * n), slice(0, n)), (slice(n, 2 * n), slice(n, 2 * n))):
         blk = out[..., ra, rb]
-        tr = np.trace(blk, axis1=-2, axis2=-1) / n
+        tr = blk.trace(axis1=-2, axis2=-1) / n
         out[..., ra, rb] = blk - tr[..., None, None] * eye
     return out
 
@@ -165,17 +204,17 @@ def batch_project_Q(mats: np.ndarray, n: int) -> np.ndarray:
     """Batched projection onto sl(2) (x) C id."""
     out = np.zeros_like(mats)
     half_tr = 0.5 * (
-        np.trace(mats[..., :n, :n], axis1=-2, axis2=-1)
-        + np.trace(mats[..., n:, n:], axis1=-2, axis2=-1)
+        mats[..., :n, :n].trace(axis1=-2, axis2=-1)
+        + mats[..., n:, n:].trace(axis1=-2, axis2=-1)
     )
-    eye = np.eye(n)
+    eye = identity_matrix(n)
     for (ra, rb), diag in (
         ((slice(0, n), slice(0, n)), True),
         ((slice(0, n), slice(n, 2 * n)), False),
         ((slice(n, 2 * n), slice(0, n)), False),
         ((slice(n, 2 * n), slice(n, 2 * n)), True),
     ):
-        tr = np.trace(mats[..., ra, rb], axis1=-2, axis2=-1)
+        tr = mats[..., ra, rb].trace(axis1=-2, axis2=-1)
         if diag:
             tr = tr - half_tr
         out[..., ra, rb] = (tr / n)[..., None, None] * eye
@@ -298,29 +337,31 @@ def random_sphere_search(
     return best
 
 
-def _pack(psi_vec: np.ndarray) -> np.ndarray:
-    return np.concatenate([psi_vec.real, psi_vec.imag])
-
-
 def _unpack(x: np.ndarray) -> np.ndarray:
-    half = x.size // 2
-    return x[:half] + 1j * x[half:]
+    half = x.shape[-1] // 2
+    return x[..., :half] + 1j * x[..., half:]
+
+
+def _projected(k: np.ndarray, n: int, tau: float):
+    """R = P(K) + tau^2 Q(K) and the value <R, K> for stacked K."""
+    r = batch_project_P(k, n) + tau * tau * batch_project_Q(k, n)
+    return r, real_pairing(r, k)
 
 
 def properness_value_grad(n: int, tau: float):
     """Objective ||mu(tau, psi, psi)||^2 on R^{4n} with its exact gradient.
 
     With M = psi psi^* and R = P(M) + tau^2 Q(M), the value is <R, M> and
-    the Euclidean gradient is 4 R psi (R is Hermitian).
+    the Euclidean gradient is 4 R psi (R is Hermitian).  Points may carry
+    leading batch axes, ``(..., 4n)``; each slice of a stack is computed bit
+    for bit as the slice alone would be.
     """
 
     def value_and_grad(x: np.ndarray):
         v = _unpack(x)
-        m = np.outer(v, v.conj())[None, :, :]
-        r = (batch_project_P(m, n) + tau * tau * batch_project_Q(m, n))[0]
-        value = float(np.real(np.vdot(r, m[0])))
-        grad_c = 4.0 * (r @ v)
-        return value, np.concatenate([grad_c.real, grad_c.imag])
+        r, value = _projected(batch_outer(v, v), n, tau)
+        grad_c = 4.0 * batch_matvec(r, v)
+        return value, np.concatenate([grad_c.real, grad_c.imag], axis=-1)
 
     return value_and_grad
 
@@ -367,20 +408,19 @@ def _zero_divisor_value_grad(n: int, tau: float):
     """Objective ||mu(tau, psi, phi)||^2 over pairs, with exact gradient.
 
     With K = psi phi^* and R = P(K) + tau^2 Q(K): value <R, K>, gradients
-    2 R phi in psi and 2 R^H psi in phi.
+    2 R phi in psi and 2 R^H psi in phi.  Points may carry leading batch
+    axes, ``(..., 8n)``, each slice computed bit for bit as alone.
     """
 
     def value_and_grad(x: np.ndarray):
-        half = x.size // 2
-        v = _unpack(x[:half])
-        w = _unpack(x[half:])
-        k = np.outer(v, w.conj())[None, :, :]
-        r = (batch_project_P(k, n) + tau * tau * batch_project_Q(k, n))[0]
-        value = float(np.real(np.vdot(r, k[0])))
-        grad_v = 2.0 * (r @ w)
-        grad_w = 2.0 * (r.conj().T @ v)
+        half = x.shape[-1] // 2
+        v = _unpack(x[..., :half])
+        w = _unpack(x[..., half:])
+        r, value = _projected(batch_outer(v, w), n, tau)
+        grad_v = 2.0 * batch_matvec(r, w)
+        grad_w = 2.0 * batch_matvec(np.swapaxes(r.conj(), -1, -2), v)
         return value, np.concatenate(
-            [grad_v.real, grad_v.imag, grad_w.real, grad_w.imag]
+            [grad_v.real, grad_v.imag, grad_w.real, grad_w.imag], axis=-1
         )
 
     return value_and_grad

@@ -1,12 +1,21 @@
-"""Seeded multistart projected gradient descent.
+"""Seeded multistart projected gradient descent, every start in lockstep.
 
 Small shared engine behind the numerical estimates (properness constant,
 zero-divisor margin, identity-obstruction margin).  Objectives are smooth
 polynomials on R^d, optionally constrained to a product of unit spheres.
-Descent is plain projected gradient with Armijo backtracking; each start
-draws its own counter-based Philox stream, so results are bit-identical no
-matter how the starts would be scheduled, and the reduction over starts is
-performed in start-index order.
+Descent is projected gradient with spectral (Barzilai-Borwein) steps and
+monotone Armijo backtracking; each start draws its own counter-based Philox
+stream, and the reduction over starts is performed in start-index order.
+
+The starts of one call descend together as the rows of an ``(S, d)``
+stack.  Each round makes one objective call on the rows that are
+backtracking or starting an iteration, and every row follows its own step
+length, Armijo test and stopping rule.  Objectives and projectors take
+leading batch axes ``(..., d)`` and compute each row of a stack bit for bit
+as the row alone would be computed; their dot products and the engine's
+own go through :func:`row_dots`, never ``einsum`` or ``.sum``.  A start's
+path is therefore decided by its own numbers alone: its value, flag and
+point are the same, bit for bit, whichever starts share its stack.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["OptimizationReport", "multistart_minimize", "sphere_blocks_projector"]
+__all__ = ["OptimizationReport", "multistart_minimize", "row_dots", "sphere_blocks_projector"]
 
 
 @dataclass(frozen=True)
@@ -95,6 +104,19 @@ class OptimizationReport:
         }
 
 
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products ``sum_i a[..., i] b[..., i]`` over the last axis, one per row.
+
+    ``np.matmul`` on ``(..., 1, L) @ (..., L, 1)`` calls, row by row, the
+    BLAS dot that ``np.dot`` calls on one row; so each entry equals
+    ``np.dot(a_row, b_row)`` bit for bit, ``np.vdot(u, v)`` for
+    ``a = u.conj()``, and ``np.linalg.norm(u) ** 2`` before its square root
+    for real ``a = b = u``.  ``np.einsum`` and ``.sum`` add in other orders.
+    A 1-d pair gives a scalar.
+    """
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
 def _identity_projector(x: np.ndarray) -> np.ndarray:
     return x
 
@@ -107,79 +129,102 @@ def sphere_blocks_projector(block_sizes: Sequence[int]):
     """Projection/tangent pair for a product of unit spheres.
 
     ``block_sizes`` are the real dimensions of the consecutive blocks of the
-    state vector; each block is normalized independently.
+    state vector; each block is normalized independently.  Both maps take
+    points with leading batch axes, ``(..., d)``, and treat every row bit
+    for bit as they treat the row alone.
     """
     offsets = np.cumsum([0, *block_sizes])
+    blocks = [slice(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
 
     def project(x: np.ndarray) -> np.ndarray:
-        y = x.copy()
-        for a, b in zip(offsets[:-1], offsets[1:]):
-            nrm = np.linalg.norm(y[a:b])
-            if nrm == 0.0:
-                y[a] = 1.0  # arbitrary point of the sphere; never hit in practice
-                nrm = 1.0
-            else:
-                y[a:b] /= nrm
+        y = np.array(x, dtype=float)
+        for blk in blocks:
+            nrm = np.sqrt(row_dots(y[..., blk], y[..., blk]))
+            zero = nrm == 0.0
+            y[..., blk] /= np.where(zero, 1.0, nrm)[..., None]
+            # arbitrary point of the sphere; never hit in practice
+            y[..., blk.start] = np.where(zero, 1.0, y[..., blk.start])
         return y
 
     def tangent(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-        t = g.copy()
-        for a, b in zip(offsets[:-1], offsets[1:]):
-            t[a:b] -= np.dot(g[a:b], x[a:b]) * x[a:b]
+        t = np.array(g, dtype=float)
+        for blk in blocks:
+            t[..., blk] -= row_dots(g[..., blk], x[..., blk])[..., None] * x[..., blk]
         return t
 
     return project, tangent
 
 
 def _descend(value_and_grad, x0, project, tangent, gtol, max_iter):
-    """Projected gradient descent with spectral (Barzilai-Borwein) steps.
+    """Projected gradient descent of every row of ``x0`` (shape ``(S, d)``) in lockstep.
 
-    The BB1 step length <s,s>/<s,y> is clipped to [1e-12, 1e8] and
-    safeguarded by monotone Armijo backtracking, converging far faster than
-    a fixed-step scheme on these quartic objectives.
+    Per row, the spectral (BB1) step length <s,s>/<s,y> is clipped to
+    [1e-12, 1e8] and safeguarded by monotone Armijo backtracking: the trial
+    step starts at the last spectral step and halves while it exceeds
+    1e-18.  Each round evaluates the rows that are backtracking or starting
+    an iteration in one ``value_and_grad`` call, which maps ``(k, d)``
+    points to ``k`` values and ``(k, d)`` gradients.
 
-    Returns ``(x, f, converged)``.  The descent stops converged when the
-    projected gradient norm drops below ``gtol`` or when no strict decrease
-    is representable at machine precision: backtracking accepts no step, or
-    it accepts one with ``f_new == f`` because the Armijo decrease has
-    fallen below ulp(f).  ``converged`` is ``False`` only when ``max_iter``
-    iterations ran out.
+    Returns ``(x, f, converged)`` as arrays over the rows.  A row stops
+    converged when its projected gradient norm drops below ``gtol`` or when
+    no strict decrease is representable at machine precision: backtracking
+    accepts no step, or it accepts one with ``f_new == f`` because the
+    Armijo decrease has fallen below ulp(f); the row then keeps its last
+    point.  ``converged`` is ``False`` only for a row whose ``max_iter``
+    iterations ran out, which is checked before the gradient test.
     """
-    x = project(np.asarray(x0, dtype=float))
+    x = project(np.array(x0, dtype=float))
     f, g = value_and_grad(x)
+    f = np.array(f, dtype=float)
     direction = tangent(x, g)
-    step = 1.0
-    converged = False
-    for _ in range(max_iter):
-        gnorm = float(np.linalg.norm(direction))
-        if gnorm < gtol:
-            converged = True
-            break
-        accepted = False
-        t = step
-        while t > 1e-18:
-            x_new = project(x - t * direction)
-            f_new, g_new = value_and_grad(x_new)
-            if f_new <= f - 1e-4 * t * gnorm * gnorm:
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted or not f_new < f:
-            # no decrease representable at machine precision
-            converged = True
-            break
-        direction_new = tangent(x_new, g_new)
-        s = x_new - x
-        y = direction_new - direction
-        sy = float(np.dot(s, y))
-        step = float(np.dot(s, s)) / sy if sy > 1e-300 else t * 2.0
-        step = min(max(step, 1e-12), 1e8)
-        x, f, direction = x_new, f_new, direction_new
-    return x, f, converged
+    rows = len(x)
+    step = np.ones(rows)
+    t = np.empty(rows)
+    gnorm = np.empty(rows)
+    iterations = np.zeros(rows, dtype=int)
+    converged = np.zeros(rows, dtype=bool)
+    starting = np.arange(rows)  # rows about to start an iteration
+    backtracking = starting[:0]  # rows whose last trial failed the Armijo test
+    while True:
+        starting = starting[iterations[starting] < max_iter]
+        norms = np.sqrt(row_dots(direction[starting], direction[starting]))
+        small = norms < gtol
+        converged[starting[small]] = True
+        starting = starting[~small]
+        gnorm[starting] = norms[~small]
+        t[starting] = step[starting]
+        trial = np.concatenate([backtracking, starting])
+        if trial.size == 0:
+            return x, f, converged
+        x_new = project(x[trial] - t[trial, None] * direction[trial])
+        f_new, g_new = value_and_grad(x_new)
+        tt, gn = t[trial], gnorm[trial]
+        accepted = f_new <= f[trial] - 1e-4 * tt * gn * gn
+        decreased = accepted & (f_new < f[trial])
+        # an accepted step without strict decrease: the floating-point floor
+        converged[trial[accepted & ~decreased]] = True
+        failed = trial[~accepted]
+        t[failed] *= 0.5
+        exhausted = t[failed] <= 1e-18
+        converged[failed[exhausted]] = True
+        backtracking = failed[~exhausted]
+        moved = trial[decreased]
+        x_m, f_m = x_new[decreased], f_new[decreased]
+        direction_m = tangent(x_m, g_new[decreased])
+        s = x_m - x[moved]
+        y = direction_m - direction[moved]
+        sy = row_dots(s, y)
+        positive = sy > 1e-300
+        spectral = row_dots(s, s) / np.where(positive, sy, 1.0)
+        step_m = np.where(positive, spectral, t[moved] * 2.0)
+        step[moved] = np.minimum(np.maximum(step_m, 1e-12), 1e8)
+        x[moved], f[moved], direction[moved] = x_m, f_m, direction_m
+        iterations[moved] += 1
+        starting = moved
 
 
 def multistart_minimize(
-    value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    value_and_grad: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     sample_start: Callable[[np.random.Generator], np.ndarray],
     *,
     starts: int,
@@ -192,6 +237,9 @@ def multistart_minimize(
 ) -> tuple[np.ndarray, tuple[float, ...], tuple[bool, ...]]:
     """Run descent from ``starts`` seeded random points plus ``fixed_starts``.
 
+    All starts descend as one stack (see :func:`_descend`), so
+    ``value_and_grad`` maps ``(k, d)`` points to ``k`` values and ``(k, d)``
+    gradients, and ``project``/``tangent`` act row by row on ``(k, d)``.
     Returns ``(best_x, objective_values, converged_flags)`` with values in
     start order (fixed starts first).  Start ``i`` uses the Philox stream
     spawned from ``(seed, i)``; the minimum is taken in index order so ties
@@ -199,21 +247,20 @@ def multistart_minimize(
     """
     if starts < 1:
         raise ValueError("starts must be >= 1")
-    project = project or _identity_projector
-    tangent = tangent or _identity_tangent
-    xs, values, flags = [], [], []
-    initial_points = list(fixed_starts)
+    points = [np.asarray(x0, dtype=float) for x0 in fixed_starts]
     for i in range(starts):
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
         )
-        initial_points.append(sample_start(rng))
-    for x0 in initial_points:
-        x, f, ok = _descend(
-            value_and_grad, x0, project, tangent, gradient_tolerance, max_iter
-        )
-        xs.append(x)
-        values.append(float(f))
-        flags.append(ok)
+        points.append(sample_start(rng))
+    x, f, converged = _descend(
+        value_and_grad,
+        np.stack(points),
+        project or _identity_projector,
+        tangent or _identity_tangent,
+        gradient_tolerance,
+        max_iter,
+    )
+    values = tuple(float(v) for v in f)
     best = min(range(len(values)), key=lambda i: (values[i], i))
-    return xs[best], tuple(values), tuple(flags)
+    return x[best], values, tuple(bool(c) for c in converged)

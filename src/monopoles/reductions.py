@@ -11,7 +11,8 @@ integer window around ``<c1(F)^2>/2``.
 The ball is enumerated by Fincke-Pohst depth-first search over an exact
 ``L D L^T`` factorization of ``G``, so the work follows the ball's own
 search tree rather than a bounding box around it.  The class-dependent data
-(window, ``<c1(F) c1(Fperp)>``, norm) is computed once per ball point.  For
+(window, ``<c1(F) c1(Fperp)>``, norm) is computed once per ball point, and
+each candidate's forced complement and dimensions reuse that pairing.  For
 rank ``N-1`` the line-bundle complement has ``c2 = 0``, which forces
 ``c2(F) = c2(E) - k - <c1(F) c1(Fperp)>``: that single value is checked
 against the window instead of walking the window, and the other window
@@ -210,15 +211,18 @@ def whitney_complement(
         raise ValueError("subbundle rank must satisfy 1 <= rank(F) < rank(E)")
     if k < 0:
         raise ValueError("stratum index must be nonnegative")
+    return _forced_complement(bundle, sub, k, cup(sub.c1, bundle.c1 - sub.c1, manifold))
+
+
+def _forced_complement(bundle: BundleData, sub: BundleData, k: int, pairing: int) -> BundleData:
+    """:func:`whitney_complement` given ``pairing = <c1(F) . c1(Fperp)>``."""
     rank_perp = bundle.rank - sub.rank
-    c1_perp = bundle.c1 - sub.c1
-    pairing = cup(sub.c1, c1_perp, manifold)
     c2_perp = (bundle.c2 - k) - sub.c2 - pairing
     if rank_perp == 1 and c2_perp != 0:
         raise InconsistentCandidateError(
             f"rank-1 complement forced to <c2> = {c2_perp}; no such line bundle"
         )
-    return BundleData(rank_perp, c1_perp, c2_perp)
+    return BundleData(rank_perp, bundle.c1 - sub.c1, c2_perp)
 
 
 def tau_parameter(n: int, big_n: int) -> Fraction:
@@ -246,12 +250,14 @@ def component_dims(
     """
     if not 1 <= sub.rank < bundle.rank:
         raise ValueError("subbundle rank must satisfy 1 <= rank(F) < rank(E)")
+    perp = whitney_complement(bundle, sub, manifold, k) if bundle.rank - sub.rank > 1 else None
+    return _dims(sub, perp, s, manifold, dirac_multiplicity)
+
+
+def _dims(sub, perp, s, manifold, dirac_multiplicity) -> tuple[int, int, int]:
+    """:func:`component_dims` given the complement, ``None`` for a line bundle."""
     dim_un = expected_dim_un(sub, s, manifold, dirac_multiplicity)
-    if bundle.rank - sub.rank == 1:
-        dim_asd = 0
-    else:
-        perp = whitney_complement(bundle, sub, manifold, k)
-        dim_asd = expected_dim_asd(perp, manifold)
+    dim_asd = 0 if perp is None else expected_dim_asd(perp, manifold)
     return dim_un, dim_asd, dim_un + dim_asd
 
 
@@ -372,9 +378,9 @@ def enumerate_reductions(
                     eligible = kept
                 for c2f in eligible:
                     sub = BundleData(n, c1f, c2f)
-                    perp = whitney_complement(bundle, sub, manifold, k)
-                    dim_un, dim_asd, total = component_dims(
-                        bundle, s, manifold, sub, k, dirac_multiplicity
+                    perp = _forced_complement(bundle, sub, k, pairing)
+                    dim_un, dim_asd, total = _dims(
+                        sub, perp if perp.rank > 1 else None, s, manifold, dirac_multiplicity
                     )
                     candidates.append(
                         ReductionCandidate(

@@ -29,6 +29,7 @@ from .kaehler import (
 )
 from .mu_kernel import (
     SpinorPair,
+    batch_outer,
     batch_project_P,
     batch_project_Q,
     mu,
@@ -214,10 +215,6 @@ def _spinor_counterexample(psi: SpinorPair, tau: float, lhs, rhs) -> dict:
     }
 
 
-def _batch_outer_self(v: np.ndarray) -> np.ndarray:
-    return v[:, :, None] * v.conj()[:, None, :]
-
-
 def _batch_frob_sq(mats: np.ndarray) -> np.ndarray:
     return np.einsum("mij,mij->m", mats.conj(), mats).real
 
@@ -255,8 +252,8 @@ def _check_block_formula(rng, samples, seed):
     for n in _MU_GRID_NS:
         v = _complex_rows(rng, samples, 2 * n)
         a, b = v[:, :n], v[:, n:]
-        aa = _batch_outer_self(a)
-        bb = _batch_outer_self(b)
+        aa = batch_outer(a, a)
+        bb = batch_outer(b, b)
         ab = a[:, :, None] * b.conj()[:, None, :]
         ba = b[:, :, None] * a.conj()[:, None, :]
         eye = np.eye(n)
@@ -269,7 +266,7 @@ def _check_block_formula(rng, samples, seed):
         ref[:, :n, n:] = tl(ab)
         ref[:, n:, :n] = tl(ba)
         ref[:, n:, n:] = 0.5 * tl(bb - aa)
-        got = batch_project_P(_batch_outer_self(v), n)
+        got = batch_project_P(batch_outer(v, v), n)
         dev_all = np.abs(got - ref).max(axis=(1, 2))
         for i in range(min(8, samples)):
             psi = SpinorPair(a[i], b[i])

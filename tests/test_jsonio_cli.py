@@ -474,3 +474,69 @@ def test_suite_check_cli_fuzz(suite, samples, seed):
     report = json.loads(out.getvalue(), parse_constant=_reject_constant)["result"]
     assert report["all_passed"] is (code == 0)
     assert len(report["checks"]) == 1 and report["checks"][0]["samples"] >= 1
+
+
+# small census problems: the hyperbolic plane with rank-2 and rank-3 bundles
+FUZZ_PROBLEMS = [
+    problem_doc(),
+    problem_doc(bundle={"rank": 2, "c1": [0, 0], "c2": 0}),
+    problem_doc(bundle={"rank": 3, "c1": [1, 0], "c2": 1}),
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_problem_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    paths = []
+    for i, doc in enumerate(FUZZ_PROBLEMS):
+        path = root / f"p{i}.json"
+        path.write_text(json.dumps(doc))
+        paths.append(str(path))
+    return paths
+
+
+_FUZZ_TAUS = ("0", "0.05", "0.5", "1", "1.5")
+_fuzz_argv = st.one_of(
+    st.tuples(
+        st.just(("mu", "properness")),
+        st.integers(1, 4), st.sampled_from(_FUZZ_TAUS), st.integers(1, 4), st.integers(0, 50),
+    ).map(lambda t: [*t[0], "--n", str(t[1]), "--tau", t[2], "--starts", str(t[3]), "--seed", str(t[4])]),
+    st.tuples(
+        st.just(("kaehler", "margin")),
+        st.integers(1, 4), st.sampled_from(_FUZZ_TAUS), st.sampled_from(("0", "1", "2i", "3-4i", "-1e3")),
+        st.integers(1, 4), st.integers(0, 50),
+    ).map(lambda t: [*t[0], "--n", str(t[1]), "--tau", t[2], f"--lambda={t[3]}",
+                     "--starts", str(t[4]), "--seed", str(t[5])]),
+    st.tuples(
+        st.integers(0, len(FUZZ_PROBLEMS) - 1),
+        st.sampled_from(("0", "3", "6.2832", "9.5")),
+        st.sampled_from(("0", "3", "9")),
+        st.sampled_from(("0", "3", "9")),
+        st.integers(-1, 2),
+        st.booleans(),
+    ).map(lambda t: ["reductions", "enumerate", "--input", t[0], "--c-trace", t[1], "--c-plus", t[2],
+                     "--c-minus", t[3], "--kmax", str(t[4])] + (["--g", "identity"] if t[5] else [])),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(argv=_fuzz_argv)
+def test_optimizer_and_census_cli_fuzz(fuzz_problem_files, argv):
+    """Small `mu properness`/`kaehler margin`/`reductions enumerate` runs end in exit 0/1 with
+    strict JSON, or in exit 2 with one `error:` line."""
+    if argv[0] == "reductions":
+        argv = [*argv[:3], fuzz_problem_files[argv[3]], *argv[4:]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # a usage error, reported by the argument parser
+            code = exc.code
+    assert code in (0, 1, 2)
+    if code == 2:
+        message = err.getvalue()
+        assert message.startswith(("error: ", "monopoles ")) and "error: " in message
+        assert message.count("\n") == 1 and out.getvalue() == ""
+        return
+    report = json.loads(out.getvalue(), parse_constant=_reject_constant)
+    assert report["command"] == argv

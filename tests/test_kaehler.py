@@ -16,6 +16,7 @@ from monopoles import (
     verify_curvature_split,
 )
 from monopoles.kaehler import (
+    _impossibility_value_grad,
     batch_mu_kaehler,
     batch_split_residuals,
     batch_split_rhs,
@@ -192,6 +193,39 @@ class TestImpossibilityMargin:
             assert rep.estimate == pytest.approx(
                 impossibility_margin_closed_form(n, tau, lam), rel=1e-9
             )
+
+    def test_argmin_is_balanced_and_attains_the_estimate(self):
+        rep = impossibility_margin(3, 0.5, 2j, starts=8, seed=5)
+        a, b = rep.argmin.alpha, rep.argmin.beta
+        assert np.linalg.norm(a) == pytest.approx(np.linalg.norm(b), rel=1e-12)
+        residual = brace(np.outer(b, a.conj()), 0.5) - 2j * np.eye(3)
+        assert np.linalg.norm(residual) == pytest.approx(rep.estimate, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("tau", [0.05, 0.5, 1.0])
+    @pytest.mark.parametrize("lam", [0.0, 1.0, 3 - 4j])
+    def test_objective_slices_equal_single_points(self, n, tau, lam):
+        """Each slice of a stacked call is the single-point arithmetic, bit for bit."""
+        objective = _impossibility_value_grad(n, tau, lam)
+
+        def reference(x):
+            a = x[:n] + 1j * x[2 * n : 3 * n]
+            b = x[n : 2 * n] + 1j * x[3 * n :]
+            g = brace(np.outer(b, a.conj()), tau) - lam * np.eye(n)
+            tg = brace(g, tau)
+            ga, gb = 2.0 * (tg.conj().T @ b), 2.0 * (tg @ a)
+            return float(np.real(np.vdot(g, g))), np.concatenate([ga.real, gb.real, ga.imag, gb.imag])
+
+        rng = make_rng(10 * n + int(20 * tau))
+        x = rng.standard_normal((3, 3, 4 * n)) * 10.0 ** rng.integers(-3, 3, size=(3, 3, 1))
+        values, grads = objective(x)
+        assert values.shape == (3, 3) and grads.shape == (3, 3, 4 * n)
+        for i in range(3):
+            for j in range(3):
+                f_one, g_one = objective(x[i, j])
+                f_ref, g_ref = reference(x[i, j])
+                assert values[i, j] == f_one == f_ref
+                assert np.array_equal(grads[i, j], g_one) and np.array_equal(g_one, g_ref)
 
     def test_preconditions(self):
         with pytest.raises(ValueError, match="n >= 2"):

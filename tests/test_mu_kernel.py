@@ -18,6 +18,8 @@ from monopoles import (
 )
 from monopoles.mu_kernel import (
     BlockEndo,
+    batch_project_P,
+    batch_project_Q,
     properness_value_grad,
     _zero_divisor_value_grad,
     random_sphere_search,
@@ -225,6 +227,78 @@ class TestZeroDivisorMargin:
             f_diag, _ = vg_diag(x)
             f_pair, _ = vg_pair(np.concatenate([x, x]))
             assert f_pair == pytest.approx(f_diag, rel=1e-12)
+
+
+def _projections_by_np_trace(mats, n):
+    """P and Q of a stack, with ``np.trace`` and a fresh ``np.eye`` per call."""
+    p = mats.copy()
+    half = 0.5 * (p[..., :n, :n] + p[..., n:, n:])
+    p[..., :n, :n] -= half
+    p[..., n:, n:] -= half
+    q = np.zeros_like(mats)
+    half_tr = 0.5 * (np.trace(mats[..., :n, :n], axis1=-2, axis2=-1)
+                     + np.trace(mats[..., n:, n:], axis1=-2, axis2=-1))
+    halves = (slice(0, n), slice(n, 2 * n))
+    for i, ra in enumerate(halves):
+        for j, rb in enumerate(halves):
+            blk = p[..., ra, rb]
+            p[..., ra, rb] = blk - (np.trace(blk, axis1=-2, axis2=-1) / n)[..., None, None] * np.eye(n)
+            tr = np.trace(mats[..., ra, rb], axis1=-2, axis2=-1)
+            if i == j:
+                tr = tr - half_tr
+            q[..., ra, rb] = (tr / n)[..., None, None] * np.eye(n)
+    return p, q
+
+
+def _single_point_objective(n, tau, pair):
+    """The objectives' single-point arithmetic: ``np.outer``, ``np.vdot`` and 2-d products."""
+
+    def unpack(y):
+        return y[: y.size // 2] + 1j * y[y.size // 2 :]
+
+    def value_and_grad(x):
+        v, w = (unpack(x[: 4 * n]), unpack(x[4 * n :])) if pair else (unpack(x),) * 2
+        k = np.outer(v, w.conj())
+        p, q = _projections_by_np_trace(k[None], n)
+        r = (p + tau * tau * q)[0]
+        value = float(np.real(np.vdot(r, k)))
+        if not pair:
+            g = 4.0 * (r @ v)
+            return value, np.concatenate([g.real, g.imag])
+        gv, gw = 2.0 * (r @ w), 2.0 * (r.conj().T @ v)
+        return value, np.concatenate([gv.real, gv.imag, gw.real, gw.imag])
+
+    return value_and_grad
+
+
+class TestStackedObjectives:
+    """Each slice of a stacked objective call is the single-point call, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_batch_projections_equal_the_np_trace_route(self, n):
+        rng = np.random.default_rng(n)
+        mats = rng.standard_normal((3, 5, 2 * n, 2 * n)) + 1j * rng.standard_normal((3, 5, 2 * n, 2 * n))
+        p, q = _projections_by_np_trace(mats, n)
+        assert np.array_equal(batch_project_P(mats, n), p)
+        assert np.array_equal(batch_project_Q(mats, n), q)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("tau", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("pair", [False, True], ids=["properness", "zero_divisor"])
+    def test_slices_equal_single_points(self, n, tau, pair):
+        objective = (_zero_divisor_value_grad if pair else properness_value_grad)(n, tau)
+        reference = _single_point_objective(n, tau, pair)
+        rng = np.random.default_rng(100 * n + int(10 * tau) + pair)
+        d = (8 if pair else 4) * n
+        x = rng.standard_normal((2, 4, d)) * 10.0 ** rng.integers(-3, 3, size=(2, 4, 1))
+        values, grads = objective(x)
+        assert values.shape == (2, 4) and grads.shape == (2, 4, d)
+        for i in range(2):
+            for j in range(4):
+                f_one, g_one = objective(x[i, j])
+                f_ref, g_ref = reference(x[i, j])
+                assert values[i, j] == f_one == f_ref
+                assert np.array_equal(grads[i, j], g_one) and np.array_equal(g_one, g_ref)
 
 
 def test_mu_suite_all_green_small():
