@@ -59,6 +59,28 @@ def test_only_running_out_of_iterations_is_unconverged():
     assert fx[0] < 1e-12
 
 
+def test_max_iter_is_checked_before_the_gradient_test():
+    # f = |x|^2 / 2: the first step (t = 1) lands on the minimum, gradient 0
+    def quadratic(x):
+        return 0.5 * row_dots(x, x), x.copy()
+
+    args = (quadratic, np.array([[1.0, 2.0], [3.0, -1.0]]), _identity_projector, _identity_tangent, 1e-8)
+    x, fx, converged = _descend(*args, max_iter=1)
+    assert fx.tolist() == [0.0, 0.0] and converged.tolist() == [False, False]
+    assert _descend(*args, max_iter=2)[2].tolist() == [True, True]
+
+
+def test_backtracking_gives_up_once_the_step_reaches_1e_18():
+    # f is 0 at the start and 1 anywhere else: no trial passes the Armijo test,
+    # from t = 1 down to t = 2**-59, the last step above 1e-18
+    rows = []
+    x0 = np.array([[1.0, -2.0, 0.5]])
+    f = counted(lambda x: (np.where((x == x0).all(axis=-1), 0.0, 1.0), np.ones_like(x)), rows)
+    x, fx, converged = _descend(f, x0, _identity_projector, _identity_tangent, 1e-12, 50)
+    assert converged.tolist() == [True]
+    assert sum(rows) == 1 + 60 and np.array_equal(x, x0)
+
+
 def test_margin_starts_stop_at_the_floating_point_floor(monkeypatch):
     """n=2, tau=0.25, lam=1, seed 7: two starts used to spin to max_iter (12 838 evaluations)."""
     rows = []
