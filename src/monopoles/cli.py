@@ -29,6 +29,7 @@ import argparse
 import cmath
 import json
 import math
+import re
 import sys
 import time
 import warnings
@@ -86,6 +87,7 @@ _nonnegative_float = _flag_type(
     float, lambda v: math.isfinite(v) and v >= 0.0, "a finite nonnegative number"
 )
 _positive_int = _flag_type(int, lambda v: v >= 1, "an integer >= 1")
+_nonnegative_int = _flag_type(int, lambda v: v >= 0, "an integer >= 0")
 # '1+0i', '2i', '-0.5-1.5i' (also 'j' notation)
 _finite_complex = _flag_type(
     lambda text: complex(text.strip().replace("i", "j")), cmath.isfinite, "a finite complex number"
@@ -97,6 +99,22 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(EXIT_INVALID_INPUT, f"{self.prog}: error: {message}\n")
+
+
+# argparse takes a '-' token for an option unless it is a plain negative decimal;
+# no option here starts with '-' and a digit, so such a token is always a value
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """``--flag -3-4i`` as ``--flag=-3-4i``, for negative values in exponent or complex form."""
+    out = []
+    for token in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and _NEGATIVE_VALUE.match(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -130,19 +148,19 @@ def _build_parser() -> argparse.ArgumentParser:
     enum_p.add_argument("--c-plus", type=_nonnegative_float, default=None)
     enum_p.add_argument("--c-minus", type=_nonnegative_float, default=None)
     enum_p.add_argument("--g", default=None, help='"identity" or a JSON file with a rational matrix')
-    enum_p.add_argument("--kmax", type=int, default=None)
+    enum_p.add_argument("--kmax", type=_nonnegative_int, default=None)
     enum_p.add_argument("--dirac-multiplicity", type=int, choices=(1, 2), default=None)
 
     strata = sub.add_parser("strata", help="Uhlenbeck strata bookkeeping")
     add_common(strata, input_file=True)
-    strata.add_argument("--kmax", type=int, default=None)
+    strata.add_argument("--kmax", type=_nonnegative_int, default=None)
     strata.add_argument("--dirac-multiplicity", type=int, choices=(1, 2), default=None)
 
     mu_p = sub.add_parser("mu", help="spinor-map certificates")
     mu_sub = mu_p.add_subparsers(dest="mu_kind", required=True)
     prop = mu_sub.add_parser("properness")
     add_common(prop)
-    prop.add_argument("--n", type=int, required=True)
+    prop.add_argument("--n", type=_positive_int, required=True)
     prop.add_argument("--tau", type=_finite_float, required=True)
     prop.add_argument("--starts", type=_positive_int, default=64)
     prop.add_argument("--seed", type=int, default=0)
@@ -162,8 +180,12 @@ def _build_parser() -> argparse.ArgumentParser:
     kcheck.add_argument("--seed", type=int, default=0)
     margin = ka_sub.add_parser("margin")
     add_common(margin)
-    margin.add_argument("--n", type=int, required=True)
-    margin.add_argument("--tau", type=_finite_float, required=True)
+    margin.add_argument(
+        "--n", type=_flag_type(int, lambda v: v >= 2, "an integer >= 2"), required=True
+    )
+    margin.add_argument(
+        "--tau", type=_flag_type(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]"), required=True
+    )
     margin.add_argument("--lambda", dest="lam", type=_finite_complex, required=True)
     margin.add_argument("--starts", type=_positive_int, default=64)
     margin.add_argument("--seed", type=int, default=0)
@@ -398,7 +420,7 @@ def _run_tau0(args, argv, start_time) -> int:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(argv))
     start_time = time.monotonic()
     try:
         if args.command == "dim":

@@ -3,9 +3,10 @@
 The manifold enters only through its intersection form ``Q`` on
 ``H^2(X;Z)/torsion`` (a nondegenerate symmetric integer matrix), its first
 Betti number and the invariants derived from ``Q``.  All arithmetic here is
-exact: signatures come from rational congruence diagonalization, dimension
-formulas are evaluated over ``Fraction`` and asserted integral before an
-``int`` is returned.
+exact: one rational congruence diagonalization of ``Q`` (:func:`ldl`) gives
+its rank, ``b2+``, the signature and ``|det Q|``, and dimension formulas are
+evaluated over ``Fraction`` and asserted integral before an ``int`` is
+returned.
 
 Derived conventions, fixed once for the whole package:
 
@@ -24,6 +25,7 @@ Derived conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -44,7 +46,7 @@ __all__ = [
     "un_dimension_report",
     "asd_dimension_report",
     "characteristic_defects",
-    "inertia",
+    "ldl",
 ]
 
 
@@ -78,80 +80,61 @@ def _symmetric_int_matrix(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...
     return mat
 
 
-def _det_exact(mat: Sequence[Sequence[int]]) -> Fraction:
-    """Determinant by Gaussian elimination over Q; the empty matrix has det 1."""
-    a = [[Fraction(x) for x in row] for row in mat]
-    m = len(a)
-    det = Fraction(1)
-    for k in range(m):
-        piv = next((i for i in range(k, m) if a[i][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det *= a[k][k]
-        inv = 1 / a[k][k]
-        for i in range(k + 1, m):
-            f = a[i][k] * inv
-            if f:
-                for j in range(k, m):
-                    a[i][j] -= f * a[k][j]
-    return det
+def ldl(mat: Sequence[Sequence]) -> tuple[list[list[Fraction]] | None, list[Fraction]]:
+    """Exact congruence diagonalization ``mat = L D L^T`` over Q.
 
+    Returns ``(L, pivots)``: the nonzero diagonal entries of ``D`` in
+    elimination order (``D`` pads them with zeros), and the unit
+    lower-triangular ``L`` when no pivot needed a symmetric swap or a
+    repair, else ``None``.  A zero pivot is swapped for the next nonzero
+    diagonal entry; when the whole remaining diagonal is zero, a nonzero
+    off-diagonal ``a_ij`` is repaired by adding row and column ``j`` to row
+    and column ``i`` (which puts ``2*a_ij`` on the diagonal); a remaining
+    block of zeros ends the elimination.
 
-def inertia(mat: Sequence[Sequence]) -> tuple[int, int, int]:
-    """(positive, negative, zero) inertia of a symmetric matrix, exactly.
-
-    Congruence diagonalization over Q: diagonal pivots are cleared with
-    symmetric row/column operations; a zero diagonal against a nonzero
-    off-diagonal entry is repaired by adding the partner row and column
-    (which puts ``2*a_ij`` on the diagonal).  Congruence preserves inertia.
+    Every step is a congruence of determinant +-1, so the pivots carry the
+    inertia by sign (Sylvester), their count is the rank and, when that is
+    full, their product is ``det(mat)``.  A positive-definite matrix never
+    needs a swap or a repair, so its ``L`` is always returned.
     """
     a = [[Fraction(x) for x in row] for row in mat]
     m = len(a)
-    pos = neg = 0
+    pivots = []
+    plain = True
     k = 0
     while k < m:
-        piv = next((i for i in range(k, m) if a[i][i] != 0), None)
+        piv = next((i for i in range(k, m) if a[i][i]), None)
         if piv is None:
-            hit = None
-            for i in range(k, m):
-                for j in range(i + 1, m):
-                    if a[i][j] != 0:
-                        hit = (i, j)
-                        break
-                if hit:
-                    break
+            hit = next(((i, j) for i in range(k, m) for j in range(i + 1, m) if a[i][j]), None)
             if hit is None:
-                break  # remaining block is zero
+                break  # the remaining block is zero
             i, j = hit
-            for t in range(m):
+            for t in range(k, m):
                 a[i][t] += a[j][t]
-            for t in range(m):
+            for t in range(k, m):
                 a[t][i] += a[t][j]
+            plain = False
             continue
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
             for row in a:
                 row[k], row[piv] = row[piv], row[k]
+            plain = False
         d = a[k][k]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
+        pivots.append(d)
+        # Schur complement of the pivot, over the nonzero entries of its row;
+        # column k keeps the multipliers, which are the k-th column of L
+        row_k = [(t, x) for t, x in enumerate(a[k][k + 1:], k + 1) if x]
         for i in range(k + 1, m):
             f = a[i][k] / d
+            a[i][k] = f
             if f:
-                for t in range(k, m):
-                    a[i][t] -= f * a[k][t]
-        for i in range(k + 1, m):
-            f = a[k][i] / d
-            if f:
-                for t in range(k, m):
-                    a[t][i] -= f * a[t][k]
+                for t, x in row_k:
+                    a[i][t] -= f * x
         k += 1
-    return pos, neg, m - pos - neg
+    if not plain:
+        return None, pivots
+    return [[a[i][j] if j < i else Fraction(int(i == j)) for j in range(m)] for i in range(m)], pivots
 
 
 @dataclass(frozen=True)
@@ -213,13 +196,13 @@ class FourManifold:
         if self.b1 < 0:
             raise ValueError("b1 must be nonnegative")
         self.intersection_form = _symmetric_int_matrix(self.intersection_form)
-        det = _det_exact(self.intersection_form)
-        if det == 0:
+        _, pivots = ldl(self.intersection_form)
+        if len(pivots) < self.b2:
             raise ValueError(
                 "intersection form is degenerate over Q (determinant 0)"
             )
-        pos, neg, null = inertia(self.intersection_form)
-        assert null == 0  # guaranteed by det != 0
+        pos = sum(d > 0 for d in pivots)
+        neg = self.b2 - pos
         if self.b2plus is None:
             self.b2plus = pos
         else:
@@ -232,10 +215,9 @@ class FourManifold:
         self.signature = pos - neg
         self.euler = 2 - 2 * self.b1 + self.b2
         notes = []
-        if abs(det) != 1:
-            notes.append(
-                f"intersection form is not unimodular (|det| = {abs(det)})"
-            )
+        det = abs(math.prod(pivots))
+        if det != 1:
+            notes.append(f"intersection form is not unimodular (|det| = {det})")
         self.warnings = tuple(notes)
 
     @property

@@ -116,12 +116,8 @@ def _int_matrix(value, path: str) -> tuple[tuple[int, ...], ...]:
 class RunOptions:
     """Optional knobs a problem file may carry; CLI flags override these."""
 
-    seed: int = 0
-    starts: int = 64
-    tol: float = 1e-8
     dirac_multiplicity: int = 2
     kmax: int = 0
-    positivity_floor: float = 1e-3
 
 
 @dataclass(frozen=True)
@@ -204,12 +200,8 @@ def problem_schema() -> dict:
                 "type": "object",
                 "additionalProperties": False,
                 "properties": {
-                    "seed": {"type": "integer", "minimum": 0},
-                    "starts": {"type": "integer", "minimum": 1},
-                    "tol": {"type": "number", "exclusiveMinimum": 0},
                     "dirac_multiplicity": {"enum": [1, 2]},
                     "kmax": {"type": "integer", "minimum": 0},
-                    "positivity_floor": {"type": "number", "minimum": 0},
                 },
             },
         },
@@ -286,12 +278,8 @@ def parse_problem(doc: Any) -> Problem:
 
     odoc = doc.get("options", {})
     odoc = _require_mapping(odoc, "$.options")
-    allowed = {"seed", "starts", "tol", "dirac_multiplicity", "kmax", "positivity_floor"}
-    _reject_unknown(odoc, allowed, "$.options")
+    _reject_unknown(odoc, {"dirac_multiplicity", "kmax"}, "$.options")
     defaults = RunOptions()
-    seed = _int_field(odoc.get("seed", defaults.seed), "$.options.seed")
-    starts = _int_field(odoc.get("starts", defaults.starts), "$.options.starts")
-    tol = _number_field(odoc.get("tol", defaults.tol), "$.options.tol")
     mult = _int_field(
         odoc.get("dirac_multiplicity", defaults.dirac_multiplicity),
         "$.options.dirac_multiplicity",
@@ -299,10 +287,9 @@ def parse_problem(doc: Any) -> Problem:
     if mult not in (1, 2):
         raise ValidationError("$.options.dirac_multiplicity", "must be 1 or 2")
     kmax = _int_field(odoc.get("kmax", defaults.kmax), "$.options.kmax")
-    floor = _number_field(
-        odoc.get("positivity_floor", defaults.positivity_floor), "$.options.positivity_floor"
-    )
-    options = RunOptions(seed, starts, tol, mult, kmax, floor)
+    if kmax < 0:
+        raise ValidationError("$.options.kmax", "must be nonnegative")
+    options = RunOptions(mult, kmax)
 
     return Problem(manifold, spinc, bundle, bounds, options, raw=doc)
 

@@ -8,9 +8,11 @@ the trace bound confines ``c1(F)`` to a ball of the harmonic-form metric
 ``G``, and the self-dual/anti-self-dual bounds confine ``<c2(F)>`` to an
 integer window around ``<c1(F)^2>/2``.
 
-The ball is enumerated by Fincke-Pohst depth-first search over an exact
-``L D L^T`` factorization of ``G``, so the work follows the ball's own
-search tree rather than a bounding box around it.  The class-dependent data
+The ball is enumerated by Fincke-Pohst depth-first search over the exact
+``L D L^T`` factorization of ``G`` from :func:`cohomology.ldl`, so the work
+follows the ball's own search tree rather than a bounding box around it.
+The same factorization's pivots decide, for :class:`CurvatureBounds` and
+the ball alike, that ``G`` is positive definite.  The class-dependent data
 (window, ``<c1(F) c1(Fperp)>``, norm) is computed once per ball point, and
 each candidate's forced complement and dimensions reuse that pairing.  For
 rank ``N-1`` the line-bundle complement has ``c2 = 0``, which forces
@@ -42,7 +44,7 @@ from .cohomology import (
     expected_dim_asd,
     expected_dim_pun,
     expected_dim_un,
-    inertia,
+    ldl,
     p1_su,
 )
 
@@ -100,6 +102,16 @@ def identity_metric(b2: int) -> tuple[tuple[Fraction, ...], ...]:
     )
 
 
+def _positive_ldl(g: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[Fraction]] | None:
+    """``(L, pivots)`` of ``G = L D L^T`` if ``G`` is positive definite, else ``None``.
+
+    Exact: ``G`` is positive definite when all of its ``m`` pivots are
+    positive (Sylvester), and then :func:`ldl` has needed no swap or repair.
+    """
+    low, d = ldl(g)
+    return (low, d) if sum(x > 0 for x in d) == len(g) else None
+
+
 @dataclass(frozen=True)
 class CurvatureBounds:
     """L^2 curvature bounds plus the harmonic-form metric they refer to.
@@ -120,7 +132,7 @@ class CurvatureBounds:
             if not (float(v) >= 0.0):
                 raise ValueError(f"{name} must be a nonnegative real")
         g = _rational_matrix(metric, "harmonic metric")
-        if inertia(g) != (len(g), 0, 0):
+        if _positive_ldl(g) is None:
             raise ValueError("harmonic metric must be positive definite")
         object.__setattr__(self, "c_trace", float(c_trace))
         object.__setattr__(self, "c_plus", float(c_plus))
@@ -130,25 +142,6 @@ class CurvatureBounds:
     @property
     def b2(self) -> int:
         return len(self.metric)
-
-
-def _ldl(g: tuple[tuple[Fraction, ...], ...]) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """``G = L D L^T`` exactly: unit lower-triangular ``L`` and the diagonal of ``D``.
-
-    The pivots ``d_j`` are ratios of leading principal minors, so ``G`` is
-    positive definite exactly when every pivot is positive (Sylvester).
-    """
-    m = len(g)
-    low = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
-    d = []
-    for j in range(m):
-        dj = g[j][j] - sum(low[j][k] * low[j][k] * d[k] for k in range(j))
-        if dj <= 0:
-            raise ValueError("metric must be positive definite")
-        d.append(dj)
-        for i in range(j + 1, m):
-            low[i][j] = (g[i][j] - sum(low[i][k] * low[j][k] * d[k] for k in range(j))) / dj
-    return low, d
 
 
 def lattice_points_in_ball(
@@ -169,7 +162,10 @@ def lattice_points_in_ball(
     whose solutions are ``|a v_i + s_i| <= isqrt(B // w_i)``.
     """
     g = _rational_matrix(metric, "metric")
-    low, d = _ldl(g)
+    factors = _positive_ldl(g)
+    if factors is None:
+        raise ValueError("metric must be positive definite")
+    low, d = factors
     r2 = _as_fraction(radius_sq, "radius_sq")
     if r2 < 0:
         return []

@@ -24,8 +24,6 @@ from .kaehler import (
     clifford_sd,
     impossibility_margin,
     impossibility_margin_closed_form,
-    mu_kaehler,
-    verify_curvature_split,
 )
 from .mu_kernel import (
     SpinorPair,
@@ -34,8 +32,6 @@ from .mu_kernel import (
     batch_project_Q,
     mu,
     mu_norm_batch,
-    outer,
-    project_P,
     properness_constant_estimate,
     properness_value_grad,
     quartic_form,
@@ -142,13 +138,13 @@ _CHUNK = 4096  # samples per array call; bounds the temporaries of a large --sam
 def _chunked(samples: int, chunk_cell: Callable):
     """One grid cell of ``samples`` samples, evaluated ``_CHUNK`` at a time.
 
-    ``chunk_cell(start, m)`` draws and evaluates samples ``start`` to
-    ``start + m`` of the cell and returns ``(deviations, counterexample)``.
+    ``chunk_cell(m)`` draws and evaluates the next ``m`` samples of the cell
+    and returns ``(deviations, counterexample)``.
     Yields the cell once (nothing for ``samples < 1``): the chunks'
     deviations concatenated and a builder that routes a cell index to its
     chunk, so the chunk size changes neither the draws nor the report.
     """
-    parts = [chunk_cell(start, min(_CHUNK, samples - start)) for start in range(0, samples, _CHUNK)]
+    parts = [chunk_cell(min(_CHUNK, samples - start)) for start in range(0, samples, _CHUNK)]
     if not parts:
         return
     offsets = np.cumsum([0] + [devs.size for devs, _ in parts])
@@ -268,10 +264,6 @@ def _check_block_formula(rng, samples, seed):
         ref[:, n:, n:] = 0.5 * tl(bb - aa)
         got = batch_project_P(batch_outer(v, v), n)
         dev_all = np.abs(got - ref).max(axis=(1, 2))
-        for i in range(min(8, samples)):
-            psi = SpinorPair(a[i], b[i])
-            api = project_P(outer(psi, psi)).mat
-            dev_all[i] = max(dev_all[i], float(np.abs(api - ref[i]).max()))
         yield dev_all, lambda i: _spinor_counterexample(
             SpinorPair(a[i], b[i]), 0.0, float(dev_all[i]), 0.0
         )
@@ -510,7 +502,7 @@ def _check_brace_algebra(rng, samples, seed):
     """
     for n in (1, 2, 3, 5):
 
-        def chunk(start, m):
+        def chunk(m):
             f = np.empty((m, n, n), dtype=complex)
             g = np.empty((m, n, n), dtype=complex)
             tau = np.empty(m)
@@ -531,8 +523,6 @@ def _check_brace_algebra(rng, samples, seed):
                 # array may round the last bit differently
                 np.hypot(tr_gap.real, tr_gap.imag),
             ]) / scale
-            for i in range(min(8 - start, m)):  # tie the scalar API to the batch route
-                devs[i] = max(devs[i], float(np.abs(brace(f[i], tau[i]) - bf[i]).max()) / scale[i])
             return devs, lambda i: {"n": n, "tau": float(tau[i]), "f": f[i].tolist()}
 
         yield from _chunked(samples, chunk)
@@ -548,18 +538,13 @@ def _check_mu_kaehler_matches_mu(rng, samples, seed):
     for n in (1, 2, 3, 4, 5):
         for tau in (0.0, 0.25, 1.0):
 
-            def chunk(start, m):
+            def chunk(m):
                 z = rng.standard_normal((m, 4, n))
                 a = z[:, 0] + 1j * z[:, 1]
                 b = z[:, 2] + 1j * z[:, 3]
                 lhs = batch_mu_kaehler(a, b, tau)
                 rhs, _, _ = _batch_mu_mats(tau, np.concatenate([a, b], axis=1), None, n)
                 devs = np.abs(lhs - rhs).max(axis=(1, 2))
-                for i in range(min(8 - start, m)):  # tie the scalar API to the batch route
-                    api_lhs = mu_kaehler(a[i], b[i], tau).mat
-                    api_rhs = mu(tau, SpinorPair(a[i], b[i])).mat
-                    devs[i] = max(devs[i], float(np.abs(api_lhs - lhs[i]).max()),
-                                  float(np.abs(api_rhs - rhs[i]).max()))
                 return devs, lambda i: {"n": n, "tau": tau, "alpha": a[i].tolist(), "beta": b[i].tolist()}
 
             yield from _chunked(samples, chunk)
@@ -575,7 +560,7 @@ def _check_clifford(rng, samples, seed):
     contraction and the (0,2) coefficient of one sample.
     """
 
-    def chunk(start, m):
+    def chunk(m):
         z = rng.standard_normal((m, 3))
         lam = z[:, 0]
         e02 = z[:, 1] + 1j * z[:, 2]
@@ -587,9 +572,6 @@ def _check_clifford(rng, samples, seed):
             np.abs(g_real + g_real.conj().transpose(0, 2, 1)).max(axis=(1, 2)),
             np.abs(g_imag - g_imag.conj().transpose(0, 2, 1)).max(axis=(1, 2)),
         ])
-        for i in range(min(8 - start, m)):  # tie the scalar API to the batch route
-            api = clifford_sd(lam[i], np.conj(e02[i]), e02[i])
-            devs[i] = max(devs[i], float(np.abs(api - g_real[i]).max()))
         return devs, lambda i: {"eta_lambda": float(lam[i]), "eta02": [float(e02[i].real), float(e02[i].imag)]}
 
     yield from _chunked(4 * samples, chunk)
@@ -643,7 +625,7 @@ def make_satisfying_field(rng, n: int, tau: float) -> PointwiseField:
     return PointwiseField(a, b, f02, lam, eta02, eta_lambda, tau)
 
 
-def _split_chunk(rng, start: int, m: int, tol: float):
+def _split_chunk(rng, m: int, tol: float):
     """Verdicts of ``m`` satisfying fields and of their one-entry perturbations.
 
     Returns the largest matrix residual of the satisfying fields, a boolean
@@ -675,13 +657,6 @@ def _split_chunk(rng, start: int, m: int, tol: float):
         # right verdicts: the solution satisfies both forms, the perturbation neither
         right = (good[0] < tol) & (good[1] < tol) & (good[2] < tol)
         right &= ~(broken[0] < tol) & ~((broken[1] < tol) & (broken[2] < tol))
-        for j in np.flatnonzero(start + idx < 8):  # tie the scalar API to the batch route
-            for f02_j, lam_j, res in ((f02, lam, good), (f02_bad, lam_bad, broken)):
-                v = verify_curvature_split(
-                    PointwiseField(a[j], b[j], f02_j[j], lam_j[j], eta02[j], eta_lambda[j], tau[j]), tol
-                )
-                got = (v.residual_matrix, v.residual_f02, v.residual_lambda)
-                worst = max(worst, *(abs(x - float(r[j])) for x, r in zip(got, res)))
         wrong[idx] = ~right
         worst = max(worst, float(good[0].max()))
 
@@ -704,7 +679,7 @@ def _check_curvature_split(seed, index, samples, tol=1e-9):
     rng = _rng(seed, index)
     worst, bad, false_verdicts = 0.0, None, 0
     for start in range(0, samples, _CHUNK):
-        chunk_worst, wrong, counterexample = _split_chunk(rng, start, min(_CHUNK, samples - start), tol)
+        chunk_worst, wrong, counterexample = _split_chunk(rng, min(_CHUNK, samples - start), tol)
         worst = max(worst, chunk_worst)
         if bad is None and wrong.any():
             bad = counterexample(int(wrong.argmax()))

@@ -7,9 +7,10 @@ cross-check the package through routes it does not itself use.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -115,6 +116,94 @@ def sw_dimension_oracle(manifold: FourManifold, c1s: CohClass2, c1L: CohClass2) 
     w = [a + 2 * b for a, b in zip(c1s.coeffs, c1L.coeffs)]
     sq = sum(w[i] * q[i][j] * w[j] for i in range(len(w)) for j in range(len(w)))
     return Fraction(sq - 2 * manifold.euler - 3 * manifold.signature, 4)
+
+
+def random_symmetric_rational(rng, m: int, kind: str) -> list[list[Fraction]]:
+    """Seeded symmetric rational ``m x m`` matrix of one of four kinds.
+
+    ``dense``: small rational entries; ``zero_diagonal``: integer entries
+    off a zero diagonal; ``singular``: ``B^T D B`` with ``B`` of fewer rows
+    than columns; ``definite``: ``B^T B + I``, positive definite.
+    """
+
+    def q():
+        return Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
+
+    if kind in ("dense", "zero_diagonal"):
+        a = [[Fraction(0)] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i, m):
+                a[i][j] = a[j][i] = Fraction(int(rng.integers(-2, 3))) if kind == "zero_diagonal" else q()
+            if kind == "zero_diagonal":
+                a[i][i] = Fraction(0)
+        return a
+    rows = int(rng.integers(0, m)) if kind == "singular" else m
+    b = [[q() for _ in range(m)] for _ in range(rows)]
+    d = [q() if kind == "singular" else Fraction(1) for _ in range(rows)]
+    shift = Fraction(int(kind == "definite"))
+    return [
+        [sum((b[t][i] * d[t] * b[t][j] for t in range(rows)), Fraction(0)) + shift * (i == j)
+         for j in range(m)]
+        for i in range(m)
+    ]
+
+
+def laplace_det(mat) -> int:
+    """Determinant of an integer matrix by Laplace expansion along the rows, no division."""
+    m = len(mat)
+
+    @functools.cache
+    def minor(row: int, cols: tuple[int, ...]) -> int:
+        if row == m:
+            return 1
+        return sum(
+            (-1) ** pos * mat[row][j] * minor(row + 1, cols[:pos] + cols[pos + 1:])
+            for pos, j in enumerate(cols)
+            if mat[row][j]
+        )
+
+    return minor(0, tuple(range(m)))
+
+
+def _scaled_to_int(mat) -> tuple[int, list[list[int]]]:
+    """``(c, c * mat)`` with ``c > 0`` the common denominator of the entries."""
+    c = math.lcm(*(Fraction(x).denominator for row in mat for x in row))
+    return c, [[int(Fraction(x) * c) for x in row] for row in mat]
+
+
+def det_oracle(mat) -> Fraction:
+    """Exact determinant of a rational matrix through :func:`laplace_det`."""
+    c, b = _scaled_to_int(mat)
+    return Fraction(laplace_det(b), c ** len(b))
+
+
+def leading_minors(mat) -> list[Fraction]:
+    """``D_1, ..., D_m``: the leading principal minors of a rational matrix."""
+    return [det_oracle([row[:k] for row in mat[:k]]) for k in range(1, len(mat) + 1)]
+
+
+def inertia_oracle(mat) -> tuple[int, int, int]:
+    """(positive, negative, zero) eigenvalue counts of a symmetric rational matrix, exactly.
+
+    ``det(x I - B) = sum_k (-1)^k e_k x^(m-k)`` for ``B = c * mat`` (same
+    inertia), with ``e_k`` the sum of the ``k x k`` principal minors.  Its
+    roots are all real, so Descartes' rule of signs counts the positive
+    ones exactly, and on ``p(-x)``, whose coefficients are ``+-e_k``, the
+    negative ones; ``0`` is a root of multiplicity ``m - max{k : e_k != 0}``.
+    """
+    _, b = _scaled_to_int(mat)
+    m = len(b)
+    e = [
+        sum(laplace_det([[b[i][j] for j in s] for i in s]) for s in combinations(range(m), k))
+        for k in range(m + 1)
+    ]
+    rank = max(k for k in range(m + 1) if e[k])
+
+    def sign_changes(seq):
+        signs = [x > 0 for x in seq if x]
+        return sum(u != v for u, v in zip(signs, signs[1:]))
+
+    return sign_changes([(-1) ** k * e[k] for k in range(rank + 1)]), sign_changes(e[: rank + 1]), m - rank
 
 
 def instanton_dimension_oracle(k: int, b2plus: int) -> int:

@@ -1,5 +1,7 @@
 """Exact cohomology arithmetic: pinned values, identities, invariances."""
 
+import math
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -19,13 +21,17 @@ from monopoles import (
     expected_dim_un,
     p1_su,
 )
-from monopoles.cohomology import characteristic_defects, pun_dimension_report
+from monopoles.cohomology import characteristic_defects, ldl, pun_dimension_report
 
 from conftest import (
     characteristic_class,
+    det_oracle,
     hyperbolic,
+    inertia_oracle,
     k3_like,
+    leading_minors,
     make_rng,
+    random_symmetric_rational,
     random_manifold,
     random_unimodular,
     s4_like,
@@ -96,6 +102,101 @@ class TestManifoldValidation:
             eigs = np.linalg.eigvalsh(np.array(m.intersection_form, dtype=float))
             assert m.b2plus == int((eigs > 0).sum())
             assert m.signature == int((eigs > 0).sum()) - int((eigs < 0).sum())
+
+
+E8 = [[2 * (i == j) for j in range(8)] for i in range(8)]
+for _i, _j in ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)):
+    E8[_i][_j] = E8[_j][_i] = -1
+
+
+def direct_sum(*blocks):
+    m = sum(len(b) for b in blocks)
+    out = [[0] * m for _ in range(m)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at:at + len(row)] = row
+        at += len(b)
+    return out
+
+
+def rebuild(low, pivots, m):
+    d = list(pivots) + [0] * (m - len(pivots))
+    return [[sum(low[i][t] * d[t] * low[j][t] for t in range(m)) for j in range(m)] for i in range(m)]
+
+
+class TestLdl:
+    """The one exact elimination against routes written here: Laplace minors and Descartes."""
+
+    @pytest.mark.parametrize("kind", ["dense", "zero_diagonal", "singular", "definite"])
+    def test_random_symmetric_rational_matrices(self, kind):
+        rng = make_rng(9)
+        for _ in range(60):
+            m = int(rng.integers(1, 8))
+            a = random_symmetric_rational(rng, m, kind)
+            low, pivots = ldl(a)
+            pos, neg, null = inertia_oracle(a)
+            # the pivot signs are the inertia; their count is the rank
+            assert all(pivots)
+            assert (sum(x > 0 for x in pivots), sum(x < 0 for x in pivots)) == (pos, neg)
+            assert len(pivots) == m - null
+            # the product of the pivots is the determinant, which vanishes below full rank
+            assert (math.prod(pivots) if null == 0 else 0) == det_oracle(a)
+            # L exactly when no leading minor up to the rank vanishes (no swap, no repair)
+            minors = leading_minors(a)
+            plain = all(minors[: m - null])
+            assert (low is not None) == plain
+            if low is not None:
+                assert rebuild(low, pivots, m) == a
+                assert all(low[i][i] == 1 and not any(low[i][i + 1:]) for i in range(m))
+            if null == 0 and plain:  # Sylvester: the pivots are ratios of leading minors
+                assert pivots == [x / y for x, y in zip(minors, [1] + minors)]
+            if kind == "definite":
+                assert low is not None and len(pivots) == m and min(pivots, default=1) > 0
+
+    def test_hyperbolic_plane_takes_the_repair(self):
+        low, pivots = ldl([[0, 1], [1, 0]])
+        assert low is None and pivots == [2, Fraction(-1, 2)]
+
+    def test_e8_plus_hyperbolic(self):
+        form = direct_sum(E8, [[0, 1], [1, 0]])
+        low, pivots = ldl(form)
+        assert low is None  # the H block has a zero diagonal
+        assert (sum(x > 0 for x in pivots), sum(x < 0 for x in pivots)) == (9, 1)
+        assert math.prod(pivots) == -1
+        m = FourManifold("E8+H", 0, form)
+        assert (m.b2plus, m.signature, m.warnings) == (9, 8, ())
+
+    def test_k3_form_two_minus_e8_plus_three_h(self):
+        neg_e8 = [[-x for x in row] for row in E8]
+        h = [[0, 1], [1, 0]]
+        m = FourManifold("K3", 0, direct_sum(neg_e8, neg_e8, h, h, h))
+        assert (m.b2plus, m.signature, m.euler, m.warnings) == (3, -16, 24, ())
+
+    def test_positive_definite_e8_keeps_its_factor(self):
+        low, pivots = ldl(E8)
+        assert low is not None and min(pivots) > 0 and math.prod(pivots) == 1
+        assert rebuild(low, pivots, 8) == E8
+
+    @pytest.mark.parametrize(
+        "form, pivots, plain",
+        [
+            ([[1, 1], [1, 1]], [1], True),  # the zero block ends the elimination
+            ([[0, 0], [0, 0]], [], True),
+            ([[0, 1, 0], [1, 0, 0], [0, 0, 0]], [2, Fraction(-1, 2)], False),  # repair, then zeros
+            ([[0, 0], [0, 3]], [3], False),  # swap, then zeros
+        ],
+    )
+    def test_degenerate_forms(self, form, pivots, plain):
+        low, got = ldl(form)
+        assert got == pivots and (low is not None) == plain
+        if plain:
+            assert rebuild(low, got, len(form)) == form
+        with pytest.raises(ValueError, match="degenerate"):
+            FourManifold("bad", 0, form)
+
+    def test_empty_form(self):
+        assert ldl([]) == ([], [])
 
 
 class TestBundleData:

@@ -56,7 +56,7 @@ class TestValidation:
         p = parse_problem(problem_doc())
         assert p.manifold.b2plus == 1
         assert p.bundle.rank == 2
-        assert p.options.seed == 0
+        assert p.options.kmax == 0
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ValidationError, match=r"\$: unknown keys \['extra'\]"):
@@ -107,6 +107,16 @@ class TestValidation:
         }
         with pytest.raises(ValidationError, match=r"den"):
             parse_problem(doc)
+
+    @pytest.mark.parametrize("key, value", [("seed", 7), ("starts", 4), ("tol", 1e-6), ("positivity_floor", 0.1)])
+    def test_options_nothing_reads_are_unknown_keys(self, key, value):
+        with pytest.raises(ValidationError, match=rf"\$\.options: unknown keys \['{key}'\]"):
+            parse_problem(problem_doc(options={key: value}))
+        assert key not in problem_schema()["properties"]["options"]["properties"]
+
+    def test_negative_kmax_option_names_the_field(self):
+        with pytest.raises(ValidationError, match=r"^\$\.options\.kmax: "):
+            parse_problem(problem_doc(options={"kmax": -1}))
 
     def test_schema_document_shape(self):
         schema = problem_schema()
@@ -345,6 +355,13 @@ class TestCli:
             (["reductions", "enumerate", "--input", "p.json", "--c-trace", "inf"], "--c-trace"),
             (["reductions", "enumerate", "--input", "p.json", "--c-plus", "nan"], "--c-plus"),
             (["reductions", "enumerate", "--input", "p.json", "--c-minus", "-1"], "--c-minus"),
+            (["reductions", "enumerate", "--input", "p.json", "--kmax", "-1"], "--kmax"),
+            (["strata", "--input", "p.json", "--kmax", "-1"], "--kmax"),
+            (["kaehler", "margin", "--n", "1", "--tau", "0.5", "--lambda", "1"], "--n"),
+            (["kaehler", "margin", "--n", "2", "--tau", "0", "--lambda", "1"], "--tau"),
+            (["kaehler", "margin", "--n", "2", "--tau", "1.5", "--lambda", "1"], "--tau"),
+            (["mu", "properness", "--n", "0", "--tau", "0.5"], "--n"),
+            (["kaehler", "margin", "--n", "2", "--tau", "0.5", "--lambda", "--starts", "2"], "--lambda"),
         ],
     )
     def test_bad_numeric_flag_exits_2_naming_the_flag(self, argv, flag, capsys):
@@ -369,14 +386,35 @@ class TestCli:
         assert captured.err.count("\n") == 1
         assert captured.err.startswith(f"error: argument {flag}: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kaehler", "margin", "--n", "2", "--tau", "0.5", "--lambda", "-3-4i"],
+            ["kaehler", "margin", "--n", "2", "--tau", "0.5", "--lambda", "-1e3"],
+            ["kaehler", "margin", "--n", "2", "--tau", "0.5", "--lambda", "-2i"],
+            ["mu", "properness", "--n", "2", "--tau", "-1e-3"],
+        ],
+    )
+    def test_negative_value_in_exponent_or_complex_form_reaches_its_flag(self, argv, capsys):
+        argv = argv + ["--starts", "2"]
+        flag, value = argv[-4], argv[-3]
+        code, out = run_cli(argv, capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["command"] == argv  # echoed as typed
+        attached = argv[:-4] + [f"{flag}={value}"] + argv[-2:]
+        code, out = run_cli(attached, capsys)
+        assert code == 0 and json.loads(out)["result"] == report["result"]
+
     def test_non_finite_number_in_problem_file_names_the_field(self, tmp_path, capsys):
-        doc = problem_doc(options={"tol": float("nan")})
+        doc = problem_doc()
+        doc["bounds"] = {"c_trace": 1.0, "c_plus": float("nan"), "c_minus": 0.0}
         path = tmp_path / "nan.json"
         path.write_text(json.dumps(doc))  # Python writes the non-standard NaN token
         code = main(["dim", "pun", "--input", str(path)])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert captured.err.startswith("error: $.options.tol: ")
+        assert captured.err.startswith("error: $.bounds.c_plus: ")
 
     def test_schema_command(self, capsys):
         code, out = run_cli(["schema"], capsys)

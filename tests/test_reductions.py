@@ -26,8 +26,10 @@ from monopoles.reductions import identity_metric, lattice_points_in_ball
 from conftest import (
     brute_force_ball,
     hyperbolic,
+    inertia_oracle,
     k3_like,
     make_rng,
+    random_symmetric_rational,
     random_unimodular,
     s4_like,
 )
@@ -209,6 +211,51 @@ class TestLatticeEnumeration:
     def test_rejects_indefinite_metric(self):
         with pytest.raises(ValueError, match="positive definite"):
             lattice_points_in_ball(((Fraction(1), Fraction(0)), (Fraction(0), Fraction(-1))), 4)
+
+
+class TestPositivity:
+    """One predicate decides positive-definiteness for the bounds and for the ball."""
+
+    @staticmethod
+    def accepted(metric) -> tuple[bool, bool]:
+        verdicts = []
+        for build in (
+            lambda: CurvatureBounds(1.0, 0.0, 0.0, metric),
+            lambda: lattice_points_in_ball(metric, 2),
+        ):
+            try:
+                build()
+                verdicts.append(True)
+            except ValueError as exc:
+                assert "positive definite" in str(exc)
+                verdicts.append(False)
+        return tuple(verdicts)
+
+    @pytest.mark.parametrize(
+        "metric, definite",
+        [
+            ([[2, -1], [-1, 2]], True),
+            ([[1, 1], [1, 1]], False),  # singular, semidefinite: one positive pivot
+            ([[0, 0], [0, 0]], False),
+            ([[1, 0], [0, 0]], False),
+            ([[0, 1], [1, 0]], False),  # repaired, indefinite
+            ([[-1, 0], [0, -2]], False),
+            ([[1, 0, 0], [0, 1, 0], [0, 0, -1]], False),
+        ],
+    )
+    def test_named_metrics(self, metric, definite):
+        assert self.accepted(metric) == (definite, definite)
+
+    @pytest.mark.parametrize("kind", ["dense", "zero_diagonal", "singular", "definite"])
+    def test_random_metrics_against_the_inertia_oracle(self, kind):
+        rng = make_rng(31)
+        for _ in range(40):
+            m = int(rng.integers(1, 6))
+            metric = random_symmetric_rational(rng, m, kind)
+            definite = inertia_oracle(metric) == (m, 0, 0)
+            assert self.accepted(metric) == (definite, definite)
+            if definite:
+                assert lattice_points_in_ball(metric, 2) == brute_force_ball(metric, Fraction(2))
 
 
 def _basic_census():
