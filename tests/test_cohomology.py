@@ -31,8 +31,8 @@ from conftest import (
     k3_like,
     leading_minors,
     make_rng,
-    random_symmetric_rational,
     random_manifold,
+    random_symmetric_rational,
     random_unimodular,
     s4_like,
     sw_dimension_oracle,
@@ -152,7 +152,7 @@ class TestLdl:
             if null == 0 and plain:  # Sylvester: the pivots are ratios of leading minors
                 assert pivots == [x / y for x, y in zip(minors, [1] + minors)]
             if kind == "definite":
-                assert low is not None and len(pivots) == m and min(pivots, default=1) > 0
+                assert low is not None and len(pivots) == m and min(pivots) > 0
 
     def test_hyperbolic_plane_takes_the_repair(self):
         low, pivots = ldl([[0, 1], [1, 0]])
@@ -197,6 +197,13 @@ class TestLdl:
 
     def test_empty_form(self):
         assert ldl([]) == ([], [])
+
+    @pytest.mark.parametrize(
+        "form, det", [([[2]], 2), ([[2, 1], [1, -3]], 7), (direct_sum(E8, [[-3]]), 3)]
+    )
+    def test_unimodularity_warning_reads_the_absolute_determinant(self, form, det):
+        m = FourManifold("non-unimodular", 0, form)
+        assert m.warnings == (f"intersection form is not unimodular (|det| = {det})",)
 
 
 class TestBundleData:
