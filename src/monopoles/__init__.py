@@ -19,98 +19,51 @@ The library has four computational layers:
 
 Everything is a pure function of its inputs; randomized estimates are
 deterministic given their seed.
+
+The package's names are exported lazily: a submodule is imported the first
+time one of its names is read.  The exact layers (``cohomology``,
+``reductions``) never load numpy; the numeric layers (``mu_kernel``,
+``kaehler``, ``optim``) load it on first use.
 """
 
-from .cohomology import (
-    BundleData,
-    CohClass2,
-    FourManifold,
-    InconsistentTopologyError,
-    SpincStructure,
-    cup,
-    dirac_index,
-    expected_dim_asd,
-    expected_dim_pun,
-    expected_dim_un,
-    p1_su,
-)
-from .kaehler import (
-    PointwiseField,
-    brace,
-    clifford_sd,
-    decoupling_bound,
-    impossibility_margin,
-    impossibility_margin_closed_form,
-    mu_kaehler,
-    verify_curvature_split,
-)
-from .mu_kernel import (
-    BlockEndo,
-    SpinorPair,
-    mu,
-    mu_norm_batch,
-    outer,
-    project_P,
-    project_Q,
-    properness_constant_estimate,
-    quartic_form,
-    zero_divisor_margin,
-)
-from .optim import OptimizationReport
-from .reductions import (
-    CurvatureBounds,
-    InconsistentCandidateError,
-    ReductionCandidate,
-    chern_weil_c2_window,
-    component_dims,
-    enumerate_reductions,
-    generic_tau0_vanishing,
-    tau_parameter,
-    uhlenbeck_strata,
-    whitney_complement,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlockEndo",
-    "BundleData",
-    "CohClass2",
-    "CurvatureBounds",
-    "FourManifold",
-    "InconsistentCandidateError",
-    "InconsistentTopologyError",
-    "OptimizationReport",
-    "PointwiseField",
-    "ReductionCandidate",
-    "SpincStructure",
-    "SpinorPair",
-    "brace",
-    "chern_weil_c2_window",
-    "clifford_sd",
-    "component_dims",
-    "cup",
-    "decoupling_bound",
-    "dirac_index",
-    "enumerate_reductions",
-    "expected_dim_asd",
-    "expected_dim_pun",
-    "expected_dim_un",
-    "generic_tau0_vanishing",
-    "impossibility_margin",
-    "impossibility_margin_closed_form",
-    "mu",
-    "mu_kaehler",
-    "mu_norm_batch",
-    "outer",
-    "p1_su",
-    "project_P",
-    "project_Q",
-    "properness_constant_estimate",
-    "quartic_form",
-    "tau_parameter",
-    "uhlenbeck_strata",
-    "verify_curvature_split",
-    "whitney_complement",
-    "zero_divisor_margin",
-]
+# submodule -> the names this package re-exports from it
+_EXPORTS = {
+    "cohomology": (
+        "BundleData", "CohClass2", "FourManifold", "InconsistentTopologyError", "SpincStructure",
+        "cup", "dirac_index", "expected_dim_asd", "expected_dim_pun", "expected_dim_un", "p1_su",
+    ),
+    "kaehler": (
+        "PointwiseField", "brace", "clifford_sd", "decoupling_bound", "impossibility_margin",
+        "impossibility_margin_closed_form", "mu_kaehler", "verify_curvature_split",
+    ),
+    "mu_kernel": (
+        "BlockEndo", "SpinorPair", "mu", "mu_norm_batch", "outer", "project_P", "project_Q",
+        "properness_constant_estimate", "quartic_form", "zero_divisor_margin",
+    ),
+    "optim": ("OptimizationReport",),
+    "reductions": (
+        "CurvatureBounds", "InconsistentCandidateError", "ReductionCandidate",
+        "chern_weil_c2_window", "component_dims", "enumerate_reductions",
+        "generic_tau0_vanishing", "tau_parameter", "uhlenbeck_strata", "whitney_complement",
+    ),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name):
+    """Import the submodule that defines an exported ``name`` and cache the name here."""
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_SOURCE[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -21,6 +21,11 @@ byte-identical given the same input, seed and package version; wall-clock
 timing is only attached on request (``--timing``), since it would break
 that reproducibility.  The environment variable ``MONOPOLES_THREADS`` is
 ignored: nothing reads it, so it cannot affect results.
+
+The exact commands (``dim``, ``reductions``, ``strata``, ``tau0``,
+``schema``) run without numpy.  The numeric layers behind ``mu`` and
+``kaehler`` (``mu_kernel``, ``kaehler``, ``suites``) are imported by their
+handlers on first use, which is when numpy loads.
 """
 
 from __future__ import annotations
@@ -51,8 +56,6 @@ from .jsonio import (
     problem_schema,
     to_jsonable,
 )
-from .kaehler import impossibility_margin, impossibility_margin_closed_form
-from .mu_kernel import properness_constant_estimate
 from .reductions import (
     CurvatureBounds,
     enumerate_reductions,
@@ -60,7 +63,6 @@ from .reductions import (
     identity_metric,
     uhlenbeck_strata,
 )
-from .suites import kaehler_suite, mu_suite
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
@@ -379,6 +381,9 @@ def _emit_suite(report, args, argv, start_time) -> int:
 
 
 def _run_mu(args, argv, start_time) -> int:
+    from .mu_kernel import properness_constant_estimate
+    from .suites import mu_suite
+
     if args.mu_kind == "properness":
         return _emit_certificate(
             args, argv, start_time, ("--tau", args.tau),
@@ -391,6 +396,9 @@ def _run_mu(args, argv, start_time) -> int:
 
 
 def _run_kaehler(args, argv, start_time) -> int:
+    from .kaehler import impossibility_margin, impossibility_margin_closed_form
+    from .suites import kaehler_suite
+
     if args.ka_kind == "margin":
         return _emit_certificate(
             args, argv, start_time, ("--lambda", args.lam),

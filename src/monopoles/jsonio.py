@@ -20,11 +20,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
-
-import numpy as np
 
 from .cohomology import BundleData, CohClass2, FourManifold, SpincStructure
 from .reductions import CurvatureBounds, identity_metric
@@ -315,14 +314,10 @@ def to_jsonable(obj: Any) -> Any:
         return {"num": obj.numerator, "den": obj.denominator}
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.complexfloating):
-        return {"re": float(obj.real), "im": float(obj.imag)}
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(x) for x in obj.tolist()]
+    # a numpy value exists only once numpy is imported, so this module never imports it
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(obj, (np.generic, np.ndarray)):
+        return to_jsonable(obj.tolist())
     if isinstance(obj, CohClass2):
         return list(obj.coeffs)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -131,6 +132,28 @@ class TestSerialization:
 
     def test_complex_encoding(self):
         assert to_jsonable(2j) == {"re": 0.0, "im": 2.0}
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [
+            (np.int64(3), "3"),
+            (np.float32(0.1), "0.10000000149011612"),
+            (np.float64(0.1), "0.1"),
+            (np.complex64(1 + 2j), '{\n  "im": 2.0,\n  "re": 1.0\n}'),
+            (np.array([[1, 2], [3, 4]]), "[\n  [\n    1,\n    2\n  ],\n  [\n    3,\n    4\n  ]\n]"),
+        ],
+    )
+    def test_numpy_values_serialize_as_their_python_values(self, value, expected):
+        assert canonical_dumps(value) == expected
+        assert canonical_dumps(value) == canonical_dumps(value.tolist())
+
+    def test_zero_dim_array_and_numpy_bool_serialize(self):
+        assert canonical_dumps(np.array(0.5)) == "0.5"
+        assert canonical_dumps({"ok": np.bool_(True)}) == '{\n  "ok": true\n}'
+
+    def test_unsupported_object_names_its_type(self):
+        with pytest.raises(TypeError, match="^cannot serialize object$"):
+            to_jsonable(object())
 
     def test_canonical_dumps_refuses_non_finite_floats(self):
         for bad in (float("nan"), float("inf"), complex(1.0, float("-inf"))):
@@ -260,7 +283,7 @@ class TestCli:
         assert json.loads(out)["result"]["all_passed"] is True
 
     def test_mu_check_failure_exits_1_with_counterexample(self, capsys, monkeypatch):
-        from monopoles import cli as cli_mod
+        from monopoles import suites
         from monopoles.suites import CheckResult, SuiteReport
 
         def broken_suite(suite="all", samples=200, seed=0):
@@ -279,7 +302,7 @@ class TestCli:
                 ),
             )
 
-        monkeypatch.setattr(cli_mod, "mu_suite", broken_suite)
+        monkeypatch.setattr(suites, "mu_suite", broken_suite)
         code, out = run_cli(["mu", "check", "--suite", "all"], capsys)
         assert code == 1
         report = json.loads(out)

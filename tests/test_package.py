@@ -1,0 +1,94 @@
+"""The package surface: lazy exports, and numpy kept off the exact paths."""
+
+import importlib
+import json
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import monopoles
+
+
+def test_every_export_is_its_submodules_object():
+    for name in monopoles.__all__:
+        module = importlib.import_module(f"monopoles.{monopoles._SOURCE[name]}")
+        value = getattr(monopoles, name)
+        assert value is getattr(module, name)
+        assert value.__module__ == module.__name__
+        assert vars(monopoles)[name] is value  # cached after the first read
+
+
+def test_all_is_sorted_and_complete():
+    assert monopoles.__all__ == sorted(set(monopoles.__all__))
+    assert len(monopoles.__all__) == 40
+    assert set(dir(monopoles)) >= set(monopoles.__all__)
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from monopoles import *", namespace)
+    for name in monopoles.__all__:
+        assert namespace[name] is getattr(monopoles, name)
+
+
+def test_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        monopoles.no_such_name  # noqa: B018
+
+
+def test_no_export_shadows_a_submodule():
+    submodules = {info.name for info in pkgutil.iter_modules(monopoles.__path__)}
+    assert submodules >= {"cohomology", "kaehler", "mu_kernel", "optim", "reductions"}
+    assert not submodules & set(monopoles.__all__)
+
+
+# Runs in a fresh interpreter: this test process has numpy loaded already.
+_BOUNDARY_SCRIPT = """
+import contextlib, io, json, sys
+
+import monopoles, monopoles.cli, monopoles.cohomology, monopoles.jsonio, monopoles.reductions
+
+loaded = {"import": "numpy" in sys.modules}
+path = sys.argv[1]
+commands = {
+    "dim pun": ["dim", "pun", "--input", path],
+    "dim un": ["dim", "un", "--input", path],
+    "dim asd": ["dim", "asd", "--input", path],
+    "reductions enumerate": ["reductions", "enumerate", "--input", path, "--c-trace", "6.2832"],
+    "strata": ["strata", "--input", path, "--kmax", "2"],
+    "tau0": ["tau0", "--input", path],
+    "schema": ["schema"],
+    "mu check": ["mu", "check", "--suite", "quartic", "--samples", "2"],
+}
+codes = {}
+for label, argv in commands.items():
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes[label] = monopoles.cli.main(argv)
+    loaded[label] = "numpy" in sys.modules
+print(json.dumps({"codes": codes, "numpy_loaded": loaded}))
+"""
+
+
+def test_exact_commands_never_import_numpy(tmp_path):
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({
+        "manifold": {"name": "S2xS2-like", "b1": 0, "intersection_form": [[0, 1], [1, 0]]},
+        "spinc": {"c1": [0, 0]},
+        "bundle": {"rank": 2, "c1": [0, 0], "c2": 1},
+    }))
+    src = str(Path(monopoles.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _BOUNDARY_SCRIPT, str(problem)],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert set(out["codes"].values()) == {0}, out["codes"]
+    loaded = out["numpy_loaded"]
+    assert loaded.pop("mu check") is True
+    assert not any(loaded.values()), loaded
