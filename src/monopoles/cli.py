@@ -14,12 +14,13 @@ One executable, subcommands per computation:
     monopoles kaehler margin --n 2 --tau 0.5 --lambda 1+0i
     monopoles tau0 --input problem.json
 
-Reports go to stdout as canonical JSON (``--format table`` for aligned
-text).  Exit codes: 0 success, 1 a checked property failed (the
-counterexample is serialized in the report), 2 invalid input.  Reports are
-byte-identical given the same input, seed and package version; wall-clock
-timing is only attached on request (``--timing``), since it would break
-that reproducibility.  The environment variable ``MONOPOLES_THREADS`` is
+Reports go to stdout as canonical JSON (``--format table`` prints the
+leaves of that same document as aligned rows).  Exit codes: 0 success, 1 a
+checked property failed (the counterexample is serialized in the report), 2
+invalid input.  Reports are byte-identical given the same input, seed and
+package version; wall-clock timing is only attached on request
+(``--timing``, which every command takes), since it would break that
+reproducibility.  The environment variable ``MONOPOLES_THREADS`` is
 ignored: nothing reads it, so it cannot affect results.
 
 The exact commands (``dim``, ``reductions``, ``strata``, ``tau0``,
@@ -49,12 +50,12 @@ from .cohomology import (
 from .jsonio import (
     Problem,
     ValidationError,
+    _read_json,
     canonical_dumps,
     input_sha256,
     load_problem,
     parse_metric,
     problem_schema,
-    to_jsonable,
 )
 from .reductions import (
     CurvatureBounds,
@@ -128,7 +129,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"monopoles {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, input_file=False):
+    def add_common(p, run, input_file=False):
+        """The options every command takes, and ``run``, the handler ``main`` calls."""
+        p.set_defaults(run=run)
         p.add_argument("--format", choices=("json", "table"), default="json")
         p.add_argument("--timing", action="store_true", help="attach wall-clock timing")
         if input_file:
@@ -138,14 +141,14 @@ def _build_parser() -> argparse.ArgumentParser:
     dim_sub = dim.add_subparsers(dest="dim_kind", required=True)
     for kind in ("pun", "un", "asd"):
         p = dim_sub.add_parser(kind)
-        add_common(p, input_file=True)
+        add_common(p, _run_dim, input_file=True)
         if kind != "asd":
             p.add_argument("--dirac-multiplicity", type=int, choices=(1, 2), default=None)
 
     red = sub.add_parser("reductions", help="fixed-point candidate census")
     red_sub = red.add_subparsers(dest="red_kind", required=True)
     enum_p = red_sub.add_parser("enumerate")
-    add_common(enum_p, input_file=True)
+    add_common(enum_p, _run_reductions, input_file=True)
     enum_p.add_argument("--c-trace", type=_nonnegative_float, default=None)
     enum_p.add_argument("--c-plus", type=_nonnegative_float, default=None)
     enum_p.add_argument("--c-minus", type=_nonnegative_float, default=None)
@@ -154,21 +157,21 @@ def _build_parser() -> argparse.ArgumentParser:
     enum_p.add_argument("--dirac-multiplicity", type=int, choices=(1, 2), default=None)
 
     strata = sub.add_parser("strata", help="Uhlenbeck strata bookkeeping")
-    add_common(strata, input_file=True)
+    add_common(strata, _run_strata, input_file=True)
     strata.add_argument("--kmax", type=_nonnegative_int, default=None)
     strata.add_argument("--dirac-multiplicity", type=int, choices=(1, 2), default=None)
 
     mu_p = sub.add_parser("mu", help="spinor-map certificates")
     mu_sub = mu_p.add_subparsers(dest="mu_kind", required=True)
     prop = mu_sub.add_parser("properness")
-    add_common(prop)
+    add_common(prop, _run_properness)
     prop.add_argument("--n", type=_positive_int, required=True)
     prop.add_argument("--tau", type=_finite_float, required=True)
     prop.add_argument("--starts", type=_positive_int, default=64)
     prop.add_argument("--seed", type=int, default=0)
     prop.add_argument("--tol", type=_finite_float, default=1e-8)
     check = mu_sub.add_parser("check")
-    add_common(check)
+    add_common(check, _run_check)
     check.add_argument("--suite", default="all")
     check.add_argument("--samples", type=_positive_int, default=200)
     check.add_argument("--seed", type=int, default=0)
@@ -176,12 +179,12 @@ def _build_parser() -> argparse.ArgumentParser:
     ka = sub.add_parser("kaehler", help="Kahler fiber algebra")
     ka_sub = ka.add_subparsers(dest="ka_kind", required=True)
     kcheck = ka_sub.add_parser("check")
-    add_common(kcheck)
+    add_common(kcheck, _run_check)
     kcheck.add_argument("--suite", default="all")
     kcheck.add_argument("--samples", type=_positive_int, default=200)
     kcheck.add_argument("--seed", type=int, default=0)
     margin = ka_sub.add_parser("margin")
-    add_common(margin)
+    add_common(margin, _run_margin)
     margin.add_argument(
         "--n", type=_flag_type(int, lambda v: v >= 2, "an integer >= 2"), required=True
     )
@@ -193,11 +196,10 @@ def _build_parser() -> argparse.ArgumentParser:
     margin.add_argument("--seed", type=int, default=0)
 
     tau0 = sub.add_parser("tau0", help="generic vanishing of the tau=0 trace equation")
-    add_common(tau0, input_file=True)
+    add_common(tau0, _run_tau0, input_file=True)
 
     schema = sub.add_parser("schema", help="print the problem-file JSON schema")
-    schema.add_argument("--format", choices=("json", "table"), default="json")
-    schema.add_argument("--timing", action="store_true")
+    add_common(schema, _run_schema)
     return parser
 
 
@@ -215,9 +217,10 @@ def _problem_warnings(problem: Problem) -> list[str]:
 
 
 def _flatten(obj, prefix=""):
+    """``(dotted path, leaf)`` for each leaf of a parsed JSON document, in document order."""
     if isinstance(obj, dict):
-        for k in sorted(obj):
-            yield from _flatten(obj[k], f"{prefix}{k}.")
+        for k, v in obj.items():
+            yield from _flatten(v, f"{prefix}{k}.")
     elif isinstance(obj, list):
         for i, v in enumerate(obj):
             yield from _flatten(v, f"{prefix}{i}.")
@@ -226,15 +229,17 @@ def _flatten(obj, prefix=""):
 
 
 def _render(report: dict, fmt: str) -> str:
+    """The canonical JSON text, or its leaves as aligned rows (keys sorted, as in the text)."""
+    text = canonical_dumps(report)
     if fmt == "json":
-        return canonical_dumps(report)
-    rows = list(_flatten(to_jsonable(report)))
+        return text
+    rows = list(_flatten(json.loads(text)))
     width = max((len(k) for k, _ in rows), default=0)
     return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows)
 
 
 def _emit(report: dict, args, start_time: float) -> None:
-    if getattr(args, "timing", False):
+    if args.timing:
         report["timing_seconds"] = time.monotonic() - start_time
     print(_render(report, args.format))
 
@@ -252,11 +257,15 @@ def _envelope(argv, result, warnings_list, input_doc=None) -> dict:
     return report
 
 
+def _option(args, problem: Problem, name: str):
+    """The flag ``--<name>`` if given, else the problem file's option ``name``."""
+    flag = getattr(args, name, None)
+    return getattr(problem.options, name) if flag is None else flag
+
+
 def _run_dim(args, argv, start_time) -> int:
     problem = load_problem(args.input)
-    mult = getattr(args, "dirac_multiplicity", None)
-    if mult is None:
-        mult = problem.options.dirac_multiplicity
+    mult = _option(args, problem, "dirac_multiplicity")
     if args.dim_kind == "pun":
         result = pun_dimension_report(problem.bundle, problem.spinc, problem.manifold, mult)
     elif args.dim_kind == "un":
@@ -278,8 +287,7 @@ def _run_reductions(args, argv, start_time) -> int:
             "$.bounds.c_trace", "required (give --c-trace or a bounds block in the input)"
         )
     if args.g not in (None, "identity"):
-        with open(args.g, "r", encoding="utf-8") as fh:
-            metric = parse_metric(json.load(fh), problem.manifold.b2, "$.g")
+        metric = parse_metric(_read_json(args.g, "$.g"), problem.manifold.b2, "$.g")
     elif args.g is None and base is not None:
         metric = base.metric
     else:
@@ -289,14 +297,9 @@ def _run_reductions(args, argv, start_time) -> int:
     except ValueError as exc:
         # the flags and the problem's bounds are validated already: only a --g metric is left
         raise ValidationError("$.g", str(exc)) from None
-    kmax = args.kmax if args.kmax is not None else problem.options.kmax
-    mult = (
-        args.dirac_multiplicity
-        if args.dirac_multiplicity is not None
-        else problem.options.dirac_multiplicity
-    )
     report = enumerate_reductions(
-        problem.manifold, problem.bundle, problem.spinc, bounds, kmax, mult
+        problem.manifold, problem.bundle, problem.spinc, bounds,
+        _option(args, problem, "kmax"), _option(args, problem, "dirac_multiplicity"),
     )
     notes = _problem_warnings(problem) + [w for w in report.warnings if w not in problem.manifold.warnings]
     result = {
@@ -327,13 +330,10 @@ def _run_reductions(args, argv, start_time) -> int:
 
 def _run_strata(args, argv, start_time) -> int:
     problem = load_problem(args.input)
-    kmax = args.kmax if args.kmax is not None else problem.options.kmax
-    mult = (
-        args.dirac_multiplicity
-        if args.dirac_multiplicity is not None
-        else problem.options.dirac_multiplicity
+    rows = uhlenbeck_strata(
+        problem.bundle, problem.manifold, problem.spinc,
+        _option(args, problem, "kmax"), _option(args, problem, "dirac_multiplicity"),
     )
-    rows = uhlenbeck_strata(problem.bundle, problem.manifold, problem.spinc, kmax, mult)
     result = {
         "strata": [
             {
@@ -356,20 +356,29 @@ def _emit_certificate(args, argv, start_time, scale, estimate, extra=dict) -> in
 
     ``extra()`` adds fields; it runs after the estimate has checked its input.
     ``scale`` is the ``(flag, value)`` that sizes the estimate: a result that
-    overflows to ``inf``/``nan`` is refused naming that flag.
+    overflows to ``inf``/``nan``, which ``canonical_dumps`` refuses with a
+    ``ValueError``, is refused naming that flag.
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         result = estimate().as_dict()
     result.update(n=args.n, tau=args.tau, **extra())
-    if any(isinstance(v, float) and not math.isfinite(v) for _, v in _flatten(to_jsonable(result))):
+    try:
+        _emit(_envelope(argv, result, [str(w.message) for w in caught]), args, start_time)
+    except ValueError:
         flag, value = scale
-        raise ValueError(f"argument {flag}: {value} overflows the estimate; expected a smaller magnitude")
-    _emit(_envelope(argv, result, [str(w.message) for w in caught]), args, start_time)
+        raise ValueError(
+            f"argument {flag}: {value} overflows the estimate; expected a smaller magnitude"
+        ) from None
     return EXIT_OK
 
 
-def _emit_suite(report, args, argv, start_time) -> int:
+def _run_check(args, argv, start_time) -> int:
+    """``mu check`` or ``kaehler check``: exit 1 when a property fails."""
+    from . import suites
+
+    run_suite = suites.mu_suite if args.command == "mu" else suites.kaehler_suite
+    report = run_suite(suite=args.suite, samples=args.samples, seed=args.seed)
     result = {
         "suite": report.suite,
         "seed": report.seed,
@@ -380,38 +389,28 @@ def _emit_suite(report, args, argv, start_time) -> int:
     return EXIT_OK if report.all_passed else EXIT_PROPERTY_FAILURE
 
 
-def _run_mu(args, argv, start_time) -> int:
+def _run_properness(args, argv, start_time) -> int:
     from .mu_kernel import properness_constant_estimate
-    from .suites import mu_suite
 
-    if args.mu_kind == "properness":
-        return _emit_certificate(
-            args, argv, start_time, ("--tau", args.tau),
-            lambda: properness_constant_estimate(
-                args.n, args.tau, starts=args.starts, seed=args.seed, tol=args.tol
-            ),
-        )
-    report = mu_suite(suite=args.suite, samples=args.samples, seed=args.seed)
-    return _emit_suite(report, args, argv, start_time)
+    return _emit_certificate(
+        args, argv, start_time, ("--tau", args.tau),
+        lambda: properness_constant_estimate(
+            args.n, args.tau, starts=args.starts, seed=args.seed, tol=args.tol
+        ),
+    )
 
 
-def _run_kaehler(args, argv, start_time) -> int:
+def _run_margin(args, argv, start_time) -> int:
     from .kaehler import impossibility_margin, impossibility_margin_closed_form
-    from .suites import kaehler_suite
 
-    if args.ka_kind == "margin":
-        return _emit_certificate(
-            args, argv, start_time, ("--lambda", args.lam),
-            lambda: impossibility_margin(
-                args.n, args.tau, args.lam, starts=args.starts, seed=args.seed
-            ),
-            lambda: {
-                "lambda": args.lam,
-                "closed_form": impossibility_margin_closed_form(args.n, args.tau, args.lam),
-            },
-        )
-    report = kaehler_suite(suite=args.suite, samples=args.samples, seed=args.seed)
-    return _emit_suite(report, args, argv, start_time)
+    return _emit_certificate(
+        args, argv, start_time, ("--lambda", args.lam),
+        lambda: impossibility_margin(args.n, args.tau, args.lam, starts=args.starts, seed=args.seed),
+        lambda: {
+            "lambda": args.lam,
+            "closed_form": impossibility_margin_closed_form(args.n, args.tau, args.lam),
+        },
+    )
 
 
 def _run_tau0(args, argv, start_time) -> int:
@@ -425,32 +424,19 @@ def _run_tau0(args, argv, start_time) -> int:
     return EXIT_OK
 
 
+def _run_schema(args, argv, start_time) -> int:
+    _emit(problem_schema(), args, start_time)
+    return EXIT_OK
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     args = parser.parse_args(_attach_negative_values(argv))
     start_time = time.monotonic()
     try:
-        if args.command == "dim":
-            return _run_dim(args, argv, start_time)
-        if args.command == "reductions":
-            return _run_reductions(args, argv, start_time)
-        if args.command == "strata":
-            return _run_strata(args, argv, start_time)
-        if args.command == "mu":
-            return _run_mu(args, argv, start_time)
-        if args.command == "kaehler":
-            return _run_kaehler(args, argv, start_time)
-        if args.command == "tau0":
-            return _run_tau0(args, argv, start_time)
-        if args.command == "schema":
-            print(_render(problem_schema(), args.format))
-            return EXIT_OK
-        raise AssertionError(f"unhandled command {args.command}")
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    except (OSError, ValueError) as exc:
+        return args.run(args, argv, start_time)
+    except (OSError, ValueError) as exc:  # a ValidationError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
 

@@ -11,7 +11,10 @@ byte-identical reports: keys are sorted, exact rationals are emitted as
 ``{"num", "den"}`` objects rather than corrupted to floats, complex numbers
 as ``{"re", "im"}``, and floats through their shortest round-trip repr.
 Reports are strict JSON: ``NaN`` and infinities are refused on input and
-output alike.
+output alike.  The JSON encoder walks each report once: it recurses
+through dicts, lists and tuples itself and calls :func:`to_jsonable` only
+for a value it cannot encode, which the hook turns into one level of
+encodable structure.
 """
 
 from __future__ import annotations
@@ -293,21 +296,26 @@ def parse_problem(doc: Any) -> Problem:
     return Problem(manifold, spinc, bundle, bounds, options, raw=doc)
 
 
-def load_problem(path: str) -> Problem:
+def _read_json(path: str, field: str) -> Any:
+    """The JSON document in the file at ``path``; text that is not UTF-8 JSON is an error at ``field``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError("$", f"malformed JSON: {exc}") from None
-    return parse_problem(doc)
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValidationError(field, f"malformed JSON: {exc}") from None
+
+
+def load_problem(path: str) -> Problem:
+    return parse_problem(_read_json(path, "$"))
 
 
 def to_jsonable(obj: Any) -> Any:
-    """Recursively convert package objects to JSON-encodable structures."""
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
-        return obj
+    """The ``default`` hook of :func:`canonical_dumps`: one level of encodable structure.
+
+    The encoder calls it only for values it cannot encode itself, and
+    encodes what it returns, recursing into it: the hook never recurses.
+    Dict keys never reach the hook, so reports key their dicts by strings.
+    """
     if isinstance(obj, Fraction):
         if obj.denominator == 1:
             return int(obj)
@@ -317,30 +325,24 @@ def to_jsonable(obj: Any) -> Any:
     # a numpy value exists only once numpy is imported, so this module never imports it
     np = sys.modules.get("numpy")
     if np is not None and isinstance(obj, (np.generic, np.ndarray)):
-        return to_jsonable(obj.tolist())
+        return obj.tolist()
     if isinstance(obj, CohClass2):
-        return list(obj.coeffs)
+        return obj.coeffs
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: to_jsonable(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-            if f.name != "raw"
-        }
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(x) for x in obj]
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.name != "raw"}
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def canonical_dumps(obj: Any) -> str:
     """Deterministic strict JSON text: sorted keys, fixed separators, 2-space indent.
 
-    Non-finite floats raise ``ValueError`` instead of becoming the bare
+    ``obj`` goes to the encoder as it is, with :func:`to_jsonable` as the
+    hook for package objects, so the report is walked once.  Non-finite
+    floats raise ``ValueError`` instead of becoming the bare
     ``NaN``/``Infinity`` tokens that strict JSON parsers reject.
     """
     return json.dumps(
-        to_jsonable(obj), sort_keys=True, indent=2, separators=(",", ": "), allow_nan=False
+        obj, sort_keys=True, indent=2, separators=(",", ": "), allow_nan=False, default=to_jsonable
     )
 
 

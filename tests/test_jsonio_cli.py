@@ -1,6 +1,7 @@
 """Problem-file validation, canonical serialization and the CLI surface."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -13,12 +14,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monopoles import cli
 from monopoles.cli import main
-from monopoles.suites import _KAEHLER_CHECKS, _MU_CHECKS
+from monopoles.cohomology import CohClass2
+from monopoles.mu_kernel import SpinorPair, properness_constant_estimate, zero_divisor_margin
+from monopoles.reductions import enumerate_reductions
+from monopoles.suites import _KAEHLER_CHECKS, _MU_CHECKS, CheckResult, SuiteReport
 from monopoles.jsonio import (
     ValidationError,
     canonical_dumps,
     input_sha256,
+    load_problem,
     parse_problem,
     problem_schema,
     to_jsonable,
@@ -166,11 +172,120 @@ class TestSerialization:
         assert a == b
         assert a.index('"a"') < a.index('"b"')
 
+    def test_hook_converts_one_level_only(self):
+        half = Fraction(1, 2)
+        assert to_jsonable(CohClass2((1, -2))) == (1, -2)
+        assert to_jsonable(np.array([half], dtype=object)) == [half]  # the encoder converts the Fraction
+        for plain in ({"a": 1}, [1], "s", 1, 1.5, None):
+            with pytest.raises(TypeError, match="^cannot serialize "):
+                to_jsonable(plain)
+
     def test_input_hash_is_content_hash(self):
         assert input_sha256(problem_doc()) == input_sha256(problem_doc())
         other = problem_doc()
         other["bundle"]["c2"] = 2
         assert input_sha256(other) != input_sha256(problem_doc())
+
+
+def oracle_to_jsonable(obj):
+    """Reference serializer: converts a whole report to plain JSON values before encoding.
+
+    The package's ``to_jsonable`` is a one-level hook that the encoder calls
+    while it recurses; this walk does the recursion itself, as the package
+    once did, so the two designs can be compared byte for byte.
+    """
+    if obj is None or isinstance(obj, (bool, int, str, float)):
+        return obj
+    if isinstance(obj, Fraction):
+        return int(obj) if obj.denominator == 1 else {"num": obj.numerator, "den": obj.denominator}
+    if isinstance(obj, complex):
+        return {"re": obj.real, "im": obj.imag}
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return oracle_to_jsonable(obj.tolist())
+    if isinstance(obj, CohClass2):
+        return list(obj.coeffs)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {
+            f.name: oracle_to_jsonable(getattr(obj, f.name))
+            for f in dataclasses.fields(obj)
+            if f.name != "raw"
+        }
+    if isinstance(obj, dict):
+        return {str(k): oracle_to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [oracle_to_jsonable(x) for x in obj]
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def oracle_dumps(obj) -> str:
+    return json.dumps(
+        oracle_to_jsonable(obj), sort_keys=True, indent=2, separators=(",", ": "), allow_nan=False
+    )
+
+
+def leaf_rows(obj, path=()):
+    """``(dotted path, value)`` for every leaf of a parsed JSON document, keys sorted."""
+    if isinstance(obj, dict):
+        return [row for k in sorted(obj) for row in leaf_rows(obj[k], path + (k,))]
+    if isinstance(obj, list):
+        return [row for i, v in enumerate(obj) for row in leaf_rows(v, path + (str(i),))]
+    return [(".".join(path), obj)]
+
+
+def _cli_report_object(monkeypatch, argv):
+    """The report object ``main(argv)`` hands to ``canonical_dumps``, unconverted."""
+    seen = []
+
+    def capture(obj):
+        seen.append(obj)
+        return canonical_dumps(obj)
+
+    with monkeypatch.context() as patch, contextlib.redirect_stdout(io.StringIO()):
+        patch.setattr(cli, "canonical_dumps", capture)
+        assert main(argv) == 0
+    [report] = seen
+    return report
+
+
+def _serializer_corpus(monkeypatch, census_file):
+    pair = SpinorPair([1 + 2j, -0.5], [0.25j, 3.0])
+    suite = SuiteReport(
+        suite="mu:all",
+        seed=7,
+        checks=(
+            CheckResult("quartic", True, 10, 1e-15, 1e-10),
+            CheckResult(
+                "phase", False, 10, 0.5, 1e-10,
+                {"tau": np.float64(0.5), "psi": pair, "lhs": np.array([1.5, -2.0]), "k": np.int64(3)},
+            ),
+        ),
+    )
+    properness = properness_constant_estimate(2, 0.5, starts=2, seed=3)
+    zero_divisor = zero_divisor_margin(2, 0.5, starts=2, seed=3)
+    assert isinstance(properness.argmin, SpinorPair)
+    assert isinstance(zero_divisor.argmin, tuple) and len(zero_divisor.argmin) == 2
+    census_argv = ["reductions", "enumerate", "--input", census_file, "--c-trace", "6.2832", "--kmax", "1"]
+    problem = load_problem(census_file)
+    census = enumerate_reductions(problem.manifold, problem.bundle, problem.spinc, problem.bounds, 1)
+    return {
+        "reductions enumerate report": _cli_report_object(monkeypatch, census_argv),
+        "enumeration report with its candidates": census,
+        "problem, without its raw document": problem,
+        "suite report": suite,
+        "optimization report, one spinor pair": properness,
+        "optimization report, a pair of them": zero_divisor,
+        "optimization report as_dict": zero_divisor.as_dict(),
+        "numpy scalars": [
+            np.bool_(False), np.int8(-3), np.int16(7), np.int32(-9), np.int64(2**40), np.uint8(200),
+            np.uint64(2**63), np.float16(0.1), np.float32(0.1), np.float64(1e-300),
+            np.complex64(1 - 2j), np.complex128(0.5 + 1e-17j),
+        ],
+        "0-d array and numpy bool": {"zero_dim": np.array(0.5), "flag": np.bool_(True)},
+        "complex and 2-d arrays": [np.array([1j, -2 + 0.5j]), np.arange(6.0).reshape(2, 3)],
+        "tuples in lists of fractions": [
+            (Fraction(1, 3), Fraction(4, 2)), [Fraction(-7, 5), (Fraction(0), (Fraction(9, 4),))],
+        ],
+    }
 
 
 @pytest.fixture
@@ -191,6 +306,47 @@ def run_cli(argv, capsys):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+class TestSerializerOracle:
+    """``canonical_dumps`` against the whole-report walk it replaced, and the table against the JSON."""
+
+    @pytest.fixture
+    def census_file(self, tmp_path):
+        doc = problem_doc(bundle={"rank": 3, "c1": [1, 0], "c2": 1})
+        doc["bounds"] = {"c_trace": 6.2832, "c_plus": 3.0, "c_minus": 9.0,
+                         "g": [[1, {"num": 1, "den": 2}], [{"num": 1, "den": 2}, 2]]}
+        path = tmp_path / "census.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_canonical_dumps_matches_the_recursive_oracle(self, monkeypatch, census_file):
+        corpus = _serializer_corpus(monkeypatch, census_file)
+        assert corpus["reductions enumerate report"]["result"]["count"] > 0
+        assert corpus["enumeration report with its candidates"].candidates
+        for label, obj in corpus.items():
+            assert canonical_dumps(obj) == oracle_dumps(obj), label
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mu", "check", "--samples", "3", "--seed", "7"],
+            ["kaehler", "margin", "--n", "2", "--tau", "0.5", "--lambda", "1-2i", "--starts", "2"],
+            ["reductions", "enumerate", "--input", "CENSUS", "--kmax", "1"],
+        ],
+    )
+    def test_table_rows_are_the_leaves_of_the_json_report(self, argv, census_file, capsys):
+        argv = [census_file if a == "CENSUS" else a for a in argv]
+        code, out = run_cli(argv, capsys)
+        assert code == 0
+        code, table = run_cli(argv + ["--format", "table"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        report["command"] = argv + ["--format", "table"]  # the one field the flag changes
+        leaves = leaf_rows(report)
+        assert len(leaves) > 10
+        width = max(len(k) for k, _ in leaves)
+        assert table == "".join(f"{k.ljust(width)}  {v}\n" for k, v in leaves)
 
 
 class TestCli:
@@ -223,6 +379,29 @@ class TestCli:
         bad.write_text('{"manifold": nope')
         code = main(["dim", "pun", "--input", str(bad)])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flag, content, field, detail",
+        [
+            ("--g", b"[[1, 0], [0, 1]", "$.g", "Expecting ','"),
+            ("--g", b"[[1, 0], [0, 1]]\xff", "$.g", "'utf-8' codec"),
+            ("--input", b"\xff\xfe{}", "$", "'utf-8' codec"),
+        ],
+    )
+    def test_unreadable_json_file_names_the_field(
+        self, flag, content, field, detail, hyperbolic_file, tmp_path, capsys
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        files = {"--input": hyperbolic_file, "--g": "identity", flag: str(bad)}
+        argv = ["reductions", "enumerate", "--c-trace", "6.2832"]
+        for name, path in files.items():
+            argv += [name, path]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: {field}: malformed JSON: {detail}")
+        assert captured.err.count("\n") == 1
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         doc = problem_doc(surprise=1)
@@ -446,10 +625,11 @@ class TestCli:
         assert schema["required"] == ["manifold", "spinc", "bundle"]
 
     def test_timing_is_opt_in(self, k3_file, capsys):
-        _, out = run_cli(["tau0", "--input", k3_file], capsys)
-        assert "timing_seconds" not in json.loads(out)
-        _, out = run_cli(["tau0", "--input", k3_file, "--timing"], capsys)
-        assert json.loads(out)["timing_seconds"] >= 0.0
+        for command in (["tau0", "--input", k3_file], ["schema"]):
+            _, out = run_cli(command, capsys)
+            assert "timing_seconds" not in json.loads(out)
+            _, out = run_cli(command + ["--timing"], capsys)
+            assert json.loads(out)["timing_seconds"] >= 0.0
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

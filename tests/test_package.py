@@ -62,6 +62,7 @@ commands = {
     "strata": ["strata", "--input", path, "--kmax", "2"],
     "tau0": ["tau0", "--input", path],
     "schema": ["schema"],
+    "dim pun --format table": ["dim", "pun", "--input", path, "--format", "table"],
     "mu check": ["mu", "check", "--suite", "quartic", "--samples", "2"],
 }
 codes = {}

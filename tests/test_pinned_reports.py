@@ -1,0 +1,83 @@
+"""The exact commands' reports, pinned byte for byte by their sha256.
+
+A refactor must leave the reports byte-identical, or explain every byte
+that changed (ROADMAP aim 2). The commands run from a fixed relative path,
+so the echoed ``command`` does not vary. The floating-point commands
+(``mu``, ``kaehler``) are left out: their bytes depend on the BLAS build.
+Every report echoes the package version, so a version bump moves every
+digest; so does any change of the report format, which must be deliberate.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from monopoles.cli import main
+
+# CP2 # 2(-CP2): an odd form of signature -1 with a characteristic Spin^c class; the
+# options make ``dim`` and ``strata`` read the multiplicity and kmax from the file
+PROBLEM = {
+    "manifold": {"name": "CP2#2-CP2bar", "b1": 0, "intersection_form": [[1, 0, 0], [0, -1, 0], [0, 0, -1]]},
+    "spinc": {"c1": [1, 1, 1]},
+    "bundle": {"rank": 3, "c1": [1, 0, 1], "c2": 2},
+    "options": {"kmax": 2, "dirac_multiplicity": 1},
+}
+# S^T D S with S = [[1, 1/2, 0], [0, 1, -1], [0, 0, 1]] and D = diag(1, 1, 2)
+SHEARED_METRIC = [
+    [1, {"num": 1, "den": 2}, 0],
+    [{"num": 1, "den": 2}, {"num": 5, "den": 4}, -1],
+    [0, -1, 3],
+]
+
+COMMANDS = {
+    "dim pun": ["dim", "pun", "--input", "problem.json"],
+    "dim un": ["dim", "un", "--input", "problem.json"],
+    "dim asd": ["dim", "asd", "--input", "problem.json"],
+    "strata": ["strata", "--input", "problem.json"],
+    "tau0": ["tau0", "--input", "problem.json"],
+    "schema": ["schema"],
+    "reductions enumerate": [
+        "reductions", "enumerate", "--input", "problem.json", "--c-trace", "12", "--c-plus", "4",
+        "--c-minus", "9", "--g", "g.json", "--kmax", "1",
+    ],
+}
+
+# taken with the serializer that converted a whole report before encoding it
+DIGESTS = {
+    ("dim asd", "json"): "e0532cbe71e4d9ac9cbbf8df7ba6647bec80c37dd8901c798ea09af42b437571",
+    ("dim asd", "table"): "ecc3dbe2b57135fa3b987f7e1fdea1eca6989c2adca6acfaa7def9505ce1a79e",
+    ("dim pun", "json"): "fe2e2542524ea01cea42cbe0248f048c840ccf043bfcc7180ac5835c74e1621b",
+    ("dim pun", "table"): "633916ec0b30ec73aaffcf2996c076b540f81cbc08308aec37c751253c9fa06b",
+    ("dim un", "json"): "38da77076505f049423c6098cf5443d3df9ab9b3acd630fc230c8e73e1161873",
+    ("dim un", "table"): "f04771180364c256db821e665e8cccd046e822ce226978bd46caddf050009cdd",
+    ("reductions enumerate", "json"): "014961bdfeacf8250876db7661ff0bd0ac1fd56d34cd94ff59279d2e20894876",
+    ("reductions enumerate", "table"): "725c7ed2d75f726635cb9872d4d72716a0b5f820ba97f56d77e06faeb4b0328e",
+    ("schema", "json"): "d8d78b5d2e9057b537d3d7224e59cdab049e69a574dbedf3b98a828c77699bad",
+    ("schema", "table"): "c47d833b41d9403f2c53a259f79c6f54c98896f447fd91c103dc45debff65650",
+    ("strata", "json"): "f1dd3e33336d2c12e2ef2a28ea3dd4ac33f4fa0b37e2a4604a53bcd35befd912",
+    ("strata", "table"): "3b1f1aec3043cdfa7bc8ee75b33198632845b5148644bf9842bab1043db09274",
+    ("tau0", "json"): "562fb5e9979649a151c9096f02015489c4fe65cb16ec73dfd61f941838806246",
+    ("tau0", "table"): "ebf99acb96e74c599167eb4c295bde8666c11251e2bf20e3178c54c05699444a",
+}
+
+
+@pytest.fixture
+def problem_dir(tmp_path, monkeypatch):
+    (tmp_path / "problem.json").write_text(json.dumps(PROBLEM))
+    (tmp_path / "g.json").write_text(json.dumps(SHEARED_METRIC))
+    monkeypatch.chdir(tmp_path)
+
+
+def report_digest(argv, capsys) -> str:
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    return hashlib.sha256(captured.out.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("label", sorted(COMMANDS))
+def test_exact_report_is_byte_identical(label, fmt, problem_dir, capsys):
+    argv = COMMANDS[label] + ([] if fmt == "json" else ["--format", fmt])
+    assert report_digest(argv, capsys) == DIGESTS[label, fmt]
