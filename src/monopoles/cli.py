@@ -17,8 +17,9 @@ One executable, subcommands per computation:
 Reports go to stdout as canonical JSON (``--format table`` prints the
 leaves of that same document as aligned rows).  Exit codes: 0 success, 1 a
 checked property failed (the counterexample is serialized in the report), 2
-invalid input.  Reports are byte-identical given the same input, seed and
-package version; wall-clock timing is only attached on request
+invalid input, 141 (128 + SIGPIPE) stdout was closed before the report was
+written, which prints nothing.  Reports are byte-identical given the same
+input, seed and package version; wall-clock timing is only attached on request
 (``--timing``, which every command takes), since it would break that
 reproducibility.  The environment variable ``MONOPOLES_THREADS`` is
 ignored: nothing reads it, so it cannot affect results.
@@ -33,8 +34,11 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
+import io
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -68,6 +72,7 @@ from .reductions import (
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
 EXIT_INVALID_INPUT = 2
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, the status of a writer killed by a closed pipe
 
 
 def _flag_type(parse, accept, expected: str):
@@ -229,11 +234,14 @@ def _flatten(obj, prefix=""):
 
 
 def _render(report: dict, fmt: str) -> str:
-    """The canonical JSON text, or its leaves as aligned rows (keys sorted, as in the text)."""
+    """The canonical JSON text, or its leaves as aligned rows (keys sorted, as in the text).
+
+    A string leaf is printed bare, any other leaf as its JSON token.
+    """
     text = canonical_dumps(report)
     if fmt == "json":
         return text
-    rows = list(_flatten(json.loads(text)))
+    rows = [(k, v if isinstance(v, str) else json.dumps(v)) for k, v in _flatten(json.loads(text))]
     width = max((len(k) for k, _ in rows), default=0)
     return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows)
 
@@ -435,7 +443,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(_attach_negative_values(argv))
     start_time = time.monotonic()
     try:
-        return args.run(args, argv, start_time)
+        code = args.run(args, argv, start_time)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout has gone, so there is no one to report to.  The
+        # unwritten report stays buffered; pointing stdout at devnull lets the
+        # interpreter's final flush drop it without printing an error.
+        with contextlib.suppress(io.UnsupportedOperation):  # a stream with no descriptor
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (OSError, ValueError) as exc:  # a ValidationError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT

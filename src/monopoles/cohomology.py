@@ -161,12 +161,6 @@ class CohClass2:
             raise ValueError("class length mismatch")
         return CohClass2(a - b for a, b in zip(self.coeffs, other.coeffs))
 
-    def __neg__(self) -> "CohClass2":
-        return CohClass2(-a for a in self.coeffs)
-
-    def scaled(self, k: int) -> "CohClass2":
-        return CohClass2(k * a for a in self.coeffs)
-
     @staticmethod
     def zero(b2: int) -> "CohClass2":
         return CohClass2((0,) * b2)

@@ -359,7 +359,7 @@ def verify_curvature_split(field: PointwiseField, tol: float = 1e-9) -> Curvatur
     )
 
 
-def decoupling_bound(alpha, beta, tau: float, n: int | None = None) -> tuple[float, float]:
+def decoupling_bound(alpha, beta, tau: float) -> tuple[float, float]:
     """The pointwise inequality driving the vortex decoupling argument.
 
     Returns ``(lhs, rhs)`` with
@@ -373,10 +373,7 @@ def decoupling_bound(alpha, beta, tau: float, n: int | None = None) -> tuple[flo
     if not 0.0 <= tau <= 1.0:
         raise ValueError("decoupling bound requires tau in [0, 1]")
     a, b = _spinor_rows(_vec(alpha, "alpha"), _vec(beta, "beta"))
-    if n is None:
-        n = a.size
-    elif n != a.size:
-        raise ValueError("declared n does not match the vectors")
+    n = a.size
     lhs = float(np.real(np.vdot(b, brace(np.outer(b, a.conj()), tau) @ a)))
     na2 = float(np.real(np.vdot(a, a)))
     nb2 = float(np.real(np.vdot(b, b)))
@@ -464,19 +461,22 @@ def _rebalance(x: np.ndarray) -> np.ndarray:
     return np.concatenate([a.real, b.real, a.imag, b.imag])
 
 
+_MARGIN_MAX_ITER = 4000
+_MARGIN_GRADIENT_TOL = 1e-10
+
+
 def impossibility_margin(
     n: int,
     tau: float,
     lam: complex,
     starts: int = 64,
     seed: int = 0,
-    tol: float = 1e-10,
-    max_iter: int = 4000,
 ) -> OptimizationReport:
     """Measure min over all (alpha, beta) of ||brace(beta alpha^*, tau) - lam id||.
 
     Requires ``n >= 2`` and ``tau`` in (0, 1].  Multistart gradient descent
-    over unconstrained pairs; the origin is pinned as an extra start so the
+    over unconstrained pairs, at most 4000 steps per start with gradient
+    tolerance 1e-10; the origin is pinned as an extra start so the
     margin for ``lam = 0`` is exactly zero.  The descent leaves the scale
     split between alpha and beta free; only the reported ``argmin`` is
     rebalanced to equal norms, which leaves its value unchanged.  The
@@ -500,8 +500,8 @@ def impossibility_margin(
         sample,
         starts=starts,
         seed=seed,
-        gradient_tolerance=tol,
-        max_iter=max_iter,
+        gradient_tolerance=_MARGIN_GRADIENT_TOL,
+        max_iter=_MARGIN_MAX_ITER,
         fixed_starts=[np.zeros(4 * n)],
     )
     x_best = _rebalance(x_best)
@@ -509,5 +509,5 @@ def impossibility_margin(
         x_best[:n] + 1j * x_best[2 * n : 3 * n], x_best[n : 2 * n] + 1j * x_best[3 * n :]
     )
     return OptimizationReport.from_squares(
-        values_sq, flags, argmin, seed=seed, max_iter=max_iter, tol=tol
+        values_sq, flags, argmin, seed=seed, max_iter=_MARGIN_MAX_ITER, tol=_MARGIN_GRADIENT_TOL
     )

@@ -110,38 +110,19 @@ class BlockEndo:
     mat: np.ndarray
     n: int
 
-    def __init__(self, mat, n: int | None = None):
+    def __init__(self, mat):
         m = np.asarray(mat, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 != 0:
             raise ValueError("block endomorphism must be a square 2n x 2n matrix")
-        inferred = m.shape[0] // 2
-        if n is not None and n != inferred:
-            raise ValueError("declared block size does not match the matrix")
         object.__setattr__(self, "mat", m)
-        object.__setattr__(self, "n", inferred)
+        object.__setattr__(self, "n", m.shape[0] // 2)
 
     def block(self, i: int, j: int) -> np.ndarray:
         n = self.n
         return self.mat[i * n : (i + 1) * n, j * n : (j + 1) * n]
 
-    @property
-    def blocks(self):
-        return ((self.block(0, 0), self.block(0, 1)), (self.block(1, 0), self.block(1, 1)))
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.mat))
-
-    def __add__(self, other: "BlockEndo") -> "BlockEndo":
-        return BlockEndo(self.mat + other.mat)
-
-    def __sub__(self, other: "BlockEndo") -> "BlockEndo":
-        return BlockEndo(self.mat - other.mat)
-
-    def __rmul__(self, scalar) -> "BlockEndo":
-        return BlockEndo(scalar * self.mat)
-
-    def apply(self, psi: SpinorPair) -> SpinorPair:
-        return SpinorPair.from_vector(self.mat @ psi.vector)
 
 
 def outer(psi: SpinorPair, phi: SpinorPair) -> BlockEndo:
@@ -310,24 +291,22 @@ def mu_norm_batch(tau: float, alphas, betas) -> np.ndarray:
     return np.sqrt(np.maximum(total, 0.0))
 
 
-def random_sphere_search(
-    n: int,
-    tau: float,
-    samples: int,
-    seed: int = 0,
-    chunk: int = 200_000,
-) -> float:
+_SPHERE_CHUNK = 200_000
+
+
+def random_sphere_search(n: int, tau: float, samples: int, seed: int = 0) -> float:
     """Minimum of |mu(tau, Psi, Psi)| over seeded uniform unit spinors.
 
     A cross-check companion to the gradient-descent estimate; it evaluates
     through :func:`mu_norm_batch` (the scalar route) rather than the matrix
-    projections the optimizer uses.
+    projections the optimizer uses.  Samples are drawn and evaluated
+    200 000 at a time, which bounds the memory of a search.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
     best = np.inf
     remaining = samples
     while remaining > 0:
-        m = min(chunk, remaining)
+        m = min(_SPHERE_CHUNK, remaining)
         z = rng.standard_normal((m, 4 * n))
         v = z[:, : 2 * n] + 1j * z[:, 2 * n :]
         v /= np.linalg.norm(v, axis=1, keepdims=True)
@@ -366,22 +345,27 @@ def properness_value_grad(n: int, tau: float):
     return value_and_grad
 
 
+# The descent budget shared by both spinor-map certificates.
+_MAX_ITER = 2000
+_GRADIENT_TOL = 1e-8
+
+
 def properness_constant_estimate(
     n: int,
     tau: float,
     starts: int = 64,
     seed: int = 0,
-    tol: float = 1e-8,
-    max_iter: int = 2000,
-    positivity_floor: float = DEFAULT_POSITIVITY_FLOOR,
+    tol: float = _GRADIENT_TOL,
 ) -> OptimizationReport:
     """Estimate the properness constant min_{|Psi|=1} |mu(tau, Psi, Psi)|.
 
     Multistart projected gradient descent on the unit sphere of C^{2n}; the
     reported estimate is the square root of the best objective value found,
-    hence always an upper bound for the true constant.  For ``n > 1`` the
-    report's ``success`` flag records whether the estimate clears the
-    positivity floor.
+    hence always an upper bound for the true constant.  Each start takes at
+    most 2000 steps and stops once the tangent gradient is below ``tol``
+    (1e-8 unless given).  For ``n > 1`` the report's ``success`` flag
+    records whether the estimate clears the positivity floor
+    :data:`DEFAULT_POSITIVITY_FLOOR` (1e-3).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -394,13 +378,13 @@ def properness_constant_estimate(
         starts=starts,
         seed=seed,
         gradient_tolerance=tol,
-        max_iter=max_iter,
+        max_iter=_MAX_ITER,
         project=project,
         tangent=tangent,
     )
     return OptimizationReport.from_squares(
         values_sq, flags, SpinorPair.from_vector(_unpack(x_best)), seed=seed,
-        max_iter=max_iter, tol=tol, positivity_floor=positivity_floor, judge=n > 1,
+        max_iter=_MAX_ITER, tol=tol, positivity_floor=DEFAULT_POSITIVITY_FLOOR, judge=n > 1,
     )
 
 
@@ -431,16 +415,16 @@ def zero_divisor_margin(
     tau: float,
     starts: int = 64,
     seed: int = 0,
-    tol: float = 1e-8,
-    max_iter: int = 2000,
-    positivity_floor: float = DEFAULT_POSITIVITY_FLOOR,
 ) -> OptimizationReport:
     """Estimate min |mu(tau, Psi, Phi)| over pairs of unit spinors.
 
     Requires ``n >= 2 or tau != 0``: in the excluded case ``n = 1, tau = 0``
     the map is identically zero and the zero-divisor property fails, so the
-    input is rejected by name.  A positive margin certifies (numerically)
-    that the bilinear map has no zero divisors.
+    input is rejected by name.  A margin above the positivity floor
+    :data:`DEFAULT_POSITIVITY_FLOOR` (1e-3) certifies (numerically) that the
+    bilinear map has no zero divisors.  The descent budget is that of
+    :func:`properness_constant_estimate`: at most 2000 steps per start,
+    gradient tolerance 1e-8.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -457,8 +441,8 @@ def zero_divisor_margin(
         lambda rng: rng.standard_normal(8 * n),
         starts=starts,
         seed=seed,
-        gradient_tolerance=tol,
-        max_iter=max_iter,
+        gradient_tolerance=_GRADIENT_TOL,
+        max_iter=_MAX_ITER,
         project=project,
         tangent=tangent,
     )
@@ -468,6 +452,6 @@ def zero_divisor_margin(
         SpinorPair.from_vector(_unpack(x_best[half:])),
     )
     return OptimizationReport.from_squares(
-        values_sq, flags, argmin, seed=seed, max_iter=max_iter, tol=tol,
-        positivity_floor=positivity_floor,
+        values_sq, flags, argmin, seed=seed, max_iter=_MAX_ITER, tol=_GRADIENT_TOL,
+        positivity_floor=DEFAULT_POSITIVITY_FLOOR,
     )

@@ -45,7 +45,7 @@ from .cohomology import (
     expected_dim_pun,
     expected_dim_un,
     ldl,
-    p1_su,
+    p1_su,  # noqa: F401  unused here; the benchmark tracer wraps it under this name
 )
 
 __all__ = [
@@ -435,19 +435,16 @@ def uhlenbeck_strata(
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    n = bundle.rank
     rows = []
     for k in range(k_max + 1):
-        b_k = BundleData(n, bundle.c1, bundle.c2 - k)
-        instanton = -2 * p1_su(b_k, manifold) - (n * n - 1) * (
-            manifold.b2plus - manifold.b1 + 1
-        )
+        b_k = BundleData(bundle.rank, bundle.c1, bundle.c2 - k)
+        expected_dim = expected_dim_pun(b_k, s, manifold, dirac_multiplicity)
         rows.append(
             StratumRow(
                 k=k,
                 bundle=b_k,
-                expected_dim=expected_dim_pun(b_k, s, manifold, dirac_multiplicity),
-                instanton_part=instanton,
+                expected_dim=expected_dim,
+                instanton_part=expected_dim_asd(b_k, manifold),
                 dirac_index=dirac_index(b_k, s, manifold),
             )
         )

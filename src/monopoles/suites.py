@@ -3,9 +3,14 @@
 Each check draws its own Philox stream (spawned from the suite seed and the
 check's registry index), evaluates a mathematical identity or inequality
 over a sample grid, and reports the worst deviation together with the first
-counterexample found, if any.  Heavier identities are evaluated through
-vectorized batch routes that are deliberately different from the single-pair
-reference implementations they are checking.
+counterexample found, if any.  The ``mu`` checks evaluate the batch projections
+``batch_project_P``/``batch_project_Q``, which the single-pair ``mu``,
+``project_P`` and ``project_Q`` apply to a stack of one, and tie the scalar
+API to them with spot checks.  The routes kept independent of the code
+they check are the closed-form scalar invariants of ``mu_norm_batch``, the
+brace route ``batch_mu_kaehler``, the explicit four-block formula of
+``projection_matches_block_formula``, ``zero_divisor_identity_batch`` and
+``decoupling_bound_batch``.
 """
 
 from __future__ import annotations
@@ -157,7 +162,7 @@ def _chunked(samples: int, chunk_cell: Callable):
 
 
 # ---------------------------------------------------------------------------
-# batch evaluation routes (independent of the single-pair reference code)
+# batch evaluation routes, built without the projections or the brace
 # ---------------------------------------------------------------------------
 
 def zero_divisor_identity_batch(alphas: np.ndarray, betas: np.ndarray):

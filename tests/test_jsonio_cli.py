@@ -346,7 +346,8 @@ class TestSerializerOracle:
         leaves = leaf_rows(report)
         assert len(leaves) > 10
         width = max(len(k) for k, _ in leaves)
-        assert table == "".join(f"{k.ljust(width)}  {v}\n" for k, v in leaves)
+        tokens = [(k, v if isinstance(v, str) else json.dumps(v)) for k, v in leaves]
+        assert table == "".join(f"{k.ljust(width)}  {v}\n" for k, v in tokens)
 
 
 class TestCli:
@@ -502,6 +503,26 @@ class TestCli:
         assert code == 0
         assert "result.expected_dim" in out
 
+    def test_table_spells_literals_as_in_the_json(self, k3_file, capsys):
+        for argv, key, token in (
+            (["tau0", "--input", k3_file], "result.vanishes_generically", "true"),
+            (["schema"], "additionalProperties", "false"),
+            (["kaehler", "margin", "--n", "2", "--tau", "0.5", "--lambda", "1", "--starts", "1"],
+             "result.success", "null"),
+        ):
+            _, out = run_cli(argv + ["--format", "table"], capsys)
+            assert dict(line.split(None, 1) for line in out.splitlines())[key] == token
+
+    def test_closed_stdout_exits_141_and_prints_nothing(self, capsys):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        with contextlib.redirect_stdout(ClosedPipe()):
+            code = main(["schema", "--format", "table"])
+        assert code == cli.EXIT_BROKEN_PIPE == 141
+        assert capsys.readouterr().err == ""
+
     def test_report_carries_hash_and_version(self, k3_file, capsys):
         _, out = run_cli(["dim", "pun", "--input", k3_file], capsys)
         report = json.loads(out)
@@ -644,6 +665,21 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.decode().startswith("monopoles ")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_pipe_exits_141_with_empty_stderr(unbuffered):
+    """Buffered, the error surfaces at the flush; unbuffered, in the write itself."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "monopoles", "schema"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONUNBUFFERED=unbuffered),
+    )
+    proc.stdout.close()  # long before the interpreter has started and written
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 class TestDeterminism:

@@ -9,7 +9,12 @@ from monopoles.kaehler import (
     impossibility_margin,
     impossibility_margin_closed_form,
 )
-from monopoles.mu_kernel import _zero_divisor_value_grad, properness_value_grad
+from monopoles.mu_kernel import (
+    _zero_divisor_value_grad,
+    properness_constant_estimate,
+    properness_value_grad,
+    zero_divisor_margin,
+)
 from monopoles.optim import (
     _descend,
     _identity_projector,
@@ -167,6 +172,21 @@ def _problems():
 
 
 PROBLEMS = _problems()
+
+
+@pytest.mark.parametrize(
+    "estimate, budget",
+    [
+        (lambda: properness_constant_estimate(2, 0.5, starts=1), (2000, 1e-8, 1e-3)),
+        (lambda: zero_divisor_margin(2, 0.5, starts=1), (2000, 1e-8, 1e-3)),
+        (lambda: impossibility_margin(2, 0.5, 1.0, starts=1), (4000, 1e-10, None)),
+    ],
+    ids=["properness", "zero_divisor", "identity_margin"],
+)
+def test_each_certificate_reports_its_fixed_budget(estimate, budget):
+    """(iterations per start, gradient tolerance, positivity floor) of each certificate."""
+    report = estimate()
+    assert (report.iterations_per_start, report.gradient_tolerance, report.positivity_floor) == budget
 
 
 @pytest.mark.parametrize("problem", PROBLEMS, ids=[p[0] for p in PROBLEMS])

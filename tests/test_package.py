@@ -93,3 +93,13 @@ def test_exact_commands_never_import_numpy(tmp_path):
     loaded = out["numpy_loaded"]
     assert loaded.pop("mu check") is True
     assert not any(loaded.values()), loaded
+
+
+def test_benchmark_self_tests_pass():
+    """The benchmark patches and calls the package by name; a rename fails its tests."""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "perfbench/tests", "-q"],
+        capture_output=True, text=True, cwd=root, check=False,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

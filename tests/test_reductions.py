@@ -405,6 +405,11 @@ class TestUhlenbeckStrata:
             assert row.dirac_index - rows[0].dirac_index == k
             assert rows[0].expected_dim - row.expected_dim == (4 * big_n - 2) * k
 
+    def test_rank1_is_refused_by_the_monopole_dimension(self):
+        m = k3_like()
+        with pytest.raises(ValueError, match="^projective monopole dimension needs rank >= 2$"):
+            uhlenbeck_strata(BundleData(1, m.zero_class(), 0), m, SpincStructure(m.zero_class()), 1)
+
 
 class TestTau0Verdict:
     def test_positive_b2plus(self):
