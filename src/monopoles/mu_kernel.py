@@ -251,11 +251,38 @@ def quartic_form(tau: float, psi: SpinorPair) -> float:
     return float(np.real(np.vdot(v, mu(tau, psi).mat @ v)))
 
 
-def _scalar_invariants(alphas: np.ndarray, betas: np.ndarray):
-    na2 = np.einsum("ij,ij->i", alphas.conj(), alphas).real
-    nb2 = np.einsum("ij,ij->i", betas.conj(), betas).real
-    ab = np.einsum("ij,ij->i", alphas.conj(), betas)  # <alpha, beta>
-    return na2, nb2, np.abs(ab) ** 2
+def _row_invariants(re_a, re_b, im_a, im_b):
+    """|alpha|^2, |beta|^2 and |<alpha, beta>|^2 from real component rows.
+
+    Each argument is an ``(n, m)`` array whose row ``j`` holds the real or
+    imaginary parts of component ``j`` of ``m`` spinors.  Every term is
+    formed as the complex product forms it and the components are summed in
+    order from zero, so the values equal a complex ``einsum`` over rows of
+    ``alpha`` and ``beta`` bit for bit.
+    """
+    shape = re_a.shape[1:]
+    na2, nb2, ab_re, ab_im = (np.zeros(shape) for _ in range(4))
+    for ra, rb, ia, ib in zip(re_a, re_b, im_a, im_b):
+        na2 += ra * ra + ia * ia
+        nb2 += rb * rb + ib * ib
+        ab_re += ra * rb + ia * ib
+        ab_im += ra * ib - ia * rb
+    return na2, nb2, np.abs(ab_re + 1j * ab_im) ** 2
+
+
+def _mu_norm(tau: float, n: int, na2, nb2, ab2) -> np.ndarray:
+    """|mu(tau, Psi, Psi)| from the invariants |a|^2, |b|^2, |<a,b>|^2."""
+    if n == 1:
+        # the sl(1) factor is zero, so only the trace part survives; the
+        # general expression would compute the same 0 with cancellation noise
+        p_sq = np.zeros_like(na2)
+    else:
+        p_sq = 0.5 * (na2**2 + nb2**2 - 2 * ab2 - (na2 - nb2) ** 2 / n) + 2 * (
+            na2 * nb2 - ab2 / n
+        )
+    q_sq = (na2 - nb2) ** 2 / (2 * n) + 2 * ab2 / n
+    total = p_sq + tau * tau * q_sq
+    return np.sqrt(np.maximum(total, 0.0))
 
 
 def mu_norm_batch(tau: float, alphas, betas) -> np.ndarray:
@@ -276,43 +303,41 @@ def mu_norm_batch(tau: float, alphas, betas) -> np.ndarray:
     betas = np.asarray(betas, dtype=complex)
     if alphas.shape != betas.shape or alphas.ndim != 2:
         raise ValueError("alphas and betas must be matching (m, n) arrays")
-    n = alphas.shape[1]
-    na2, nb2, ab2 = _scalar_invariants(alphas, betas)
-    if n == 1:
-        # the sl(1) factor is zero, so only the trace part survives; the
-        # general expression would compute the same 0 with cancellation noise
-        p_sq = np.zeros_like(na2)
-    else:
-        p_sq = 0.5 * (na2**2 + nb2**2 - 2 * ab2 - (na2 - nb2) ** 2 / n) + 2 * (
-            na2 * nb2 - ab2 / n
-        )
-    q_sq = (na2 - nb2) ** 2 / (2 * n) + 2 * ab2 / n
-    total = p_sq + tau * tau * q_sq
-    return np.sqrt(np.maximum(total, 0.0))
+    invariants = _row_invariants(alphas.real.T, betas.real.T, alphas.imag.T, betas.imag.T)
+    return _mu_norm(tau, alphas.shape[1], *invariants)
 
 
-_SPHERE_CHUNK = 200_000
+_SPHERE_CHUNK = 16_384
 
 
 def random_sphere_search(n: int, tau: float, samples: int, seed: int = 0) -> float:
     """Minimum of |mu(tau, Psi, Psi)| over seeded uniform unit spinors.
 
     A cross-check companion to the gradient-descent estimate; it evaluates
-    through :func:`mu_norm_batch` (the scalar route) rather than the matrix
-    projections the optimizer uses.  Samples are drawn and evaluated
-    200 000 at a time, which bounds the memory of a search.
+    the closed form of :func:`mu_norm_batch` (the scalar route) rather than
+    the matrix projections the optimizer uses.  Each sample is a standard
+    normal point of R^{4n}, read as ``(Re alpha, Re beta, Im alpha, Im
+    beta)``; by homogeneity |mu| at ``Psi/|Psi|`` takes the invariants of
+    ``Psi`` divided by ``s = |Psi|^2`` (and ``s^2``), so no sample is
+    normalized.  Samples are drawn into one reused buffer 16 384 at a time,
+    which draws the same stream as one call for all of them and keeps the
+    working set in cache.  ``samples <= 0`` returns ``inf``.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
+    size = min(_SPHERE_CHUNK, max(samples, 0))
+    draws = np.empty((size, 4 * n))
+    rows = np.empty((4 * n, size))
     best = np.inf
-    remaining = samples
-    while remaining > 0:
-        m = min(_SPHERE_CHUNK, remaining)
-        z = rng.standard_normal((m, 4 * n))
-        v = z[:, : 2 * n] + 1j * z[:, 2 * n :]
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        vals = mu_norm_batch(tau, v[:, :n], v[:, n:])
+    for start in range(0, samples, _SPHERE_CHUNK):
+        m = min(_SPHERE_CHUNK, samples - start)
+        chunk = rows[:, :m]
+        np.copyto(chunk, rng.standard_normal(out=draws[:m]).T)
+        na2, nb2, ab2 = _row_invariants(*chunk.reshape(4, n, m))
+        s = na2 + nb2
+        vals = _mu_norm(tau, n, na2 / s, nb2 / s, ab2 / (s * s))
         best = min(best, float(vals.min()))
-        remaining -= m
     return best
 
 

@@ -407,10 +407,8 @@ def _check_properness_inequality(rng, samples, seed):
                 + np.einsum("mi,mi->m", b.conj(), b).real
             ) ** 2
             # quartic via the scalar route: ||P||^2 + tau ||Q||^2
-            p_plus_tau_q = (
-                mu_norm_batch(0.0, a, b) ** 2
-                + tau * (mu_norm_batch(1.0, a, b) ** 2 - mu_norm_batch(0.0, a, b) ** 2)
-            )
+            p_sq = mu_norm_batch(0.0, a, b) ** 2
+            p_plus_tau_q = p_sq + tau * (mu_norm_batch(1.0, a, b) ** 2 - p_sq)
             gap = p_plus_tau_q - floor * norms4
             yield -gap, lambda i: {"n": n, "tau": tau, "alpha": a[i].tolist(), "beta": b[i].tolist()}
 

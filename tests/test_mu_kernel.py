@@ -17,6 +17,7 @@ from monopoles import (
     zero_divisor_margin,
 )
 from monopoles.mu_kernel import (
+    _SPHERE_CHUNK,
     BlockEndo,
     batch_project_P,
     batch_project_Q,
@@ -201,6 +202,57 @@ class TestPropernessEstimate:
     def test_rejects_n0(self):
         with pytest.raises(ValueError):
             properness_constant_estimate(0, 0.0)
+
+
+def _einsum_norms(tau, a, b):
+    """mu_norm_batch's closed form over complex einsum invariants."""
+    n = a.shape[1]
+    na2 = np.einsum("ij,ij->i", a.conj(), a).real
+    nb2 = np.einsum("ij,ij->i", b.conj(), b).real
+    ab2 = np.abs(np.einsum("ij,ij->i", a.conj(), b)) ** 2
+    if n == 1:
+        p_sq = np.zeros_like(na2)
+    else:
+        p_sq = 0.5 * (na2**2 + nb2**2 - 2 * ab2 - (na2 - nb2) ** 2 / n) + 2 * (na2 * nb2 - ab2 / n)
+    q_sq = (na2 - nb2) ** 2 / (2 * n) + 2 * ab2 / n
+    return np.sqrt(np.maximum(p_sq + tau * tau * q_sq, 0.0))
+
+
+def _sphere_search_oracle(n, tau, samples, seed):
+    """The search drawn in one call: normalized complex rows through mu_norm_batch."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
+    z = rng.standard_normal((samples, 4 * n))
+    v = z[:, : 2 * n] + 1j * z[:, 2 * n :]
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return float(mu_norm_batch(tau, v[:, :n], v[:, n:]).min())
+
+
+class TestSphereSearch:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_norm_batch_equals_einsum_route_bitwise(self, n, rng):
+        for scale in (1e-3, 1.0, 1e4):
+            a = scale * (rng.standard_normal((257, n)) + 1j * rng.standard_normal((257, n)))
+            b = scale * (rng.standard_normal((257, n)) + 1j * rng.standard_normal((257, n)))
+            for tau in (0.0, 0.3, 1.0):
+                assert np.array_equal(mu_norm_batch(tau, a, b), _einsum_norms(tau, a, b))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("chunks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 3)])
+    def test_chunked_search_matches_one_draw(self, n, chunks, extra):
+        samples = chunks * _SPHERE_CHUNK + extra
+        for tau in (0.0, 0.5, 1.0):
+            found = random_sphere_search(n, tau, samples, seed=5)
+            want = _sphere_search_oracle(n, tau, samples, seed=5)
+            assert abs(found - want) <= 4 * np.spacing(max(found, want)), tau
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_rejects_n_below_one(self, n):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            random_sphere_search(n, 0.0, samples=10)
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_no_samples_gives_inf(self, samples):
+        assert random_sphere_search(2, 0.5, samples) == np.inf
 
 
 class TestZeroDivisorMargin:

@@ -103,3 +103,18 @@ def test_benchmark_self_tests_pass():
         capture_output=True, text=True, cwd=root, check=False,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
+_DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in _DEMOS.glob("*.py")))
+def test_demo_runs_cleanly(demo):
+    """Each demo script exits 0 and writes nothing to stderr."""
+    src = str(Path(monopoles.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, str(_DEMOS / demo)], capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
