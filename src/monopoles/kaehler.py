@@ -35,6 +35,7 @@ import numpy as np
 from .mu_kernel import (
     BlockEndo,
     SpinorPair,
+    _as_complex_vector as _vec,
     batch_matvec,
     batch_outer,
     identity_matrix,
@@ -86,13 +87,6 @@ def brace(f, tau) -> np.ndarray:
             f"{m.shape[:-2]} of the brace input"
         ) from None
     return m - coef[..., None, None] * identity_matrix(n)
-
-
-def _vec(v, what: str) -> np.ndarray:
-    arr = np.asarray(v, dtype=complex)
-    if arr.ndim != 1:
-        raise ValueError(f"{what} must be a 1-d complex vector")
-    return arr
 
 
 def _spinor_rows(alphas, betas) -> tuple[np.ndarray, np.ndarray]:

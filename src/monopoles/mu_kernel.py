@@ -303,6 +303,8 @@ def mu_norm_batch(tau: float, alphas, betas) -> np.ndarray:
     betas = np.asarray(betas, dtype=complex)
     if alphas.shape != betas.shape or alphas.ndim != 2:
         raise ValueError("alphas and betas must be matching (m, n) arrays")
+    if alphas.shape[1] < 1:
+        raise ValueError("n must be >= 1")
     invariants = _row_invariants(alphas.real.T, betas.real.T, alphas.imag.T, betas.imag.T)
     return _mu_norm(tau, alphas.shape[1], *invariants)
 

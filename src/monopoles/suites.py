@@ -3,12 +3,16 @@
 Each check draws its own Philox stream (spawned from the suite seed and the
 check's registry index), evaluates a mathematical identity or inequality
 over a sample grid, and reports the worst deviation together with the first
-counterexample found, if any.  The ``mu`` checks evaluate the batch projections
-``batch_project_P``/``batch_project_Q``, which the single-pair ``mu``,
-``project_P`` and ``project_Q`` apply to a stack of one, and tie the scalar
-API to them with spot checks.  The routes kept independent of the code
-they check are the closed-form scalar invariants of ``mu_norm_batch``, the
-brace route ``batch_mu_kaehler``, the explicit four-block formula of
+counterexample found, if any.  Every sampled grid check has one shape: it
+draws each grid cell whole, in a fixed stream order, and :func:`_sliced`
+evaluates the cell ``_CHUNK`` rows at a time, so the matrices built from a
+large ``samples`` stay bounded and the slice size changes no report.  The
+``mu`` checks evaluate the batch projections ``batch_project_P``/
+``batch_project_Q``, which the single-pair ``mu``, ``project_P`` and
+``project_Q`` apply to a stack of one, and tie the scalar API to them with
+spot checks.  The routes kept independent of the code they check are the
+closed-form scalar invariants of ``mu_norm_batch``, the brace route
+``batch_mu_kaehler``, the explicit four-block formula of
 ``projection_matches_block_formula``, ``zero_divisor_identity_batch`` and
 ``decoupling_bound_batch``.
 """
@@ -32,6 +36,7 @@ from .kaehler import (
 )
 from .mu_kernel import (
     SpinorPair,
+    batch_matvec,
     batch_outer,
     batch_project_P,
     batch_project_Q,
@@ -41,6 +46,7 @@ from .mu_kernel import (
     properness_value_grad,
     quartic_form,
 )
+from .optim import row_dots
 
 __all__ = [
     "CheckResult",
@@ -82,14 +88,12 @@ def _rng(seed: int, index: int) -> np.random.Generator:
     )
 
 
-def _complex_rows(rng, m: int, n: int) -> np.ndarray:
-    return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+def _complex_rows(rng, *shape: int) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _random_su(rng, k: int, batch: int | None = None) -> np.ndarray:
-    shape = (k, k) if batch is None else (batch, k, k)
-    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    q, r = np.linalg.qr(z)
+def _random_su(rng, k: int, batch: int) -> np.ndarray:
+    q, r = np.linalg.qr(_complex_rows(rng, batch, k, k))
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     q = q * (diag.conj() / np.abs(diag))[..., None, :]
     det = np.linalg.det(q)
@@ -137,28 +141,21 @@ def _grid(name: str, tol: float):
     return wrap
 
 
-_CHUNK = 4096  # samples per array call; bounds the temporaries of a large --samples
+_CHUNK = 512  # rows per array call; bounds a large --samples, size measured in BENCH_14.json
 
 
-def _chunked(samples: int, chunk_cell: Callable):
-    """One grid cell of ``samples`` samples, evaluated ``_CHUNK`` at a time.
+def _sliced(part: Callable, *draws: np.ndarray):
+    """One grid cell, drawn whole, evaluated ``_CHUNK`` rows at a time.
 
-    ``chunk_cell(m)`` draws and evaluates the next ``m`` samples of the cell
-    and returns ``(deviations, counterexample)``.
-    Yields the cell once (nothing for ``samples < 1``): the chunks'
-    deviations concatenated and a builder that routes a cell index to its
-    chunk, so the chunk size changes neither the draws nor the report.
+    ``draws`` hold the cell's samples, one row each.  ``part(start, *rows)``
+    gets the rows from ``start`` of every draw and returns their deviations
+    and a builder of the counterexample at an index into those rows.  The
+    cell's deviations are the slices' concatenated, and its builder routes a
+    cell index to its slice, so the slice size changes no report.
     """
-    parts = [chunk_cell(min(_CHUNK, samples - start)) for start in range(0, samples, _CHUNK)]
-    if not parts:
-        return
-    offsets = np.cumsum([0] + [devs.size for devs, _ in parts])
-
-    def counterexample(i):
-        k = int(np.searchsorted(offsets, i, side="right")) - 1
-        return parts[k][1](i - int(offsets[k]))
-
-    yield np.concatenate([devs for devs, _ in parts]), counterexample
+    size = _CHUNK
+    parts = [part(i, *(d[i : i + size] for d in draws)) for i in range(0, len(draws[0]), size)]
+    return np.concatenate([devs for devs, _ in parts]), lambda i: parts[i // size][1](i % size)
 
 
 # ---------------------------------------------------------------------------
@@ -206,14 +203,9 @@ _MU_GRID_NS = (1, 2, 3, 4, 5, 6)
 _MU_GRID_TAUS = (0.0, 0.25, 0.5, 1.0)
 
 
-def _spinor_counterexample(psi: SpinorPair, tau: float, lhs, rhs) -> dict:
-    return {
-        "tau": tau,
-        "alpha": psi.alpha.tolist(),
-        "beta": psi.beta.tolist(),
-        "lhs": lhs,
-        "rhs": rhs,
-    }
+def _spinor_counterexample(row: np.ndarray, n: int, tau: float, lhs, rhs) -> dict:
+    """The report entry of the spinor ``row = (alpha, beta)`` in C^{2n}."""
+    return {"tau": tau, "alpha": row[:n].tolist(), "beta": row[n:].tolist(), "lhs": lhs, "rhs": rhs}
 
 
 def _batch_frob_sq(mats: np.ndarray) -> np.ndarray:
@@ -234,17 +226,19 @@ def _check_quartic_identity(rng, samples, seed):
     for n in _MU_GRID_NS:
         for tau in _MU_GRID_TAUS:
             v = _complex_rows(rng, samples, 2 * n)
-            mu_mats, p, q = _batch_mu_mats(tau, v, None, n)
-            lhs = np.einsum("mi,mij,mj->m", v.conj(), mu_mats, v).real
-            rhs = _batch_frob_sq(p) + tau * _batch_frob_sq(q)
-            rel = np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-30)
-            for i in range(min(8, samples)):  # tie the scalar API to the batch route
-                psi = SpinorPair(v[i, :n], v[i, n:])
-                rel_i = abs(quartic_form(tau, psi) - lhs[i]) / max(abs(lhs[i]), 1e-30)
-                rel[i] = max(rel[i], rel_i)
-            yield rel, lambda i: _spinor_counterexample(
-                SpinorPair(v[i, :n], v[i, n:]), tau, float(lhs[i]), float(rhs[i])
-            )
+
+            def part(start, w):
+                mu_mats, p, q = _batch_mu_mats(tau, w, None, n)
+                lhs = np.einsum("mi,mij,mj->m", w.conj(), mu_mats, w).real
+                rhs = _batch_frob_sq(p) + tau * _batch_frob_sq(q)
+                rel = np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-30)
+                for i in range(min(8 - start, len(w))):  # tie the scalar API to the cell's first rows
+                    psi = SpinorPair(w[i, :n], w[i, n:])
+                    rel_i = abs(quartic_form(tau, psi) - lhs[i]) / max(abs(lhs[i]), 1e-30)
+                    rel[i] = max(rel[i], rel_i)
+                return rel, lambda i: _spinor_counterexample(w[i], n, tau, float(lhs[i]), float(rhs[i]))
+
+            yield _sliced(part, v)
 
 
 @_grid("projection_matches_block_formula", 1e-12)
@@ -252,45 +246,43 @@ def _check_block_formula(rng, samples, seed):
     """Projection route against the explicit four-block matrix, built separately."""
     for n in _MU_GRID_NS:
         v = _complex_rows(rng, samples, 2 * n)
-        a, b = v[:, :n], v[:, n:]
-        aa = batch_outer(a, a)
-        bb = batch_outer(b, b)
-        ab = a[:, :, None] * b.conj()[:, None, :]
-        ba = b[:, :, None] * a.conj()[:, None, :]
         eye = np.eye(n)
 
         def tl(m):
             return m - (np.einsum("mii->m", m) / n)[:, None, None] * eye
 
-        ref = np.empty((samples, 2 * n, 2 * n), dtype=complex)
-        ref[:, :n, :n] = 0.5 * tl(aa - bb)
-        ref[:, :n, n:] = tl(ab)
-        ref[:, n:, :n] = tl(ba)
-        ref[:, n:, n:] = 0.5 * tl(bb - aa)
-        got = batch_project_P(batch_outer(v, v), n)
-        dev_all = np.abs(got - ref).max(axis=(1, 2))
-        yield dev_all, lambda i: _spinor_counterexample(
-            SpinorPair(a[i], b[i]), 0.0, float(dev_all[i]), 0.0
-        )
+        def part(start, w):
+            a, b = w[:, :n], w[:, n:]
+            aa = batch_outer(a, a)
+            bb = batch_outer(b, b)
+            ref = np.empty((len(w), 2 * n, 2 * n), dtype=complex)
+            ref[:, :n, :n] = 0.5 * tl(aa - bb)
+            ref[:, :n, n:] = tl(a[:, :, None] * b.conj()[:, None, :])
+            ref[:, n:, :n] = tl(b[:, :, None] * a.conj()[:, None, :])
+            ref[:, n:, n:] = 0.5 * tl(bb - aa)
+            dev = np.abs(batch_project_P(batch_outer(w, w), n) - ref).max(axis=(1, 2))
+            return dev, lambda i: _spinor_counterexample(w[i], n, 0.0, float(dev[i]), 0.0)
+
+        yield _sliced(part, v)
 
 
 @_grid("projections_orthogonal", 1e-10)
 def _check_orthogonality(rng, samples, seed):
     for n in _MU_GRID_NS:
-        m = rng.standard_normal((samples, 2 * n, 2 * n)) + 1j * rng.standard_normal(
-            (samples, 2 * n, 2 * n)
-        )
-        p = batch_project_P(m, n)
-        q = batch_project_Q(m, n)
-        scale = np.maximum(_batch_frob_sq(m), 1e-30)
-        devs = np.stack(
-            [
+        m = _complex_rows(rng, samples, 2 * n, 2 * n)
+
+        def part(start, ms):
+            p = batch_project_P(ms, n)
+            q = batch_project_Q(ms, n)
+            scale = np.maximum(_batch_frob_sq(ms), 1e-30)
+            devs = np.maximum.reduce([
                 np.abs(np.einsum("mij,mij->m", p.conj(), q)),
-                np.abs(np.einsum("mij,mij->m", p.conj(), m) - _batch_frob_sq(p)),
-                np.abs(np.einsum("mij,mij->m", q.conj(), m) - _batch_frob_sq(q)),
-            ]
-        ).max(axis=0) / scale
-        yield devs, lambda i: {"n": n, "matrix": m[i].tolist()}
+                np.abs(np.einsum("mij,mij->m", p.conj(), ms) - _batch_frob_sq(p)),
+                np.abs(np.einsum("mij,mij->m", q.conj(), ms) - _batch_frob_sq(q)),
+            ]) / scale
+            return devs, lambda i: {"n": n, "matrix": ms[i].tolist()}
+
+        yield _sliced(part, m)
 
 
 @_grid("mu_hermitian_and_traceless_at_tau0", 1e-12)
@@ -298,22 +290,18 @@ def _check_hermiticity(rng, samples, seed):
     for n in _MU_GRID_NS:
         for tau in _MU_GRID_TAUS:
             v = _complex_rows(rng, samples, 2 * n)
-            mu_mats, p, _ = _batch_mu_mats(tau, v, None, n)
-            dev_all = np.abs(mu_mats - mu_mats.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-            if tau == 0.0:
-                for (ra, rb) in (
-                    (slice(0, n), slice(0, n)),
-                    (slice(0, n), slice(n, 2 * n)),
-                    (slice(n, 2 * n), slice(0, n)),
-                    (slice(n, 2 * n), slice(n, 2 * n)),
-                ):
-                    tr = np.abs(np.einsum("mii->m", mu_mats[:, ra, rb]))
-                    dev_all = np.maximum(dev_all, tr)
-            norms = np.einsum("mi,mi->m", v.conj(), v).real
-            dev_all = dev_all / np.maximum(norms, 1e-30)
-            yield dev_all, lambda i: _spinor_counterexample(
-                SpinorPair(v[i, :n], v[i, n:]), tau, float(dev_all[i]), 0.0
-            )
+
+            def part(start, w):
+                mu_mats, _, _ = _batch_mu_mats(tau, w, None, n)
+                dev = np.abs(mu_mats - mu_mats.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+                halves = (slice(0, n), slice(n, 2 * n)) if tau == 0.0 else ()
+                for ra in halves:  # the traces of the four blocks
+                    for rb in halves:
+                        dev = np.maximum(dev, np.abs(np.einsum("mii->m", mu_mats[:, ra, rb])))
+                dev = dev / np.maximum(np.einsum("mi,mi->m", w.conj(), w).real, 1e-30)
+                return dev, lambda i: _spinor_counterexample(w[i], n, tau, float(dev[i]), 0.0)
+
+            yield _sliced(part, v)
 
 
 @_grid("mu_norm_monotone_in_tau", 1e-12)
@@ -322,11 +310,15 @@ def _check_norm_monotonicity(rng, samples, seed):
     for n in _MU_GRID_NS:
         for tau in _MU_GRID_TAUS:
             v = _complex_rows(rng, samples, 2 * n)
-            _, p, q = _batch_mu_mats(tau, v, None, n)
-            norm_tau = np.sqrt(_batch_frob_sq(p) + tau * tau * _batch_frob_sq(q))
-            norm_0 = np.sqrt(_batch_frob_sq(p))
-            gap = (norm_0 - norm_tau) / np.maximum(norm_tau, 1e-30)
-            yield gap, lambda i: {"tau": tau, "alpha": v[i, :n].tolist(), "beta": v[i, n:].tolist()}
+
+            def part(start, w):
+                _, p, q = _batch_mu_mats(tau, w, None, n)
+                norm_tau = np.sqrt(_batch_frob_sq(p) + tau * tau * _batch_frob_sq(q))
+                norm_0 = np.sqrt(_batch_frob_sq(p))
+                gap = (norm_0 - norm_tau) / np.maximum(norm_tau, 1e-30)
+                return gap, lambda i: {"tau": tau, "alpha": w[i, :n].tolist(), "beta": w[i, n:].tolist()}
+
+            yield _sliced(part, v)
 
 
 @_grid("mu_equivariant_under_su2_x_sun", 1e-10)
@@ -334,22 +326,22 @@ def _check_equivariance(rng, samples, seed):
     """mu((u x v) psi, (u x v) phi) == (u x v) mu(psi, phi) (u x v)^*."""
     for n in _MU_GRID_NS:
         for tau in _MU_GRID_TAUS:
-            us = _random_su(rng, 2, batch=samples)
-            vs = _random_su(rng, n, batch=samples)
+            us = _random_su(rng, 2, samples)
+            vs = _random_su(rng, n, samples)
             psi = _complex_rows(rng, samples, 2 * n)
             phi = _complex_rows(rng, samples, 2 * n)
-            mu_mats, _, _ = _batch_mu_mats(tau, psi, phi, n)
-            # batched Kronecker products u (x) v, then two batched matmuls
-            kron = np.einsum("mac,mik->maick", us, vs).reshape(samples, 2 * n, 2 * n)
-            rhs = kron @ mu_mats @ kron.conj().transpose(0, 2, 1)
-            rot = (kron @ psi[:, :, None])[:, :, 0]
-            rot_phi = (kron @ phi[:, :, None])[:, :, 0]
-            lhs, _, _ = _batch_mu_mats(tau, rot, rot_phi, n)
-            scale = np.maximum(np.abs(rhs).max(axis=(1, 2)), 1e-30)
-            dev_all = np.abs(lhs - rhs).max(axis=(1, 2)) / scale
-            yield dev_all, lambda i: _spinor_counterexample(
-                SpinorPair(psi[i, :n], psi[i, n:]), tau, float(dev_all[i]), 0.0
-            )
+
+            def part(start, us, vs, psi, phi):
+                mu_mats, _, _ = _batch_mu_mats(tau, psi, phi, n)
+                # batched Kronecker products u (x) v, then two batched matmuls
+                kron = np.einsum("mac,mik->maick", us, vs).reshape(-1, 2 * n, 2 * n)
+                rhs = kron @ mu_mats @ kron.conj().transpose(0, 2, 1)
+                lhs, _, _ = _batch_mu_mats(tau, batch_matvec(kron, psi), batch_matvec(kron, phi), n)
+                scale = np.maximum(np.abs(rhs).max(axis=(1, 2)), 1e-30)
+                dev = np.abs(lhs - rhs).max(axis=(1, 2)) / scale
+                return dev, lambda i: _spinor_counterexample(psi[i], n, tau, float(dev[i]), 0.0)
+
+            yield _sliced(part, us, vs, psi, phi)
 
 
 @_grid("mu_phase_invariant", 1e-12)
@@ -358,13 +350,15 @@ def _check_phase_invariance(rng, samples, seed):
         for tau in _MU_GRID_TAUS:
             v = _complex_rows(rng, samples, 2 * n)
             z = np.exp(2j * np.pi * rng.random(samples))
-            lhs, _, _ = _batch_mu_mats(tau, z[:, None] * v, None, n)
-            rhs, _, _ = _batch_mu_mats(tau, v, None, n)
-            norms = np.einsum("mi,mi->m", v.conj(), v).real
-            dev_all = np.abs(lhs - rhs).max(axis=(1, 2)) / np.maximum(norms, 1e-30)
-            yield dev_all, lambda i: _spinor_counterexample(
-                SpinorPair(v[i, :n], v[i, n:]), tau, float(dev_all[i]), 0.0
-            )
+
+            def part(start, w, z):
+                lhs, _, _ = _batch_mu_mats(tau, z[:, None] * w, None, n)
+                rhs, _, _ = _batch_mu_mats(tau, w, None, n)
+                norms = np.einsum("mi,mi->m", w.conj(), w).real
+                dev = np.abs(lhs - rhs).max(axis=(1, 2)) / np.maximum(norms, 1e-30)
+                return dev, lambda i: _spinor_counterexample(w[i], n, tau, float(dev[i]), 0.0)
+
+            yield _sliced(part, v, z)
 
 
 def _check_zero_divisor_identity(seed, index, samples):
@@ -372,25 +366,21 @@ def _check_zero_divisor_identity(seed, index, samples):
     tol = 1e-10
     rng = _rng(seed, index)
     for n in (2, 3, 4, 5, 6):
-        m = max(samples, 1)
-        a = _complex_rows(rng, m, n)
-        b = _complex_rows(rng, m, n)
+        a = _complex_rows(rng, samples, n)
+        b = _complex_rows(rng, samples, n)
         lhs, rhs_id, rhs_ineq = zero_divisor_identity_batch(a, b)
         rel = np.abs(lhs - rhs_id) / np.maximum(np.abs(rhs_id), 1e-30)
         violated = lhs < rhs_ineq  # inequality is exact; no tolerance slack
         dev = float(rel.max())
-        total += m
-        if dev > worst or violated.any():
-            worst = max(worst, dev)
-            if (dev > tol or violated.any()) and bad is None:
-                i = int(rel.argmax() if dev > tol else violated.argmax())
-                bad = {"n": n, "alpha": a[i].tolist(), "beta": b[i].tolist()}
+        worst, total = max(worst, dev), total + samples
+        if bad is None and (dev > tol or violated.any()):
+            i = int(rel.argmax() if dev > tol else violated.argmax())
+            bad = {"n": n, "alpha": a[i].tolist(), "beta": b[i].tolist()}
         if violated.any():
             worst = max(worst, float((rhs_ineq - lhs).max()))
-            return CheckResult(
-                "traceless_outer_zero_divisor", False, total, worst, tol, bad
-            )
-    return CheckResult("traceless_outer_zero_divisor", worst <= tol, total, worst, tol, bad)
+            break
+    passed = worst <= tol and not violated.any()
+    return CheckResult("traceless_outer_zero_divisor", passed, total, worst, tol, bad)
 
 
 @_grid("properness_inequality", 0.0)
@@ -402,54 +392,72 @@ def _check_properness_inequality(rng, samples, seed):
             floor = max(report.estimate - report.gradient_tolerance, 0.0) ** 2
             a = _complex_rows(rng, samples, n)
             b = _complex_rows(rng, samples, n)
-            norms4 = (
-                np.einsum("mi,mi->m", a.conj(), a).real
-                + np.einsum("mi,mi->m", b.conj(), b).real
-            ) ** 2
-            # quartic via the scalar route: ||P||^2 + tau ||Q||^2
-            p_sq = mu_norm_batch(0.0, a, b) ** 2
-            p_plus_tau_q = p_sq + tau * (mu_norm_batch(1.0, a, b) ** 2 - p_sq)
-            gap = p_plus_tau_q - floor * norms4
-            yield -gap, lambda i: {"n": n, "tau": tau, "alpha": a[i].tolist(), "beta": b[i].tolist()}
+
+            def part(start, a, b):
+                norms4 = (
+                    np.einsum("mi,mi->m", a.conj(), a).real
+                    + np.einsum("mi,mi->m", b.conj(), b).real
+                ) ** 2
+                # quartic via the scalar route: ||P||^2 + tau ||Q||^2
+                p_sq = mu_norm_batch(0.0, a, b) ** 2
+                p_plus_tau_q = p_sq + tau * (mu_norm_batch(1.0, a, b) ** 2 - p_sq)
+                gap = p_plus_tau_q - floor * norms4
+                return -gap, lambda i: {"n": n, "tau": tau, "alpha": a[i].tolist(), "beta": b[i].tolist()}
+
+            yield _sliced(part, a, b)
 
 
 @_grid("bilinear_diagonal_consistency", 1e-12)
 def _check_bilinear_diagonal(rng, samples, seed):
-    """mu on the diagonal psi = phi agrees with the quadratic evaluation.
+    """mu(tau, psi, psi) agrees with the public API's ``phi=None`` path mu(tau, psi).
 
-    A code-path consistency check on the public API, so a reduced sample
-    count is enough.
+    A code-path consistency check, so a reduced sample count is enough.
+    Each row of the cell's draw is ``[Re(alpha, beta), Im(alpha, beta)]``
+    of one sample.  The batch route compares the two forms in one call per
+    slice; the public ``mu`` is spot-checked on the cell's first rows.
     """
     for n in (1, 2, 3, 4):
         for tau in _MU_GRID_TAUS:
-            for _ in range(max(samples // 100, 25)):
-                psi = SpinorPair(*_complex_rows(rng, 2, n))
-                dev = float(np.abs(mu(tau, psi, psi).mat - mu(tau, psi).mat).max())
-                yield dev, lambda i: _spinor_counterexample(psi, tau, dev, 0.0)
+            k = max(samples // 100, 25)
+            z = rng.standard_normal((k, 2, 2, n))
+            v = (z[:, 0] + 1j * z[:, 1]).reshape(k, 2 * n)
+
+            def part(start, w):
+                both, _, _ = _batch_mu_mats(tau, w, w, n)
+                one, _, _ = _batch_mu_mats(tau, w, None, n)
+                dev = np.abs(both - one).max(axis=(1, 2))
+                for i in range(min(8 - start, len(w))):
+                    psi = SpinorPair(w[i, :n], w[i, n:])
+                    dev[i] = max(dev[i], np.abs(mu(tau, psi, psi).mat - mu(tau, psi).mat).max())
+                return dev, lambda i: _spinor_counterexample(w[i], n, tau, float(dev[i]), 0.0)
+
+            yield _sliced(part, v)
 
 
 @_grid("analytic_gradient_matches_fd", 1e-6)
 def _check_gradient_finite_difference(rng, samples, seed):
-    """Analytic gradient of the sphere objective vs central differences."""
+    """Analytic gradient of the sphere objective vs central differences.
+
+    Each row of the cell is a unit point of R^{4n}; its central differences
+    come from two stacked objective calls on the row displaced by ``+-h``
+    along each axis.
+    """
     h = 1e-6
     for n in (2, 3):
         for tau in (0.0, 0.5, 1.0):
             vg = properness_value_grad(n, tau)
-            for _ in range(max(samples // 100, 3)):
-                x = rng.standard_normal(4 * n)
-                x /= np.linalg.norm(x)
-                _, grad = vg(x)
-                fd = np.empty_like(grad)
-                for i in range(x.size):
-                    e = np.zeros_like(x)
-                    e[i] = h
-                    fp, _ = vg(x + e)
-                    fm, _ = vg(x - e)
-                    fd[i] = (fp - fm) / (2 * h)
-                rel = float(
-                    np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-30)
-                )
-                yield rel, lambda i: {"n": n, "tau": tau, "x": x.tolist()}
+            k = max(samples // 100, 3)
+            x = rng.standard_normal((k, 4 * n))
+            x /= np.sqrt(row_dots(x, x))[:, None]
+
+            def part(start, xs):
+                _, grad = vg(xs)
+                step = h * np.eye(4 * n)
+                fd = (vg(xs[:, None] + step)[0] - vg(xs[:, None] - step)[0]) / (2 * h)
+                rel = np.sqrt(row_dots(grad - fd, grad - fd)) / np.maximum(np.sqrt(row_dots(fd, fd)), 1e-30)
+                return rel, lambda i: {"n": n, "tau": tau, "x": xs[i].tolist()}
+
+            yield _sliced(part, x)
 
 
 _MU_CHECKS: tuple[tuple[str, Callable], ...] = (
@@ -472,6 +480,8 @@ def _run_suite(kind: str, checks, first_index: int, suite: str, samples: int, se
 
     The check at registry position ``i`` draws from stream ``first_index + i``.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     names = [name for name, _ in checks]
     if suite != "all" and suite not in names:
         raise ValueError(f"unknown {kind} suite {suite!r}; choose from {['all', *names]}")
@@ -501,56 +511,55 @@ def _check_brace_algebra(rng, samples, seed):
     """Linearity, the unit at tau = 1 and the trace scaling of brace, per n.
 
     The draws stay per sample (they mix uniforms and normals); the
-    arithmetic is one batched brace call per chunk.
+    arithmetic is one batched brace call per slice.
     """
     for n in (1, 2, 3, 5):
+        f = np.empty((samples, n, n), dtype=complex)
+        g = np.empty((samples, n, n), dtype=complex)
+        tau = np.empty(samples)
+        c = np.empty(samples, dtype=complex)
+        for i in range(samples):
+            f[i] = _complex_rows(rng, n, n)
+            g[i] = _complex_rows(rng, n, n)
+            tau[i] = rng.random()
+            c[i] = complex(*rng.standard_normal(2))
 
-        def chunk(m):
-            f = np.empty((m, n, n), dtype=complex)
-            g = np.empty((m, n, n), dtype=complex)
-            tau = np.empty(m)
-            c = np.empty(m, dtype=complex)
-            for i in range(m):
-                f[i] = _complex_rows(rng, n, n)
-                g[i] = _complex_rows(rng, n, n)
-                tau[i] = rng.random()
-                c[i] = complex(*rng.standard_normal(2))
-            cb = c[:, None, None]
-            bf = brace(f, tau)
-            scale = np.maximum(np.abs(f).max(axis=(1, 2)) + np.abs(g).max(axis=(1, 2)), 1e-30)
-            tr_gap = np.trace(bf, axis1=1, axis2=2) - tau * np.trace(f, axis1=1, axis2=2)
+        def part(start, fs, gs, ts, cs):
+            cb = cs[:, None, None]
+            bf = brace(fs, ts)
+            scale = np.maximum(np.abs(fs).max(axis=(1, 2)) + np.abs(gs).max(axis=(1, 2)), 1e-30)
+            tr_gap = np.trace(bf, axis1=1, axis2=2) - ts * np.trace(fs, axis1=1, axis2=2)
             devs = np.maximum.reduce([
-                np.abs(brace(f + cb * g, tau) - bf - cb * brace(g, tau)).max(axis=(1, 2)),
-                np.abs(brace(f, 1.0) - f).max(axis=(1, 2)),
+                np.abs(brace(fs + cb * gs, ts) - bf - cb * brace(gs, ts)).max(axis=(1, 2)),
+                np.abs(brace(fs, 1.0) - fs).max(axis=(1, 2)),
                 # hypot is abs() of one complex number; np.abs of a complex
                 # array may round the last bit differently
                 np.hypot(tr_gap.real, tr_gap.imag),
             ]) / scale
-            return devs, lambda i: {"n": n, "tau": float(tau[i]), "f": f[i].tolist()}
+            return devs, lambda i: {"n": n, "tau": float(ts[i]), "f": fs[i].tolist()}
 
-        yield from _chunked(samples, chunk)
+        yield _sliced(part, f, g, tau, c)
 
 
 @_grid("kaehler_blocks_match_projection_mu", 1e-12)
 def _check_mu_kaehler_matches_mu(rng, samples, seed):
-    """Brace blocks against the projection route, one array call per chunk.
+    """Brace blocks against the projection route, one array call per slice.
 
-    ``standard_normal((m, 4, n))`` holds Re alpha, Im alpha, Re beta and
-    Im beta of each sample in the order the per-sample draws took them.
+    ``standard_normal((samples, 4, n))`` holds Re alpha, Im alpha, Re beta
+    and Im beta of each sample in the order the per-sample draws took them.
     """
     for n in (1, 2, 3, 4, 5):
         for tau in (0.0, 0.25, 1.0):
+            z = rng.standard_normal((samples, 4, n))
+            v = (z[:, 0::2] + 1j * z[:, 1::2]).reshape(samples, 2 * n)
 
-            def chunk(m):
-                z = rng.standard_normal((m, 4, n))
-                a = z[:, 0] + 1j * z[:, 1]
-                b = z[:, 2] + 1j * z[:, 3]
-                lhs = batch_mu_kaehler(a, b, tau)
-                rhs, _, _ = _batch_mu_mats(tau, np.concatenate([a, b], axis=1), None, n)
-                devs = np.abs(lhs - rhs).max(axis=(1, 2))
-                return devs, lambda i: {"n": n, "tau": tau, "alpha": a[i].tolist(), "beta": b[i].tolist()}
+            def part(start, w):
+                rhs, _, _ = _batch_mu_mats(tau, w, None, n)
+                devs = np.abs(batch_mu_kaehler(w[:, :n], w[:, n:], tau) - rhs).max(axis=(1, 2))
+                return devs, lambda i: {"n": n, "tau": tau, "alpha": w[i, :n].tolist(),
+                                        "beta": w[i, n:].tolist()}
 
-            yield from _chunked(samples, chunk)
+            yield _sliced(part, v)
 
 
 @_grid("clifford_traceless_su2_types", 1e-12)
@@ -559,14 +568,12 @@ def _check_clifford(rng, samples, seed):
 
     Always traceless; a real-valued form (real contraction, conjugate
     (2,0)/(0,2) pair) lands in su(2), an imaginary-valued one in i*su(2)
-    (Hermitian traceless).  Each row of ``standard_normal((m, 3))`` is the
-    contraction and the (0,2) coefficient of one sample.
+    (Hermitian traceless).  Each row of ``standard_normal((4 * samples, 3))``
+    is the contraction and the (0,2) coefficient of one sample.
     """
+    z = rng.standard_normal((4 * samples, 3))
 
-    def chunk(m):
-        z = rng.standard_normal((m, 3))
-        lam = z[:, 0]
-        e02 = z[:, 1] + 1j * z[:, 2]
+    def part(start, lam, e02):
         g_real = clifford_sd(lam, np.conj(e02), e02)
         g_imag = clifford_sd(1j * lam, -np.conj(e02), e02)
         devs = np.maximum.reduce([
@@ -575,24 +582,27 @@ def _check_clifford(rng, samples, seed):
             np.abs(g_real + g_real.conj().transpose(0, 2, 1)).max(axis=(1, 2)),
             np.abs(g_imag - g_imag.conj().transpose(0, 2, 1)).max(axis=(1, 2)),
         ])
-        return devs, lambda i: {"eta_lambda": float(lam[i]), "eta02": [float(e02[i].real), float(e02[i].imag)]}
+        return devs, lambda i: {"eta_lambda": float(lam[i]),
+                                "eta02": [float(e02[i].real), float(e02[i].imag)]}
 
-    yield from _chunked(4 * samples, chunk)
+    yield _sliced(part, z[:, 0], z[:, 1] + 1j * z[:, 2])
 
 
 @_grid("decoupling_inequality", 1e-12)
 def _check_decoupling(rng, samples, seed):
     for n in (1, 2, 3, 4, 6):
-        m = max(samples, 1)
-        a = _complex_rows(rng, m, n)
-        b = _complex_rows(rng, m, n)
-        taus = rng.random(m)
-        lhs, rhs = decoupling_bound_batch(a, b, taus)
-        scale = np.maximum(np.abs(rhs), 1e-30)
-        dev_pair = np.maximum(rhs - lhs, -rhs) / scale  # violations of lhs>=rhs>=0
-        yield dev_pair, lambda i: {
-            "n": n, "tau": float(taus[i]), "alpha": a[i].tolist(), "beta": b[i].tolist()
-        }
+        a = _complex_rows(rng, samples, n)
+        b = _complex_rows(rng, samples, n)
+        taus = rng.random(samples)
+
+        def part(start, a, b, taus):
+            lhs, rhs = decoupling_bound_batch(a, b, taus)
+            scale = np.maximum(np.abs(rhs), 1e-30)
+            dev_pair = np.maximum(rhs - lhs, -rhs) / scale  # violations of lhs>=rhs>=0
+            return dev_pair, lambda i: {"n": n, "tau": float(taus[i]), "alpha": a[i].tolist(),
+                                        "beta": b[i].tolist()}
+
+        yield _sliced(part, a, b, taus)
 
 
 @_grid("margin_matches_closed_form", 1e-4)
@@ -689,14 +699,8 @@ def _check_curvature_split(seed, index, samples, tol=1e-9):
         false_verdicts += int(wrong.sum())
     if bad is not None:
         bad["false_verdicts"] = false_verdicts
-    return CheckResult(
-        "curvature_split_equivalence",
-        false_verdicts == 0 and worst <= tol,
-        2 * max(samples, 0),
-        worst,
-        tol,
-        bad,
-    )
+    passed = false_verdicts == 0 and worst <= tol
+    return CheckResult("curvature_split_equivalence", passed, 2 * samples, worst, tol, bad)
 
 
 _KAEHLER_CHECKS: tuple[tuple[str, Callable], ...] = (

@@ -1,5 +1,7 @@
 """Spinor-map kernel: pinned block values, identities, optimizer contracts."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -249,6 +251,12 @@ class TestSphereSearch:
     def test_rejects_n_below_one(self, n):
         with pytest.raises(ValueError, match="n must be >= 1"):
             random_sphere_search(n, 0.0, samples=10)
+
+    def test_norm_batch_rejects_empty_spinors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no divide warning on the way to the error
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                mu_norm_batch(0.5, np.zeros((3, 0)), np.zeros((3, 0)))
 
     @pytest.mark.parametrize("samples", [0, -3])
     def test_no_samples_gives_inf(self, samples):

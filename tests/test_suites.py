@@ -1,5 +1,5 @@
-"""The grid-check harness shared by the property suites, and the batched
-Kahler checks against their per-sample predecessors."""
+"""The grid-check harness shared by the property suites, the sliced grid
+checks against their per-sample predecessors, and the ``samples`` rule."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,8 @@ import pytest
 import monopoles.suites as suites
 from monopoles import PointwiseField, SpinorPair, brace, clifford_sd, mu, mu_kaehler
 from monopoles.kaehler import split_equation_rhs, verify_curvature_split
-from monopoles.suites import CheckResult, _complex_rows, _grid_check, _rng, kaehler_suite
+from monopoles.mu_kernel import properness_value_grad
+from monopoles.suites import CheckResult, _complex_rows, _grid_check, _rng, kaehler_suite, mu_suite
 
 
 def test_grid_check_first_cell_above_tolerance_supplies_counterexample():
@@ -46,9 +47,40 @@ def test_grid_check_builder_runs_before_the_generator_advances():
 
 
 # ---------------------------------------------------------------------------
-# The per-sample Kahler checks as they were before the batch routes, kept as
-# an oracle: same draws, scalar API calls, one cell per sample.
+# The per-sample checks as they were before the batch routes, kept as an
+# oracle: same draws, scalar API calls, one cell per sample.
 # ---------------------------------------------------------------------------
+
+
+def _oracle_diagonal(rng, samples, seed):
+    for n in (1, 2, 3, 4):
+        for tau in (0.0, 0.25, 0.5, 1.0):
+            for _ in range(max(samples // 100, 25)):
+                psi = SpinorPair(*_complex_rows(rng, 2, n))
+                dev = float(np.abs(mu(tau, psi, psi).mat - mu(tau, psi).mat).max())
+                yield dev, lambda i: {
+                    "tau": tau, "alpha": psi.alpha.tolist(), "beta": psi.beta.tolist(), "lhs": dev, "rhs": 0.0
+                }
+
+
+def _oracle_gradient_fd(rng, samples, seed):
+    h = 1e-6
+    for n in (2, 3):
+        for tau in (0.0, 0.5, 1.0):
+            vg = properness_value_grad(n, tau)
+            for _ in range(max(samples // 100, 3)):
+                x = rng.standard_normal(4 * n)
+                x /= np.linalg.norm(x)
+                _, grad = vg(x)
+                fd = np.empty_like(grad)
+                for i in range(x.size):
+                    e = np.zeros_like(x)
+                    e[i] = h
+                    fp, _ = vg(x + e)
+                    fm, _ = vg(x - e)
+                    fd[i] = (fp - fm) / (2 * h)
+                rel = float(np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-30))
+                yield rel, lambda i: {"n": n, "tau": tau, "x": x.tolist()}
 
 
 def _oracle_brace(rng, samples, seed):
@@ -145,15 +177,23 @@ def _oracle_split(seed, index, samples, tol=1e-9):
     )
 
 
-# suite name, registry index, oracle generator, samples per grid cell as a
-# function of --samples, reported name, tolerance
+# suite, check name, registry index, oracle generator, samples per grid cell
+# as a function of --samples, reported name, tolerance
 ORACLE_GRID_CHECKS = (
-    ("brace", 100, _oracle_brace, lambda s: s, "brace_linear_unit_trace_scaling", 1e-12),
-    ("mu_match", 101, _oracle_mu_match, lambda s: s, "kaehler_blocks_match_projection_mu", 1e-12),
-    ("clifford", 102, _oracle_clifford, lambda s: 4 * s, "clifford_traceless_su2_types", 1e-12),
+    ("mu", "diagonal", 9, _oracle_diagonal, lambda s: max(s // 100, 25),
+     "bilinear_diagonal_consistency", 1e-12),
+    ("mu", "gradient_fd", 10, _oracle_gradient_fd, lambda s: max(s // 100, 3),
+     "analytic_gradient_matches_fd", 1e-6),
+    ("kaehler", "brace", 100, _oracle_brace, lambda s: s, "brace_linear_unit_trace_scaling", 1e-12),
+    ("kaehler", "mu_match", 101, _oracle_mu_match, lambda s: s, "kaehler_blocks_match_projection_mu", 1e-12),
+    ("kaehler", "clifford", 102, _oracle_clifford, lambda s: 4 * s, "clifford_traceless_su2_types", 1e-12),
 )
 SPLIT_INDEX = 105
-ORACLE_CASES = [(seed, samples) for seed in (0, 7, 11) for samples in (1, 3, 40)]
+ORACLE_SEEDS = (0, 7, 11)
+# --samples values per suite.  Below 2 500 samples both mu oracle checks run
+# their floor counts (25 and 3 rows per cell), so 1 stands for 3, 40 and 200.
+ORACLE_SAMPLES = {"mu": (1, 2600), "kaehler": (1, 3, 40)}
+SUITES = {"mu": (mu_suite, suites._MU_CHECKS, 0), "kaehler": (kaehler_suite, suites._KAEHLER_CHECKS, 100)}
 
 
 def _same(new: CheckResult, old: CheckResult):
@@ -164,15 +204,15 @@ def _same(new: CheckResult, old: CheckResult):
     assert new.counterexample == old.counterexample
 
 
-def _registry_check(name):
-    return dict(suites._KAEHLER_CHECKS)[name]
+def _registry_check(kind, name):
+    return dict(SUITES[kind][1])[name]
 
 
-def test_kaehler_registry_indices_match_the_oracle_table():
-    names = [name for name, _ in suites._KAEHLER_CHECKS]
-    for name, index, *_ in ORACLE_GRID_CHECKS:
-        assert 100 + names.index(name) == index
-    assert 100 + names.index("split") == SPLIT_INDEX
+def test_registry_indices_match_the_oracle_table():
+    for kind, name, index, *_ in ORACLE_GRID_CHECKS:
+        _, checks, first = SUITES[kind]
+        assert first + [n for n, _ in checks].index(name) == index
+    assert 100 + [n for n, _ in suites._KAEHLER_CHECKS].index("split") == SPLIT_INDEX
 
 
 def _first_failing_cell_worst(oracle_samples, cell_size, tol):
@@ -189,34 +229,37 @@ def _as_cells(samples):
     return ((d, lambda i, c=c: c) for d, c in samples)
 
 
-def test_batched_kaehler_checks_match_the_per_sample_oracle():
+def test_batched_checks_match_the_per_sample_oracle():
     """Same passed, samples, worst (bitwise) and counterexample as the oracle.
 
     Also per sample, in draw order: deviations (bitwise) and counterexample
     entries, which reach what a passing report cannot show (the clifford
-    deviations are exact zeros).  With the tolerance forced to half the
-    worst, a failing check reports the worst sample of the first failing
-    grid cell.
+    and diagonal deviations are exact zeros).  With the tolerance forced to
+    half the worst, a failing check reports the worst sample of the first
+    failing grid cell.
     """
-    for seed, samples in ORACLE_CASES:
-        for name, index, oracle, cell_size, check_name, tol in ORACLE_GRID_CHECKS:
-            want = [(float(d), build(0)) for d, build in oracle(_rng(seed, index), samples, seed)]
-            new = kaehler_suite(name, samples=samples, seed=seed).checks[0]
-            _same(new, _grid_check(check_name, tol, _as_cells(want)))
-            cells = [
-                (devs, [build(i) for i in range(devs.size)])
-                for devs, build in _registry_check(name).cells(_rng(seed, index), samples, seed)
-            ]
-            got = [(float(d), c) for devs, entries in cells for d, c in zip(devs, entries)]
-            assert [d for d, _ in got] == [d for d, _ in want], name
-            assert [c for _, c in got] == [c for _, c in want], name
-            if new.worst > 0.0:  # exact zeros cannot be forced to fail
-                forced = new.worst / 2
-                failing = _grid_check(name, forced, ((d, lambda i, e=e: e[i]) for d, e in cells))
-                assert failing.passed is False and failing.worst == new.worst
-                assert failing.counterexample == _first_failing_cell_worst(want, cell_size(samples), forced)
-        _same(kaehler_suite("split", samples=samples, seed=seed).checks[0],
-              _oracle_split(seed, SPLIT_INDEX, samples))
+    for seed in ORACLE_SEEDS:
+        for kind, name, index, oracle, cell_size, check_name, tol in ORACLE_GRID_CHECKS:
+            for samples in ORACLE_SAMPLES[kind]:
+                want = [(float(d), build(0)) for d, build in oracle(_rng(seed, index), samples, seed)]
+                new = SUITES[kind][0](name, samples=samples, seed=seed).checks[0]
+                _same(new, _grid_check(check_name, tol, _as_cells(want)))
+                cells = [
+                    (devs, [build(i) for i in range(devs.size)])
+                    for devs, build in _registry_check(kind, name).cells(_rng(seed, index), samples, seed)
+                ]
+                got = [(float(d), c) for devs, entries in cells for d, c in zip(devs, entries)]
+                assert [d for d, _ in got] == [d for d, _ in want], name
+                assert [c for _, c in got] == [c for _, c in want], name
+                if new.worst > 0.0:  # exact zeros cannot be forced to fail
+                    forced = new.worst / 2
+                    failing = _grid_check(name, forced, ((d, lambda i, e=e: e[i]) for d, e in cells))
+                    assert failing.passed is False and failing.worst == new.worst
+                    first = _first_failing_cell_worst(want, cell_size(samples), forced)
+                    assert failing.counterexample == first
+        for samples in ORACLE_SAMPLES["kaehler"]:
+            _same(kaehler_suite("split", samples=samples, seed=seed).checks[0],
+                  _oracle_split(seed, SPLIT_INDEX, samples))
 
 
 def test_split_failure_keeps_worst_residual_and_counts_wrong_verdicts():
@@ -232,22 +275,88 @@ def test_split_failure_keeps_worst_residual_and_counts_wrong_verdicts():
         assert new.samples == old.samples and new.tolerance == tol
 
 
+def _sampled_grid_checks():
+    """(name, registry index, check) of every sampled grid check of both suites.
+
+    ``margin`` is a grid check too, but yields one scalar per cell.
+    """
+    for _, checks, first in SUITES.values():
+        for index, (name, check) in enumerate(checks, first):
+            if hasattr(check, "cells") and name != "margin":
+                yield name, index, check
+
+
+def test_sampled_grid_checks_are_the_expected_fourteen():
+    assert [name for name, *_ in _sampled_grid_checks()] == [
+        "quartic", "block_formula", "orthogonality", "hermiticity", "monotonicity", "equivariance", "phase",
+        "properness", "diagonal", "gradient_fd", "brace", "mu_match", "clifford", "decoupling",
+    ]
+
+
 def test_chunk_size_changes_nothing(monkeypatch):
-    """Passing and forced-failing reports are equal with chunks of 7 samples."""
+    """Passing and forced-failing reports are equal with slices of 2 rows.
+
+    At 40 samples every cell has at least 3 rows (``gradient_fd``'s), so
+    every cell is split; a recorder on the slicing helper checks that.
+    Checks whose worst is 0.0 cannot be forced to fail.
+    """
     seed, samples = 7, 40
 
     def reports():
         out = []
-        for name, index, *_ in ORACLE_GRID_CHECKS:
-            check = _registry_check(name)
+        for name, index, check in _sampled_grid_checks():
             out.append(check(seed, index, samples))
-            out.append(_grid_check(name, out[-1].worst / 2, check.cells(_rng(seed, index), samples, seed)))
+            if out[-1].worst > 0.0:
+                cells = check.cells(_rng(seed, index), samples, seed)
+                out.append(_grid_check(name, out[-1].worst / 2, cells))
+                assert out[-1].passed is False and out[-1].counterexample is not None
         split = suites._check_curvature_split(seed, SPLIT_INDEX, samples)
         return out + [split, suites._check_curvature_split(seed, SPLIT_INDEX, samples, tol=split.worst / 2)]
 
     default = reports()
-    monkeypatch.setattr(suites, "_CHUNK", 7)
+    rows, sliced = [], suites._sliced
+
+    def recorded(part, *draws):
+        rows.append(len(draws[0]))
+        return sliced(part, *draws)
+
+    monkeypatch.setattr(suites, "_CHUNK", 2)
+    monkeypatch.setattr(suites, "_sliced", recorded)
     chunked = reports()
-    assert all(r.samples > 7 for r in default)
+    assert len(chunked) == len(default) > 20
+    assert min(rows) > 2
     for new, old in zip(chunked, default):
         _same(new, old)
+
+
+def test_mu_grid_checks_build_at_most_chunk_rows(monkeypatch):
+    """With ``_CHUNK = 7`` no mu matrix or projection call sees more than 7 rows."""
+    rows = []
+    batch_mu_mats, project_P = suites._batch_mu_mats, suites.batch_project_P
+
+    def record_mu_mats(tau, v, w, n):
+        rows.append(len(v))
+        return batch_mu_mats(tau, v, w, n)
+
+    def record_project_P(mats, n):
+        rows.append(len(mats))
+        return project_P(mats, n)
+
+    monkeypatch.setattr(suites, "_CHUNK", 7)
+    monkeypatch.setattr(suites, "_batch_mu_mats", record_mu_mats)
+    monkeypatch.setattr(suites, "batch_project_P", record_project_P)
+    for name in ("quartic", "block_formula", "orthogonality", "hermiticity", "monotonicity", "equivariance",
+                 "phase", "diagonal"):
+        before = len(rows)
+        assert mu_suite(name, samples=40, seed=3).all_passed
+        assert len(rows) > before, name
+    assert max(rows) == 7
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_every_check_rejects_samples_below_one(samples):
+    names = [(run, name) for run, checks, _ in SUITES.values() for name, _ in checks]
+    assert len(names) == 17
+    for run, name in names + [(mu_suite, "all"), (kaehler_suite, "all")]:
+        with pytest.raises(ValueError, match=f"^samples must be >= 1, got {samples}$"):
+            run(name, samples=samples)
