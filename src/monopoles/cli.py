@@ -303,8 +303,11 @@ def _run_reductions(args, argv, start_time) -> int:
     try:
         bounds = CurvatureBounds(c_trace, c_plus, c_minus, metric)
     except ValueError as exc:
-        # the flags and the problem's bounds are validated already: only a --g metric is left
-        raise ValidationError("$.g", str(exc)) from None
+        # the problem's own bounds are validated already: a bound the message names came
+        # from its flag, and any other error is the --g metric's
+        name = str(exc).partition(" ")[0]
+        field = "--" + name.replace("_", "-") if name in ("c_trace", "c_plus", "c_minus") else "$.g"
+        raise ValidationError(field, str(exc)) from None
     report = enumerate_reductions(
         problem.manifold, problem.bundle, problem.spinc, bounds,
         _option(args, problem, "kmax"), _option(args, problem, "dirac_multiplicity"),

@@ -67,16 +67,16 @@ def _as_int(x, what: str) -> int:
     return int(x)
 
 
-def _symmetric_int_matrix(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """Validate a symmetric integer matrix; a 0 x 0 matrix is allowed (b2 = 0)."""
-    mat = tuple(tuple(_as_int(x, "intersection form entry") for x in row) for row in rows)
+def _symmetric_matrix(rows: Sequence[Sequence], convert, what: str) -> tuple[tuple, ...]:
+    """Validate a symmetric matrix, entries by ``convert(x, what)``; 0 x 0 is allowed (b2 = 0)."""
+    mat = tuple(tuple(convert(x, f"{what} entry") for x in row) for row in rows)
     m = len(mat)
     if any(len(row) != m for row in mat):
-        raise ValueError("intersection form must be square")
+        raise ValueError(f"{what} must be square")
     for i in range(m):
         for j in range(i + 1, m):
             if mat[i][j] != mat[j][i]:
-                raise ValueError(f"intersection form is not symmetric at ({i},{j})")
+                raise ValueError(f"{what} is not symmetric at ({i},{j})")
     return mat
 
 
@@ -189,7 +189,7 @@ class FourManifold:
         self.b1 = _as_int(self.b1, "b1")
         if self.b1 < 0:
             raise ValueError("b1 must be nonnegative")
-        self.intersection_form = _symmetric_int_matrix(self.intersection_form)
+        self.intersection_form = _symmetric_matrix(self.intersection_form, _as_int, "intersection form")
         _, pivots = ldl(self.intersection_form)
         if len(pivots) < self.b2:
             raise ValueError(

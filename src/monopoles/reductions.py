@@ -30,7 +30,7 @@ deterministic (rank, stratum, c1 lexicographic, c2) regardless of how the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Sequence
 
@@ -39,6 +39,7 @@ from .cohomology import (
     CohClass2,
     FourManifold,
     SpincStructure,
+    _symmetric_matrix,
     cup,
     dirac_index,
     expected_dim_asd,
@@ -83,18 +84,6 @@ def _as_fraction(x, what: str) -> Fraction:
     raise ValueError(f"{what} must be a rational number, got {x!r}")
 
 
-def _rational_matrix(rows: Sequence[Sequence], what: str) -> tuple[tuple[Fraction, ...], ...]:
-    mat = tuple(tuple(_as_fraction(x, f"{what} entry") for x in row) for row in rows)
-    m = len(mat)
-    if any(len(row) != m for row in mat):
-        raise ValueError(f"{what} must be a square matrix")
-    for i in range(m):
-        for j in range(i + 1, m):
-            if mat[i][j] != mat[j][i]:
-                raise ValueError(f"{what} must be symmetric")
-    return mat
-
-
 def identity_metric(b2: int) -> tuple[tuple[Fraction, ...], ...]:
     """The standard inner product on H^2 coordinates, as an exact matrix."""
     return tuple(
@@ -120,24 +109,36 @@ class CurvatureBounds:
     ``c_plus``/``c_minus`` the self-dual and anti-self-dual parts.  ``G`` is
     the positive-definite Gram matrix of the harmonic representatives of the
     chosen H^2 basis; positivity is checked exactly.
+
+    The census rounds here, once: ``radius_sq`` is the float ``c_trace /
+    (2 pi)`` squared exactly, and ``plus_energy``/``minus_energy`` are the
+    floats ``C+-^2 / (8 pi^2)``, all exact rationals that the census reads.
+    So a class exactly on the intended boundary falls on the side its float
+    rounds to; give ``c_trace`` a little slack to keep such a class.
     """
 
     c_trace: float
     c_plus: float
     c_minus: float
     metric: tuple[tuple[Fraction, ...], ...]
+    radius_sq: Fraction = field(init=False)
+    plus_energy: Fraction = field(init=False)
+    minus_energy: Fraction = field(init=False)
 
     def __init__(self, c_trace, c_plus, c_minus, metric):
-        for name, v in (("c_trace", c_trace), ("c_plus", c_plus), ("c_minus", c_minus)):
-            if not (float(v) >= 0.0):
-                raise ValueError(f"{name} must be a nonnegative real")
-        g = _rational_matrix(metric, "harmonic metric")
+        c_trace, c_plus, c_minus = float(c_trace), float(c_plus), float(c_minus)
+        for name, c in (("c_trace", c_trace), ("c_plus", c_plus), ("c_minus", c_minus)):
+            if not (math.isfinite(c) and c >= 0.0):
+                raise ValueError(f"{name} must be a finite nonnegative real")
+            if name != "c_trace" and math.isinf(c * c):
+                raise ValueError(f"{name} = {c!r} is too large: its square overflows a float")
+        g = _symmetric_matrix(metric, _as_fraction, "harmonic metric")
         if _positive_ldl(g) is None:
             raise ValueError("harmonic metric must be positive definite")
-        object.__setattr__(self, "c_trace", float(c_trace))
-        object.__setattr__(self, "c_plus", float(c_plus))
-        object.__setattr__(self, "c_minus", float(c_minus))
-        object.__setattr__(self, "metric", g)
+        radius = Fraction(c_trace / (2.0 * math.pi))
+        energies = (Fraction(c * c / (8.0 * math.pi * math.pi)) for c in (c_plus, c_minus))
+        for f, value in zip(fields(self), (c_trace, c_plus, c_minus, g, radius * radius, *energies)):
+            object.__setattr__(self, f.name, value)
 
     @property
     def b2(self) -> int:
@@ -161,7 +162,7 @@ def lattice_points_in_ball(
     ``w_i = b d_i``, ``s_i = a c_i`` and ``B = floor(a^2 b radius_sq)``,
     whose solutions are ``|a v_i + s_i| <= isqrt(B // w_i)``.
     """
-    g = _rational_matrix(metric, "metric")
+    g = _symmetric_matrix(metric, _as_fraction, "metric")
     factors = _positive_ldl(g)
     if factors is None:
         raise ValueError("metric must be positive definite")
@@ -264,13 +265,10 @@ def chern_weil_c2_window(
 
     From ``<c2> = <c1^2>/2 + (||F-||^2 - ||F+||^2)/(8 pi^2)``:
     the window is ``[ceil(<c1^2>/2 - C+^2/(8 pi^2)),
-    floor(<c1^2>/2 + C-^2/(8 pi^2))]``, possibly empty.
+    floor(<c1^2>/2 + C-^2/(8 pi^2))]``, possibly empty, from the exact energies of ``bounds``.
     """
     half_sq = Fraction(cup(c1f, c1f, manifold), 2)
-    eight_pi_sq = 8.0 * math.pi * math.pi
-    lo = half_sq - Fraction(bounds.c_plus * bounds.c_plus / eight_pi_sq)
-    hi = half_sq + Fraction(bounds.c_minus * bounds.c_minus / eight_pi_sq)
-    return range(math.ceil(lo), math.floor(hi) + 1)
+    return range(math.ceil(half_sq - bounds.plus_energy), math.floor(half_sq + bounds.minus_energy) + 1)
 
 
 @dataclass(frozen=True)
@@ -317,17 +315,13 @@ def enumerate_reductions(
     """Enumerate all reduction candidates allowed by the curvature bounds.
 
     For every subbundle rank ``n`` in ``1..N-1`` and stratum ``k`` in
-    ``0..k_max``: all integer classes in the trace-bound ball (radius
-    ``c_trace / 2 pi`` in the harmonic metric), all ``<c2(F)>`` in the
+    ``0..k_max``: all integer classes in the trace-bound ball (radius squared
+    ``bounds.radius_sq`` in the harmonic metric), all ``<c2(F)>`` in the
     Chern-Weil window (line bundles only contribute ``c2 = 0``), complement
     forced by Whitney arithmetic, inconsistent rank-1 complements pruned and
     counted.  The census is finite for any positive-definite metric and
     finite bounds, and is returned sorted by (rank, stratum, c1, c2).
-
-    The radius is the float ``c_trace / (2 pi)``, squared exactly as a
-    rational.  A class whose norm equals the intended radius exactly can
-    therefore fall on either side of the ball, depending on how that float
-    quotient rounds; give ``c_trace`` a little slack to keep such a class.
+    Everything here is exact: the bounds were rounded once, in :class:`CurvatureBounds`.
     """
     if bounds.b2 != manifold.b2:
         raise ValueError("harmonic metric size does not match b2")
@@ -342,9 +336,7 @@ def enumerate_reductions(
             "assumes a simply connected manifold"
         )
     notes.extend(manifold.warnings)
-    radius = bounds.c_trace / (2.0 * math.pi)
-    radius_sq = Fraction(radius) * Fraction(radius)
-    points = lattice_points_in_ball(bounds.metric, radius_sq)
+    points = lattice_points_in_ball(bounds.metric, bounds.radius_sq)
     g = bounds.metric
     classes = []  # per ball point: c1(F), its c2 window, <c1F . c1Fperp>, ||c1F||
     for v in points:
@@ -370,7 +362,8 @@ def enumerate_reductions(
                     # the line-bundle complement has c2 = 0, which forces c2(F)
                     forced = (bundle.c2 - k) - pairing
                     kept = (forced,) if forced in eligible else ()
-                    pruned += len(eligible) - len(kept)
+                    # range arithmetic: len() refuses a window longer than sys.maxsize
+                    pruned += max(0, eligible.stop - eligible.start) - len(kept)
                     eligible = kept
                 for c2f in eligible:
                     sub = BundleData(n, c1f, c2f)

@@ -121,6 +121,7 @@ def _grid_check(
             worst = dev
             if dev > tol and bad is None:
                 bad = counterexample(int(devs.argmax()))
+        del devs, counterexample  # drop the cell before the next one is drawn
     return CheckResult(name, worst <= tol, total, worst, tol, bad)
 
 
@@ -268,10 +269,13 @@ def _check_block_formula(rng, samples, seed):
 
 @_grid("projections_orthogonal", 1e-10)
 def _check_orthogonality(rng, samples, seed):
+    """The cell's real and imaginary parts are drawn whole, its complex matrices per slice."""
     for n in _MU_GRID_NS:
-        m = _complex_rows(rng, samples, 2 * n, 2 * n)
+        re = rng.standard_normal((samples, 2 * n, 2 * n))
+        im = rng.standard_normal((samples, 2 * n, 2 * n))
 
-        def part(start, ms):
+        def part(start, re, im):
+            ms = re + 1j * im
             p = batch_project_P(ms, n)
             q = batch_project_Q(ms, n)
             scale = np.maximum(_batch_frob_sq(ms), 1e-30)
@@ -280,9 +284,10 @@ def _check_orthogonality(rng, samples, seed):
                 np.abs(np.einsum("mij,mij->m", p.conj(), ms) - _batch_frob_sq(p)),
                 np.abs(np.einsum("mij,mij->m", q.conj(), ms) - _batch_frob_sq(q)),
             ]) / scale
-            return devs, lambda i: {"n": n, "matrix": ms[i].tolist()}
+            # the builder rebuilds its row, so no slice's complex matrices outlive the slice
+            return devs, lambda i: {"n": n, "matrix": (re[i] + 1j * im[i]).tolist()}
 
-        yield _sliced(part, m)
+        yield _sliced(part, re, im)
 
 
 @_grid("mu_hermitian_and_traceless_at_tau0", 1e-12)
@@ -409,29 +414,30 @@ def _check_properness_inequality(rng, samples, seed):
 
 @_grid("bilinear_diagonal_consistency", 1e-12)
 def _check_bilinear_diagonal(rng, samples, seed):
-    """mu(tau, psi, psi) agrees with the public API's ``phi=None`` path mu(tau, psi).
+    """The bilinear map mu(tau, psi, phi) against the polarization of the quadratic one.
 
-    A code-path consistency check, so a reduced sample count is enough.
-    Each row of the cell's draw is ``[Re(alpha, beta), Im(alpha, beta)]``
-    of one sample.  The batch route compares the two forms in one call per
-    slice; the public ``mu`` is spot-checked on the cell's first rows.
+    ``mu(psi, phi) = 1/4 sum_k i^k mu(psi + i^k phi)`` over ``k = 0..3``,
+    because ``P`` and ``Q`` are linear and ``psi phi^*`` is the polarization
+    of ``psi psi^*``.  A reduced sample count is enough.  The batch route
+    compares the two sides in one call per slice; the public ``mu(tau, psi,
+    phi)`` is spot-checked against it on the cell's first rows.
     """
+    phases = (1, 1j, -1, -1j)
     for n in (1, 2, 3, 4):
         for tau in _MU_GRID_TAUS:
             k = max(samples // 100, 25)
-            z = rng.standard_normal((k, 2, 2, n))
-            v = (z[:, 0] + 1j * z[:, 1]).reshape(k, 2 * n)
+            v, u = _complex_rows(rng, 2, k, 2 * n)
 
-            def part(start, w):
-                both, _, _ = _batch_mu_mats(tau, w, w, n)
-                one, _, _ = _batch_mu_mats(tau, w, None, n)
-                dev = np.abs(both - one).max(axis=(1, 2))
-                for i in range(min(8 - start, len(w))):
-                    psi = SpinorPair(w[i, :n], w[i, n:])
-                    dev[i] = max(dev[i], np.abs(mu(tau, psi, psi).mat - mu(tau, psi).mat).max())
-                return dev, lambda i: _spinor_counterexample(w[i], n, tau, float(dev[i]), 0.0)
+            def part(start, v, u):
+                both, _, _ = _batch_mu_mats(tau, v, u, n)
+                polar = sum(c * _batch_mu_mats(tau, v + c * u, None, n)[0] for c in phases) / 4
+                dev = np.abs(both - polar).max(axis=(1, 2))
+                for i in range(min(8 - start, len(v))):  # tie the public mu to the batch route
+                    psi, phi = SpinorPair.from_vector(v[i]), SpinorPair.from_vector(u[i])
+                    dev[i] = max(dev[i], np.abs(mu(tau, psi, phi).mat - both[i]).max())
+                return dev, lambda i: {"n": n, "tau": tau, "psi": v[i].tolist(), "phi": u[i].tolist()}
 
-            yield _sliced(part, v)
+            yield _sliced(part, v, u)
 
 
 @_grid("analytic_gradient_matches_fd", 1e-6)

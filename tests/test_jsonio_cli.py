@@ -566,6 +566,24 @@ class TestCli:
         assert code == 2
         assert err.startswith("error: $.g: ") and "positive definite" in err
 
+    @pytest.mark.parametrize("flag", ["--c-plus", "--c-minus"])
+    def test_bound_flag_whose_square_overflows_exits_2_naming_the_flag(self, hyperbolic_file, flag, capsys):
+        code = main(["reductions", "enumerate", "--input", hyperbolic_file, "--c-trace", "6.2832", flag, "1e200"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith(f"error: {flag}: ")
+
+    @pytest.mark.parametrize("command", [["reductions", "enumerate"], ["dim", "pun"], ["strata"], ["tau0"]])
+    def test_bounds_block_whose_square_overflows_exits_2_naming_the_block(self, command, tmp_path, capsys):
+        doc = problem_doc()
+        doc["bounds"] = {"c_trace": 6.2832, "c_plus": 1e200, "c_minus": 0.0}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code = main(command + ["--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: $.bounds: c_plus ")
+
     @pytest.mark.parametrize(
         "argv, flag",
         [
@@ -787,8 +805,8 @@ _fuzz_argv = st.one_of(
     st.tuples(
         st.integers(0, len(FUZZ_PROBLEMS) - 1),
         st.sampled_from(("0", "3", "6.2832", "9.5")),
-        st.sampled_from(("0", "3", "9")),
-        st.sampled_from(("0", "3", "9")),
+        st.sampled_from(("0", "3", "9", "1e200")),
+        st.sampled_from(("0", "3", "9", "1e200")),
         st.integers(-1, 2),
         st.booleans(),
     ).map(lambda t: ["reductions", "enumerate", "--input", t[0], "--c-trace", t[1], "--c-plus", t[2],

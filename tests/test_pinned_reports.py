@@ -29,6 +29,8 @@ SHEARED_METRIC = [
     [{"num": 1, "den": 2}, {"num": 5, "den": 4}, -1],
     [0, -1, 3],
 ]
+# the census path of the benchmark: the problem file carries its own bounds block
+BOUNDED_PROBLEM = {**PROBLEM, "bounds": {"c_trace": 12, "c_plus": 4, "c_minus": 9, "g": SHEARED_METRIC}}
 
 COMMANDS = {
     "dim pun": ["dim", "pun", "--input", "problem.json"],
@@ -41,6 +43,7 @@ COMMANDS = {
         "reductions", "enumerate", "--input", "problem.json", "--c-trace", "12", "--c-plus", "4",
         "--c-minus", "9", "--g", "g.json", "--kmax", "1",
     ],
+    "reductions enumerate (file bounds)": ["reductions", "enumerate", "--input", "bounded.json"],
 }
 
 # taken with the serializer that converted a whole report before encoding it; the
@@ -54,6 +57,8 @@ DIGESTS = {
     ("dim un", "table"): "f04771180364c256db821e665e8cccd046e822ce226978bd46caddf050009cdd",
     ("reductions enumerate", "json"): "014961bdfeacf8250876db7661ff0bd0ac1fd56d34cd94ff59279d2e20894876",
     ("reductions enumerate", "table"): "725c7ed2d75f726635cb9872d4d72716a0b5f820ba97f56d77e06faeb4b0328e",
+    ("reductions enumerate (file bounds)", "json"): "5ca8ee0d7b389ea75e8712cc589d6008cc446dc483d7abfee56f06527aea7055",
+    ("reductions enumerate (file bounds)", "table"): "4a60646a2cdf3a061e6d8525288e851ec3927f5212f77c789ca7787491dc4c6d",
     ("schema", "json"): "d8d78b5d2e9057b537d3d7224e59cdab049e69a574dbedf3b98a828c77699bad",
     ("schema", "table"): "525bf48a0c3f832e7ebf789d67ebf8fbd73727ab966875cc8cfdf75806d7f583",
     ("strata", "json"): "f1dd3e33336d2c12e2ef2a28ea3dd4ac33f4fa0b37e2a4604a53bcd35befd912",
@@ -67,6 +72,7 @@ DIGESTS = {
 def problem_dir(tmp_path, monkeypatch):
     (tmp_path / "problem.json").write_text(json.dumps(PROBLEM))
     (tmp_path / "g.json").write_text(json.dumps(SHEARED_METRIC))
+    (tmp_path / "bounded.json").write_text(json.dumps(BOUNDED_PROBLEM))
     monkeypatch.chdir(tmp_path)
 
 

@@ -1,6 +1,8 @@
 """Reduction census, Whitney arithmetic, strata and the tau=0 verdict."""
 
+import dataclasses
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -139,6 +141,49 @@ class TestChernWeilWindow:
         bounds = CurvatureBounds(1.0, 0.0, c_minus, identity_metric(2))
         w = chern_weil_c2_window(CohClass2([0, 0]), m, bounds)
         assert list(w) == [0, 1]
+
+
+class TestCurvatureBoundsRounding:
+    """The bounds round once; the census reads their exact radius and energies."""
+
+    def test_exact_values_are_the_float_expressions_as_rationals(self):
+        bounds = CurvatureBounds(12, 4, 9, identity_metric(2))
+        assert bounds.radius_sq == Fraction(12 / (2 * math.pi)) ** 2
+        assert bounds.plus_energy == Fraction(16.0 / (8 * math.pi * math.pi))
+        assert bounds.minus_energy == Fraction(81.0 / (8 * math.pi * math.pi))
+        settable = [f.name for f in dataclasses.fields(CurvatureBounds) if f.init]
+        assert settable == ["c_trace", "c_plus", "c_minus", "metric"]
+
+    @pytest.mark.parametrize(
+        "name, c_trace, c_plus, c_minus",
+        [
+            ("c_trace", math.inf, 0.0, 0.0),
+            ("c_trace", -1.0, 0.0, 0.0),
+            ("c_plus", 1.0, math.nan, 0.0),
+            ("c_plus", 1.0, 1e200, 0.0),
+            ("c_minus", 1.0, 0.0, 1.4e154),
+        ],
+    )
+    def test_refuses_a_bound_it_cannot_round_naming_it(self, name, c_trace, c_plus, c_minus):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            CurvatureBounds(c_trace, c_plus, c_minus, identity_metric(2))
+
+    def test_largest_bounds_keep_a_finite_square(self):
+        c = 1.3e154
+        bounds = CurvatureBounds(sys.float_info.max, c, c, identity_metric(1))
+        assert bounds.plus_energy == bounds.minus_energy == Fraction(c * c / (8 * math.pi * math.pi))
+
+    def test_pruned_window_longer_than_maxsize_is_counted_exactly(self):
+        m = hyperbolic()
+        e = BundleData(3, m.zero_class(), 0)
+        bounds = CurvatureBounds(1.0, 0.0, 1e11, identity_metric(2))
+        rep = enumerate_reductions(m, e, SpincStructure(m.zero_class()), bounds, k_max=1)
+        assert rep.lattice_points == 1  # the origin: its window is [0, floor(C-^2 / 8 pi^2)]
+        window = math.floor(bounds.minus_energy) + 1
+        assert window > sys.maxsize
+        kept = sum(c.F.rank == 2 for c in rep.candidates)
+        assert kept == 1  # c2(F) is forced to -k, inside the window only at k = 0
+        assert rep.pruned_inconsistent == 2 * window - kept
 
 
 class TestLatticeEnumeration:

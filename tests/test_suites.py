@@ -53,14 +53,16 @@ def test_grid_check_builder_runs_before_the_generator_advances():
 
 
 def _oracle_diagonal(rng, samples, seed):
+    """Polarization of the quadratic map, one sample at a time through the public ``mu``."""
+    phases = (1, 1j, -1, -1j)
     for n in (1, 2, 3, 4):
         for tau in (0.0, 0.25, 0.5, 1.0):
-            for _ in range(max(samples // 100, 25)):
-                psi = SpinorPair(*_complex_rows(rng, 2, n))
-                dev = float(np.abs(mu(tau, psi, psi).mat - mu(tau, psi).mat).max())
-                yield dev, lambda i: {
-                    "tau": tau, "alpha": psi.alpha.tolist(), "beta": psi.beta.tolist(), "lhs": dev, "rhs": 0.0
-                }
+            vs, us = _complex_rows(rng, 2, max(samples // 100, 25), 2 * n)
+            for v, u in zip(vs, us):
+                polar = sum(c * mu(tau, SpinorPair.from_vector(v + c * u)).mat for c in phases) / 4
+                both = mu(tau, SpinorPair.from_vector(v), SpinorPair.from_vector(u)).mat
+                dev = float(np.abs(both - polar).max())
+                yield dev, lambda i: {"n": n, "tau": tau, "psi": v.tolist(), "phi": u.tolist()}
 
 
 def _oracle_gradient_fd(rng, samples, seed):
@@ -234,7 +236,7 @@ def test_batched_checks_match_the_per_sample_oracle():
 
     Also per sample, in draw order: deviations (bitwise) and counterexample
     entries, which reach what a passing report cannot show (the clifford
-    and diagonal deviations are exact zeros).  With the tolerance forced to
+    deviations are exact zeros).  With the tolerance forced to
     half the worst, a failing check reports the worst sample of the first
     failing grid cell.
     """
@@ -351,6 +353,19 @@ def test_mu_grid_checks_build_at_most_chunk_rows(monkeypatch):
         assert mu_suite(name, samples=40, seed=3).all_passed
         assert len(rows) > before, name
     assert max(rows) == 7
+
+
+def test_diagonal_check_fails_when_the_bilinear_route_drops_a_conjugate(monkeypatch):
+    batch_mu_mats = suites._batch_mu_mats
+
+    def unconjugated(tau, v, w, n):
+        return batch_mu_mats(tau, v, None if w is None else w.conj(), n)
+
+    assert mu_suite("diagonal", samples=1, seed=0).all_passed
+    monkeypatch.setattr(suites, "_batch_mu_mats", unconjugated)
+    report = mu_suite("diagonal", samples=1, seed=0).checks[0]
+    assert not report.passed and report.worst > 0.1
+    assert set(report.counterexample) == {"n", "tau", "psi", "phi"}
 
 
 @pytest.mark.parametrize("samples", [0, -1])
