@@ -25,6 +25,8 @@ pairs of unit spinors is estimated the same way.
 
 from __future__ import annotations
 
+import math
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -312,35 +314,78 @@ def mu_norm_batch(tau: float, alphas, betas) -> np.ndarray:
 _SPHERE_CHUNK = 16_384
 
 
+def _integer(value, what: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _sphere_norms(tau: float, n: int, pairs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """|mu(tau, Psi, Psi)| at the unit spinors that sampled invariants describe.
+
+    Row ``i`` of ``pairs`` holds ``(Ga, Gb)``, two Gamma(n) draws, and
+    ``uniforms[i]`` one uniform draw on [0, 1); see
+    :func:`random_sphere_search` for the law they encode.
+    """
+    ga, gb = pairs.T
+    s = ga + gb
+    if not s.all():
+        # Only Gamma(1) draws (n = 1) can be 0, each with probability ~2^-53.
+        # A pair of zeros is a Gaussian point with no direction: read it as x = y.
+        ga, gb = np.where(s == 0, 1.0, pairs.T)
+        s = ga + gb
+    x, y = ga / s, gb / s
+    c = -np.expm1(np.log1p(-uniforms) / (n - 1)) if n > 1 else 1.0
+    return _mu_norm(tau, n, x, y, x * y * c)
+
+
 def random_sphere_search(n: int, tau: float, samples: int, seed: int = 0) -> float:
     """Minimum of |mu(tau, Psi, Psi)| over seeded uniform unit spinors.
 
     A cross-check companion to the gradient-descent estimate; it evaluates
     the closed form of :func:`mu_norm_batch` (the scalar route) rather than
-    the matrix projections the optimizer uses.  Each sample is a standard
-    normal point of R^{4n}, read as ``(Re alpha, Re beta, Im alpha, Im
-    beta)``; by homogeneity |mu| at ``Psi/|Psi|`` takes the invariants of
-    ``Psi`` divided by ``s = |Psi|^2`` (and ``s^2``), so no sample is
-    normalized.  Samples are drawn into one reused buffer 16 384 at a time,
-    which draws the same stream as one call for all of them and keeps the
+    the matrix projections the optimizer uses.  That closed form reads a
+    unit spinor only through ``x = |alpha|^2``, ``y = |beta|^2`` and
+    ``|<alpha, beta>|^2``, so the search draws those three invariants from
+    their exact joint law instead of drawing the spinor:
+
+    * A uniform point of S^{4n-1} in C^{2n} is ``Psi/|Psi|`` for a standard
+      complex Gaussian ``Psi = (alpha, beta)``.  Then ``|alpha|^2/2`` and
+      ``|beta|^2/2`` are independent Gamma(n) variables ``Ga``, ``Gb``
+      (halved chi-squares with 2n degrees of freedom), independent of the
+      directions of ``alpha`` and ``beta``, which are uniform on S^{2n-1}.
+    * Hence ``x = Ga/(Ga+Gb)`` and ``y = Gb/(Ga+Gb)``.
+    * ``c = |<alpha/|alpha|, beta/|beta|>|^2`` is the squared modulus of one
+      coordinate of a uniform unit vector of C^n, i.e. Beta(1, n-1), with
+      ``P(c > t) = (1-t)^(n-1)``, independent of ``x``; inverting that tail
+      at a uniform ``U`` gives ``c = -expm1(log1p(-U)/(n-1))``.  For
+      ``n = 1`` both directions are phases and ``c = 1``.
+    * The invariants of ``Psi/|Psi|`` are then ``(x, y, x*y*c)``.
+
+    Each sample costs three variates whatever ``n`` is.  The Gamma pairs
+    come from ``Philox(SeedSequence(seed))`` and the uniforms from the same
+    Philox jumped ahead by 2^128 draws, so the two streams never overlap.
+    Both are drawn into reused buffers 16 384 samples at a time, which
+    draws the same streams as one call for all samples and keeps the
     working set in cache.  ``samples <= 0`` returns ``inf``.
     """
+    n, samples = _integer(n, "n"), _integer(samples, "samples")
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
+    if not math.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau!r}")
+    bits = np.random.Philox(np.random.SeedSequence(entropy=seed))
+    pair_rng, uniform_rng = np.random.Generator(bits), np.random.Generator(bits.jumped())
     size = min(_SPHERE_CHUNK, max(samples, 0))
-    draws = np.empty((size, 4 * n))
-    rows = np.empty((4 * n, size))
+    pairs, uniforms = np.empty((size, 2)), np.empty(size)
     best = np.inf
     for start in range(0, samples, _SPHERE_CHUNK):
         m = min(_SPHERE_CHUNK, samples - start)
-        chunk = rows[:, :m]
-        np.copyto(chunk, rng.standard_normal(out=draws[:m]).T)
-        na2, nb2, ab2 = _row_invariants(*chunk.reshape(4, n, m))
-        s = na2 + nb2
-        vals = _mu_norm(tau, n, na2 / s, nb2 / s, ab2 / (s * s))
-        best = min(best, float(vals.min()))
-    return best
+        draws = pair_rng.standard_gamma(n, out=pairs[:m]), uniform_rng.random(out=uniforms[:m])
+        vals = _sphere_norms(tau, n, *draws)
+        best = np.minimum(best, vals.min())  # propagates a nan, where min() could drop it
+    return float(best)
 
 
 def _unpack(x: np.ndarray) -> np.ndarray:

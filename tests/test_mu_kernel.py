@@ -24,9 +24,11 @@ from monopoles.mu_kernel import (
     batch_project_P,
     batch_project_Q,
     properness_value_grad,
+    _sphere_norms,
     _zero_divisor_value_grad,
     random_sphere_search,
 )
+from monopoles import mu_kernel
 from monopoles.suites import mu_suite
 
 E1 = np.array([1, 0], dtype=complex)
@@ -221,12 +223,39 @@ def _einsum_norms(tau, a, b):
 
 
 def _sphere_search_oracle(n, tau, samples, seed):
-    """The search drawn in one call: normalized complex rows through mu_norm_batch."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
+    """The search drawn in one call per stream, evaluated on spinor rows through mu_norm_batch.
+
+    The rows ``alpha = sqrt(x) e1`` and ``beta = sqrt(y c) e1 + sqrt(y (1 - c)) e2``
+    have the invariants ``(x, y, x y c)`` that the search reads its samples as.
+    """
+    bits = np.random.Philox(np.random.SeedSequence(entropy=seed))
+    uniform_rng = np.random.Generator(bits.jumped())  # jumped from the unused state
+    ga, gb = np.random.Generator(bits).standard_gamma(n, (samples, 2)).T
+    u = uniform_rng.random(samples)
+    x, y = ga / (ga + gb), gb / (ga + gb)
+    c = 1.0 - (1.0 - u) ** (1.0 / (n - 1)) if n > 1 else np.ones(samples)
+    a, b = np.zeros((samples, n)), np.zeros((samples, n))
+    a[:, 0], b[:, 0] = np.sqrt(x), np.sqrt(y * c)
+    if n > 1:
+        b[:, 1] = np.sqrt(y * (1.0 - c))
+    return float(mu_norm_batch(tau, a, b).min())
+
+
+def _gaussian_route_norms(tau, n, samples, rng):
+    """|mu| at normalized standard complex Gaussian spinors: the law the search must match."""
     z = rng.standard_normal((samples, 4 * n))
     v = z[:, : 2 * n] + 1j * z[:, 2 * n :]
     v /= np.linalg.norm(v, axis=1, keepdims=True)
-    return float(mu_norm_batch(tau, v[:, :n], v[:, n:]).min())
+    return mu_norm_batch(tau, v[:, :n], v[:, n:])
+
+
+def _ks_statistic(a, b):
+    """Two-sample Kolmogorov-Smirnov statistic: the largest gap between the empirical CDFs."""
+    a, b = np.sort(a), np.sort(b)
+    both = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, both, side="right") / a.size
+    cdf_b = np.searchsorted(b, both, side="right") / b.size
+    return float(np.abs(cdf_a - cdf_b).max())
 
 
 class TestSphereSearch:
@@ -261,6 +290,75 @@ class TestSphereSearch:
     @pytest.mark.parametrize("samples", [0, -3])
     def test_no_samples_gives_inf(self, samples):
         assert random_sphere_search(2, 0.5, samples) == np.inf
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_tau(self, tau):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            random_sphere_search(2, tau, samples=10)
+
+    @pytest.mark.parametrize("n", [2.0, 2.5, "2"])
+    def test_rejects_non_integer_n(self, n):
+        with pytest.raises(TypeError, match="n must be an integer"):
+            random_sphere_search(n, 0.5, samples=10)
+
+    @pytest.mark.parametrize("samples", [10.0, 2.5])
+    def test_rejects_non_integer_samples(self, samples):
+        with pytest.raises(TypeError, match="samples must be an integer"):
+            random_sphere_search(2, 0.5, samples)
+
+    def test_accepts_numpy_integers(self):
+        want = random_sphere_search(2, 0.5, 100)
+        assert random_sphere_search(np.int64(2), 0.5, np.int32(100)) == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_zero_gamma_pair_is_read_as_a_balanced_spinor(self, n):
+        # only at n = 1 can standard_gamma return two zeros; the reading is the same for every n
+        u = np.array([0.0, 0.3, 0.9])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no 0/0 on the way
+            for tau in (0.0, 0.5, 1.0):
+                zero = _sphere_norms(tau, n, np.zeros((3, 2)), u)
+                assert np.array_equal(zero, _sphere_norms(tau, n, np.ones((3, 2)), u)), tau
+                assert np.isfinite(zero).all()
+
+    def test_a_nan_chunk_minimum_is_not_dropped(self, monkeypatch):
+        real = mu_kernel._sphere_norms
+        calls = []
+
+        def first_chunk_nan(*args):
+            vals = real(*args)
+            if not calls:
+                vals[0] = np.nan
+            calls.append(vals.size)
+            return vals
+
+        monkeypatch.setattr(mu_kernel, "_sphere_norms", first_chunk_nan)
+        assert np.isnan(random_sphere_search(2, 0.5, _SPHERE_CHUNK + 5, seed=1))
+        assert calls == [_SPHERE_CHUNK, 5]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_invariant_law_matches_the_gaussian_route(self, n):
+        # KS statistic of 1e5 against 1e5 samples; the right law reads <= 0.006 here, while
+        # c ~ Beta(1, n) instead of Beta(1, n - 1) reads >= 0.07 and c = 1 reads 1.0
+        rng = np.random.default_rng(20 + n)
+        samples = 100_000
+        for tau in (0.0, 0.5, 1.0):
+            want = _gaussian_route_norms(tau, n, samples, rng)
+            got = _sphere_norms(tau, n, rng.standard_gamma(n, (samples, 2)), rng.random(samples))
+            assert _ks_statistic(got, want) <= 0.01, tau
+
+    def test_n1_search_is_tau_over_sqrt2(self):
+        for tau in (0.0, 0.25, 0.5, 1.0):
+            found = random_sphere_search(1, tau, samples=50_000, seed=2)
+            assert abs(found - tau / np.sqrt(2)) <= 4 * np.spacing(tau / np.sqrt(2)), tau
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_sampled_minimum_never_undercuts_the_closed_form(self, n):
+        for tau in (0.0, 0.5, 1.0):
+            floor = np.sqrt((n - 1 + tau * tau) / (2 * n))
+            for seed in range(5):
+                found = random_sphere_search(n, tau, samples=100_000, seed=seed)
+                assert found >= floor * (1 - 1e-12), (tau, seed)
 
 
 class TestZeroDivisorMargin:
