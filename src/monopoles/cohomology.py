@@ -4,9 +4,12 @@ The manifold enters only through its intersection form ``Q`` on
 ``H^2(X;Z)/torsion`` (a nondegenerate symmetric integer matrix), its first
 Betti number and the invariants derived from ``Q``.  All arithmetic here is
 exact: one rational congruence diagonalization of ``Q`` (:func:`ldl`) gives
-its rank, ``b2+``, the signature and ``|det Q|``, and dimension formulas are
-evaluated over ``Fraction`` and asserted integral before an ``int`` is
-returned.
+its rank, ``b2+``, the signature and ``|det Q|``.  The index formulas read a
+bundle only through four integers, its rank, ``<c1^2>``, ``<c1 . c1(s)>`` and
+``<c2>``, plus the constants ``<c1(s)^2>``, the signature, ``b2+`` and ``b1``;
+private integer functions of those numbers hold each formula once, and the
+public functions pair the classes and call them.  The twisted Dirac index is
+an integer numerator over 8, checked divisible by 8 before it is returned.
 
 Derived conventions, fixed once for the whole package:
 
@@ -299,26 +302,75 @@ def characteristic_defects(s: SpincStructure, manifold: FourManifold) -> tuple[i
     return tuple(bad)
 
 
+def _p1_su(rank: int, c1_sq: int, c2: int) -> int:
+    """``(N-1)<c1^2> - 2N<c2>``: :func:`p1_su` from its integers."""
+    return (rank - 1) * c1_sq - 2 * rank * c2
+
+
+def _dirac_numerator(rank: int, c1_sq: int, c1_s: int, c2: int, ssq_minus_sig: int) -> int:
+    """Eight times the twisted Dirac index, with ``ssq_minus_sig = <c1(s)^2> - sigma``.
+
+    ``4(<c1^2> - 2<c2> + <c1 . c1(s)>) + N(<c1(s)^2> - sigma)``, an integer.
+    """
+    return 4 * (c1_sq - 2 * c2 + c1_s) + rank * ssq_minus_sig
+
+
+def _dirac_index(rank: int, c1_sq: int, c1_s: int, c2: int, ssq_minus_sig: int) -> int:
+    """:func:`dirac_index` from its integers; a numerator not divisible by 8 raises."""
+    num = _dirac_numerator(rank, c1_sq, c1_s, c2, ssq_minus_sig)
+    if num % 8:
+        raise InconsistentTopologyError(
+            "inconsistent topological input: twisted Dirac index "
+            f"{Fraction(num, 8)} is not an integer"
+        )
+    return num // 8
+
+
+def _asd_dim(group_dim: int, rank: int, c1_sq: int, c2: int, chi: int) -> int:
+    """``-2<p1(su(E))> - dim(G) chi`` with ``chi = b2+ - b1 + 1``.
+
+    The deformation index of the connections: ``dim(G) = N^2 - 1`` for the
+    projective (instanton) part, ``N^2`` for the unitary one.
+    """
+    return -2 * _p1_su(rank, c1_sq, c2) - group_dim * chi
+
+
+def _monopole_dim(
+    group_dim: int, rank: int, c1_sq: int, c1_s: int, c2: int, ssq_minus_sig: int, chi: int, mult: int
+) -> int:
+    """:func:`_asd_dim` plus ``mult`` times the twisted Dirac index."""
+    dirac = _dirac_index(rank, c1_sq, c1_s, c2, ssq_minus_sig)
+    return _asd_dim(group_dim, rank, c1_sq, c2, chi) + mult * dirac
+
+
+def _chi(manifold: FourManifold) -> int:
+    return manifold.b2plus - manifold.b1 + 1
+
+
+def _dirac_args(bundle: BundleData, s: SpincStructure, manifold: FourManifold) -> tuple[int, ...]:
+    """``(N, <c1^2>, <c1 . c1(s)>, <c2>, <c1(s)^2> - sigma)``: all the index formulas read."""
+    c1 = bundle.c1
+    return (
+        bundle.rank,
+        cup(c1, c1, manifold),
+        cup(c1, s.c1s, manifold),
+        bundle.c2,
+        cup(s.c1s, s.c1s, manifold) - manifold.signature,
+    )
+
+
+def _check_multiplicity(dirac_multiplicity: int) -> None:
+    if dirac_multiplicity not in (1, 2):
+        raise ValueError("dirac_multiplicity must be 1 or 2")
+
+
 def p1_su(bundle: BundleData, manifold: FourManifold) -> int:
     """<p1(su(E)), [X]> for the traceless endomorphism bundle of E.
 
     Equals ``(N-1)<c1^2> - 2N<c2>``; for a line bundle su(E) has rank zero
     and the pairing is 0.
     """
-    n = bundle.rank
-    return (n - 1) * cup(bundle.c1, bundle.c1, manifold) - 2 * n * bundle.c2
-
-
-def _dirac_index_fraction(
-    bundle: BundleData, s: SpincStructure, manifold: FourManifold
-) -> Fraction:
-    c1sq = cup(bundle.c1, bundle.c1, manifold)
-    mixed = cup(bundle.c1, s.c1s, manifold)
-    ssq = cup(s.c1s, s.c1s, manifold)
-    return (
-        Fraction(c1sq - 2 * bundle.c2, 1)
-        + Fraction(mixed, 1)
-    ) / 2 + Fraction(bundle.rank, 8) * (ssq - manifold.signature)
+    return _p1_su(bundle.rank, cup(bundle.c1, bundle.c1, manifold), bundle.c2)
 
 
 def dirac_index(bundle: BundleData, s: SpincStructure, manifold: FourManifold) -> int:
@@ -328,13 +380,7 @@ def dirac_index(bundle: BundleData, s: SpincStructure, manifold: FourManifold) -
     on a Spin^c 4-manifold (for instance a failed characteristic condition)
     and raises :class:`InconsistentTopologyError`.
     """
-    value = _dirac_index_fraction(bundle, s, manifold)
-    if value.denominator != 1:
-        raise InconsistentTopologyError(
-            "inconsistent topological input: twisted Dirac index "
-            f"{value} is not an integer"
-        )
-    return int(value)
+    return _dirac_index(*_dirac_args(bundle, s, manifold))
 
 
 def expected_dim_pun(
@@ -349,16 +395,11 @@ def expected_dim_pun(
     multiplicity ``m`` defaulting to 2 (the convention that reduces to the
     classical rank-1 dimension; ``m=1`` remains selectable).
     """
-    if bundle.rank < 2:
-        raise ValueError("projective monopole dimension needs rank >= 2")
-    if dirac_multiplicity not in (1, 2):
-        raise ValueError("dirac_multiplicity must be 1 or 2")
     n = bundle.rank
-    return (
-        -2 * p1_su(bundle, manifold)
-        - (n * n - 1) * (manifold.b2plus - manifold.b1 + 1)
-        + dirac_multiplicity * dirac_index(bundle, s, manifold)
-    )
+    if n < 2:
+        raise ValueError("projective monopole dimension needs rank >= 2")
+    _check_multiplicity(dirac_multiplicity)
+    return _monopole_dim(n * n - 1, *_dirac_args(bundle, s, manifold), _chi(manifold), dirac_multiplicity)
 
 
 def expected_dim_un(
@@ -373,16 +414,11 @@ def expected_dim_un(
     ``N^2 - 1``; defined for every rank >= 1.  At rank 1 with multiplicity 2
     this reproduces the classical abelian monopole dimension.
     """
-    if bundle.rank < 1:
-        raise ValueError("rank must be >= 1")
-    if dirac_multiplicity not in (1, 2):
-        raise ValueError("dirac_multiplicity must be 1 or 2")
     n = bundle.rank
-    return (
-        -2 * p1_su(bundle, manifold)
-        - n * n * (manifold.b2plus - manifold.b1 + 1)
-        + dirac_multiplicity * dirac_index(bundle, s, manifold)
-    )
+    if n < 1:
+        raise ValueError("rank must be >= 1")
+    _check_multiplicity(dirac_multiplicity)
+    return _monopole_dim(n * n, *_dirac_args(bundle, s, manifold), _chi(manifold), dirac_multiplicity)
 
 
 def expected_dim_asd(bundle: BundleData, manifold: FourManifold) -> int:
@@ -398,23 +434,26 @@ def expected_dim_asd(bundle: BundleData, manifold: FourManifold) -> int:
             "connection space is a point (dimension 0)"
         )
     m = bundle.rank
-    return -2 * p1_su(bundle, manifold) - (m * m - 1) * (
-        manifold.b2plus - manifold.b1 + 1
-    )
+    return _asd_dim(m * m - 1, m, cup(bundle.c1, bundle.c1, manifold), bundle.c2, _chi(manifold))
 
 
-def _index_terms(bundle, s, manifold, dirac_multiplicity):
-    frac = _dirac_index_fraction(bundle, s, manifold)
-    return {
-        "p1_su": p1_su(bundle, manifold),
-        "dirac_index": dirac_index(bundle, s, manifold),
-        "dirac_index_exact": frac,
+def _index_terms(bundle, s, manifold, dirac_multiplicity, group_dim, term_name) -> dict:
+    """The terms of a monopole dimension whose connections have a structure group of ``group_dim``."""
+    args = _dirac_args(bundle, s, manifold)
+    rank, c1_sq, _, c2, _ = args
+    terms = {
+        "p1_su": _p1_su(rank, c1_sq, c2),
+        "dirac_index": _dirac_index(*args),
+        "dirac_index_exact": Fraction(_dirac_numerator(*args), 8),
         "dirac_multiplicity": dirac_multiplicity,
         "b2plus": manifold.b2plus,
         "b1": manifold.b1,
         "signature": manifold.signature,
         "euler": manifold.euler,
     }
+    terms[term_name] = _asd_dim(group_dim, rank, c1_sq, c2, _chi(manifold))
+    terms["dirac_term"] = dirac_multiplicity * terms["dirac_index"]
+    return terms
 
 
 def pun_dimension_report(
@@ -424,12 +463,8 @@ def pun_dimension_report(
     dirac_multiplicity: int = 2,
 ) -> dict:
     """Full term-by-term breakdown of :func:`expected_dim_pun`."""
-    terms = _index_terms(bundle, s, manifold, dirac_multiplicity)
     n = bundle.rank
-    terms["instanton_term"] = -2 * terms["p1_su"] - (n * n - 1) * (
-        manifold.b2plus - manifold.b1 + 1
-    )
-    terms["dirac_term"] = dirac_multiplicity * terms["dirac_index"]
+    terms = _index_terms(bundle, s, manifold, dirac_multiplicity, n * n - 1, "instanton_term")
     terms["expected_dim"] = expected_dim_pun(bundle, s, manifold, dirac_multiplicity)
     return terms
 
@@ -441,12 +476,8 @@ def un_dimension_report(
     dirac_multiplicity: int = 2,
 ) -> dict:
     """Full term-by-term breakdown of :func:`expected_dim_un`."""
-    terms = _index_terms(bundle, s, manifold, dirac_multiplicity)
     n = bundle.rank
-    terms["curvature_term"] = -2 * terms["p1_su"] - n * n * (
-        manifold.b2plus - manifold.b1 + 1
-    )
-    terms["dirac_term"] = dirac_multiplicity * terms["dirac_index"]
+    terms = _index_terms(bundle, s, manifold, dirac_multiplicity, n * n, "curvature_term")
     terms["expected_dim"] = expected_dim_un(bundle, s, manifold, dirac_multiplicity)
     return terms
 

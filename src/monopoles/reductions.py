@@ -12,13 +12,20 @@ The ball is enumerated by Fincke-Pohst depth-first search over the exact
 ``L D L^T`` factorization of ``G`` from :func:`cohomology.ldl`, so the work
 follows the ball's own search tree rather than a bounding box around it.
 The same factorization's pivots decide, for :class:`CurvatureBounds` and
-the ball alike, that ``G`` is positive definite.  The class-dependent data
-(window, ``<c1(F) c1(Fperp)>``, norm) is computed once per ball point, and
-each candidate's forced complement and dimensions reuse that pairing.  For
-rank ``N-1`` the line-bundle complement has ``c2 = 0``, which forces
-``c2(F) = c2(E) - k - <c1(F) c1(Fperp)>``: that single value is checked
-against the window instead of walking the window, and the other window
-entries are counted as pruned, as a walk would have counted them.
+the ball alike, that ``G`` is positive definite.
+
+Everything that depends on the class is computed once per ball point:
+``c1(Fperp)``, the window, the pairings ``<c1(F)^2>``, ``<c1(F) c1(s)>``,
+``<c1(F) c1(Fperp)>`` and ``<c1(Fperp)^2>``, and the norm (over the metric's
+common denominator, cleared once).  A candidate then differs from its
+neighbours only in ``<c2>``, so its dimensions are integer arithmetic in the
+private index functions of :mod:`cohomology`, with no pairing.  For rank
+``N-1`` the line-bundle complement has ``c2 = 0``, which forces ``c2(F) =
+c2(E) - k - <c1(F) c1(Fperp)>``: that single value is checked against the
+window instead of walking the window, and the other window entries are
+counted as pruned, as a walk would have counted them.  Before any candidate
+is built the census is counted by the same range arithmetic, and one larger
+than :data:`MAX_CENSUS_CANDIDATES` is refused.
 
 All filtering is exact: ``G`` is a rational positive-definite matrix, the
 ball test clears denominators and compares integers, and window endpoints
@@ -32,13 +39,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cohomology import (
     BundleData,
     CohClass2,
     FourManifold,
     SpincStructure,
+    _asd_dim,
+    _check_multiplicity,
+    _chi,
+    _monopole_dim,
     _symmetric_matrix,
     cup,
     dirac_index,
@@ -66,6 +77,14 @@ __all__ = [
     "lattice_points_in_ball",
     "identity_metric",
 ]
+
+
+# A census and its report hold every candidate at once.  Through the CLI one
+# candidate costs about 4.5 KB of peak memory at b2 = 2 and 8.1 KB at b2 = 22
+# (the objects plus the indented report text, measured at 10^5 candidates).
+# At 8 KB each, a 1 GiB budget holds 131 072 candidates; a census counted
+# above that is refused before any candidate is built.
+MAX_CENSUS_CANDIDATES = 2**30 // 8192
 
 
 class InconsistentCandidateError(ValueError):
@@ -208,18 +227,21 @@ def whitney_complement(
         raise ValueError("subbundle rank must satisfy 1 <= rank(F) < rank(E)")
     if k < 0:
         raise ValueError("stratum index must be nonnegative")
-    return _forced_complement(bundle, sub, k, cup(sub.c1, bundle.c1 - sub.c1, manifold))
+    c1_perp = bundle.c1 - sub.c1
+    return _forced_complement(bundle, sub, k, c1_perp, cup(sub.c1, c1_perp, manifold))
 
 
-def _forced_complement(bundle: BundleData, sub: BundleData, k: int, pairing: int) -> BundleData:
-    """:func:`whitney_complement` given ``pairing = <c1(F) . c1(Fperp)>``."""
+def _forced_complement(
+    bundle: BundleData, sub: BundleData, k: int, c1_perp: CohClass2, pairing: int
+) -> BundleData:
+    """:func:`whitney_complement` given ``c1(Fperp)`` and ``pairing = <c1(F) . c1(Fperp)>``."""
     rank_perp = bundle.rank - sub.rank
     c2_perp = (bundle.c2 - k) - sub.c2 - pairing
     if rank_perp == 1 and c2_perp != 0:
         raise InconsistentCandidateError(
             f"rank-1 complement forced to <c2> = {c2_perp}; no such line bundle"
         )
-    return BundleData(rank_perp, bundle.c1 - sub.c1, c2_perp)
+    return BundleData(rank_perp, c1_perp, c2_perp)
 
 
 def tau_parameter(n: int, big_n: int) -> Fraction:
@@ -248,11 +270,6 @@ def component_dims(
     if not 1 <= sub.rank < bundle.rank:
         raise ValueError("subbundle rank must satisfy 1 <= rank(F) < rank(E)")
     perp = whitney_complement(bundle, sub, manifold, k) if bundle.rank - sub.rank > 1 else None
-    return _dims(sub, perp, s, manifold, dirac_multiplicity)
-
-
-def _dims(sub, perp, s, manifold, dirac_multiplicity) -> tuple[int, int, int]:
-    """:func:`component_dims` given the complement, ``None`` for a line bundle."""
     dim_un = expected_dim_un(sub, s, manifold, dirac_multiplicity)
     dim_asd = 0 if perp is None else expected_dim_asd(perp, manifold)
     return dim_un, dim_asd, dim_un + dim_asd
@@ -267,8 +284,23 @@ def chern_weil_c2_window(
     the window is ``[ceil(<c1^2>/2 - C+^2/(8 pi^2)),
     floor(<c1^2>/2 + C-^2/(8 pi^2))]``, possibly empty, from the exact energies of ``bounds``.
     """
-    half_sq = Fraction(cup(c1f, c1f, manifold), 2)
+    return _c2_window(cup(c1f, c1f, manifold), bounds)
+
+
+def _c2_window(c1_sq: int, bounds: CurvatureBounds) -> range:
+    """:func:`chern_weil_c2_window` given ``c1_sq = <c1^2>``."""
+    half_sq = Fraction(c1_sq, 2)
     return range(math.ceil(half_sq - bounds.plus_energy), math.floor(half_sq + bounds.minus_energy) + 1)
+
+
+def _eligible(n: int, window: range) -> range:
+    """The ``<c2(F)>`` values of a rank-``n`` subbundle in ``window``: a line bundle has ``c2 = 0``."""
+    return window if n > 1 else range(int(0 in window))
+
+
+def _width(r: range) -> int:
+    """``len(r)`` of a step-1 range; ``len`` refuses a range longer than ``sys.maxsize``."""
+    return max(0, r.stop - r.start)
 
 
 @dataclass(frozen=True)
@@ -304,6 +336,36 @@ class EnumerationReport:
     warnings: tuple[str, ...] = ()
 
 
+class _BallClass(NamedTuple):
+    """What the census reads of one ball point ``c1(F)``: every candidate on it shares these."""
+
+    c1f: CohClass2
+    c1_perp: CohClass2
+    window: range  # the Chern-Weil window of <c2(F)>
+    f_sq: int  # <c1F^2>
+    f_s: int  # <c1F . c1(s)>
+    pairing: int  # <c1F . c1Fperp>
+    perp_sq: int  # <c1Fperp^2>
+    c1_norm: float
+
+
+def _census_size(classes: list[_BallClass], big_n: int, k_max: int, c2: int) -> int:
+    """The number of candidates :func:`enumerate_reductions` keeps, by range arithmetic.
+
+    Ranks ``1..N-2`` keep their whole eligible window in every stratum; rank
+    ``N-1`` keeps ``c2(F) = c2 - k - <c1F . c1Fperp>`` in the strata ``k``
+    that put it inside its eligible window.  No window is walked.
+    """
+    size = 0
+    for c in classes:
+        below = (_width(_eligible(1, c.window)) + (big_n - 3) * _width(c.window)) if big_n > 2 else 0
+        top = _eligible(big_n - 1, c.window)
+        base = c2 - c.pairing  # rank N-1 has c2(F) = base - k
+        strata = range(max(0, base - top.stop + 1), min(k_max, base - top.start) + 1)
+        size += (k_max + 1) * below + _width(strata)
+    return size
+
+
 def enumerate_reductions(
     manifold: FourManifold,
     bundle: BundleData,
@@ -329,6 +391,7 @@ def enumerate_reductions(
         raise ValueError("reductions need a bundle of rank >= 2")
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
+    _check_multiplicity(dirac_multiplicity)
     notes = []
     if manifold.b1 != 0:
         notes.append(
@@ -337,39 +400,56 @@ def enumerate_reductions(
         )
     notes.extend(manifold.warnings)
     points = lattice_points_in_ball(bounds.metric, bounds.radius_sq)
-    g = bounds.metric
-    classes = []  # per ball point: c1(F), its c2 window, <c1F . c1Fperp>, ||c1F||
+    # ||c1F||^2 = v^T G v over the common denominator of G: one exact int / int division
+    den = math.lcm(*(x.denominator for row in bounds.metric for x in row))
+    g = [[int(x * den) for x in row] for row in bounds.metric]
+    classes = []
     for v in points:
         c1f = CohClass2(v)
+        c1_perp = bundle.c1 - c1f
+        f_sq = cup(c1f, c1f, manifold)
         support = [(i, x) for i, x in enumerate(v) if x]
         norm_sq = sum(x * g[i][j] * y for i, x in support for j, y in support)
-        classes.append((
+        classes.append(_BallClass(
             c1f,
-            chern_weil_c2_window(c1f, manifold, bounds),
-            cup(c1f, bundle.c1 - c1f, manifold),
-            math.sqrt(float(norm_sq)),
+            c1_perp,
+            _c2_window(f_sq, bounds),
+            f_sq,
+            cup(c1f, s.c1s, manifold),
+            cup(c1f, c1_perp, manifold),
+            cup(c1_perp, c1_perp, manifold),
+            math.sqrt(norm_sq / den),
         ))
     big_n = bundle.rank
+    size = _census_size(classes, big_n, k_max, bundle.c2)
+    if size > MAX_CENSUS_CANDIDATES:
+        raise ValueError(
+            f"census too large: the energy bounds c_plus = {bounds.c_plus!r} and c_minus = "
+            f"{bounds.c_minus!r} admit {size} candidates, more than {MAX_CENSUS_CANDIDATES}"
+        )
+    # the constants of every candidate's index formulas
+    ssq_minus_sig = cup(s.c1s, s.c1s, manifold) - manifold.signature
+    chi = _chi(manifold)
     candidates = []
     pruned = 0
     for n in range(1, big_n):
         tau = tau_parameter(n, big_n)
+        rank_perp = big_n - n
         for k in range(k_max + 1):
-            for c1f, window, pairing, c1_norm in classes:
-                # a line subbundle has c2 = 0
-                eligible = window if n > 1 else range(int(0 in window))
-                if n == big_n - 1:
+            for c1f, c1_perp, window, f_sq, f_s, pairing, perp_sq, c1_norm in classes:
+                eligible = _eligible(n, window)
+                if rank_perp == 1:
                     # the line-bundle complement has c2 = 0, which forces c2(F)
                     forced = (bundle.c2 - k) - pairing
                     kept = (forced,) if forced in eligible else ()
-                    # range arithmetic: len() refuses a window longer than sys.maxsize
-                    pruned += max(0, eligible.stop - eligible.start) - len(kept)
+                    pruned += _width(eligible) - len(kept)
                     eligible = kept
                 for c2f in eligible:
                     sub = BundleData(n, c1f, c2f)
-                    perp = _forced_complement(bundle, sub, k, pairing)
-                    dim_un, dim_asd, total = _dims(
-                        sub, perp if perp.rank > 1 else None, s, manifold, dirac_multiplicity
+                    perp = _forced_complement(bundle, sub, k, c1_perp, pairing)
+                    dim_un = _monopole_dim(n * n, n, f_sq, f_s, c2f, ssq_minus_sig, chi, dirac_multiplicity)
+                    dim_asd = 0 if rank_perp == 1 else _asd_dim(
+                        rank_perp * rank_perp - 1, rank_perp, perp_sq, perp.c2, chi
                     )
                     candidates.append(
                         ReductionCandidate(
@@ -378,7 +458,7 @@ def enumerate_reductions(
                             tau=tau,
                             dim_un_part=dim_un,
                             dim_asd_part=dim_asd,
-                            total_dim=total,
+                            total_dim=dim_un + dim_asd,
                             stratum_k=k,
                             c1_norm=c1_norm,
                         )

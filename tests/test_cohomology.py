@@ -21,7 +21,7 @@ from monopoles import (
     expected_dim_un,
     p1_su,
 )
-from monopoles.cohomology import characteristic_defects, ldl, pun_dimension_report
+from monopoles.cohomology import characteristic_defects, ldl, pun_dimension_report, un_dimension_report
 
 from conftest import (
     characteristic_class,
@@ -265,6 +265,26 @@ class TestDiracIndex:
         s = SpincStructure([0])  # fails the characteristic condition
         with pytest.raises(InconsistentTopologyError, match="inconsistent topological input"):
             dirac_index(BundleData(1, [1], 0), s, m)
+
+    def test_integer_numerator_is_the_rational_formula(self):
+        """The index and ``dirac_index_exact`` are the Fraction formula; a non-integral one raises, named exactly."""
+        rng = make_rng(29)
+        raised = 0
+        for _ in range(60):
+            m = random_manifold(rng, b2_max=4)
+            s = SpincStructure(rng.integers(-2, 3, size=m.b2).tolist())  # often not characteristic
+            n = int(rng.integers(1, 5))
+            e = BundleData(n, rng.integers(-2, 3, size=m.b2).tolist(), int(rng.integers(-3, 4)) if n > 1 else 0)
+            c1sq, mixed, ssq = cup(e.c1, e.c1, m), cup(e.c1, s.c1s, m), cup(s.c1s, s.c1s, m)
+            want = Fraction(c1sq - 2 * e.c2 + mixed, 2) + Fraction(n, 8) * (ssq - m.signature)
+            if want.denominator == 1:
+                assert dirac_index(e, s, m) == want
+                assert un_dimension_report(e, s, m)["dirac_index_exact"] == want
+            else:
+                raised += 1
+                with pytest.raises(InconsistentTopologyError, match=f"index {want} is not an integer$"):
+                    dirac_index(e, s, m)
+        assert raised > 0
 
     def test_integral_on_characteristic_unimodular_data(self):
         rng = make_rng(11)

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -583,6 +584,34 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("error: $.bounds: c_plus ")
+
+    def test_census_with_a_half_integral_dirac_index_exits_2(self, tmp_path, capsys):
+        # c1(s) = 0 is not characteristic for diag(1, -1); the first candidate in
+        # (rank, stratum, c1, c2) order is the line subbundle c1(F) = (0, -1), c2 = 0,
+        # whose twisted Dirac index is <c1(F)^2>/2 = -1/2
+        doc = problem_doc(manifold={"name": "diag", "b1": 0, "intersection_form": [[1, 0], [0, -1]]})
+        doc["bundle"] = {"rank": 3, "c1": [0, 0], "c2": 1}
+        path = tmp_path / "odd.json"
+        path.write_text(json.dumps(doc))
+        code = main(["reductions", "enumerate", "--input", str(path), "--c-trace", "6.2832", "--c-minus", "10"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: inconsistent topological input: twisted Dirac index -1/2 is not an integer\n"
+
+    def test_census_too_large_is_refused_before_it_is_built(self, tmp_path, capsys):
+        doc = problem_doc()
+        doc["bundle"]["rank"] = 4
+        path = tmp_path / "rank4.json"
+        path.write_text(json.dumps(doc))
+        argv = ["reductions", "enumerate", "--input", str(path), "--c-trace", "1", "--c-plus", "0", "--c-minus", "1e6"]
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: census too large: the energy bounds c_plus = 0.0 and c_minus = 1000000.0 ")
+        assert elapsed < 1.0
 
     @pytest.mark.parametrize(
         "argv, flag",

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monopoles import (
     BundleData,
@@ -14,6 +16,7 @@ from monopoles import (
     CurvatureBounds,
     FourManifold,
     InconsistentCandidateError,
+    InconsistentTopologyError,
     SpincStructure,
     chern_weil_c2_window,
     component_dims,
@@ -23,10 +26,12 @@ from monopoles import (
     uhlenbeck_strata,
     whitney_complement,
 )
+from monopoles import reductions
 from monopoles.reductions import identity_metric, lattice_points_in_ball
 
 from conftest import (
     brute_force_ball,
+    characteristic_class,
     hyperbolic,
     inertia_oracle,
     k3_like,
@@ -34,6 +39,7 @@ from conftest import (
     random_symmetric_rational,
     random_unimodular,
     s4_like,
+    unimodular_manifold,
 )
 
 
@@ -303,6 +309,31 @@ class TestPositivity:
                 assert lattice_points_in_ball(metric, 2) == brute_force_ball(metric, Fraction(2))
 
 
+def _random_census(rng, max_rank):
+    """A census on a random unimodular form with a characteristic Spin^c class, rank 2..max_rank."""
+    m = unimodular_manifold(rng, b2_max=4)
+    b2 = m.b2
+    s = SpincStructure(characteristic_class(m, rng))
+    big_n = int(rng.integers(2, max_rank + 1))
+    e = BundleData(
+        big_n,
+        CohClass2(rng.integers(-1, 2, size=b2).tolist()),
+        int(rng.integers(-2, 3)),
+    )
+    gmat = rng.integers(-1, 2, size=(b2, b2))
+    g = tuple(
+        tuple(Fraction(int(x)) for x in row)
+        for row in (gmat.T @ gmat + 2 * np.eye(b2, dtype=int))
+    )
+    bounds = CurvatureBounds(
+        float(rng.uniform(0, 4 * math.pi)),
+        float(rng.uniform(0, 6)),
+        float(rng.uniform(0, 12)),
+        g,
+    )
+    return m, s, e, bounds
+
+
 def _basic_census():
     m = hyperbolic()
     s = SpincStructure(m.zero_class())
@@ -335,32 +366,8 @@ class TestEnumerateReductions:
 
     def test_census_against_brute_force(self):
         """Independent re-enumeration: ball oracle + window + Whitney filter."""
-        from conftest import characteristic_class, unimodular_manifold
-
         rng = make_rng(123)
-        instances = []
-        for _ in range(10):
-            m = unimodular_manifold(rng, b2_max=4)
-            b2 = m.b2
-            s = SpincStructure(characteristic_class(m, rng))
-            big_n = int(rng.integers(2, 4))
-            e = BundleData(
-                big_n,
-                CohClass2(rng.integers(-1, 2, size=b2).tolist()),
-                int(rng.integers(-2, 3)),
-            )
-            gmat = rng.integers(-1, 2, size=(b2, b2))
-            g = tuple(
-                tuple(Fraction(int(x)) for x in row)
-                for row in (gmat.T @ gmat + 2 * np.eye(b2, dtype=int))
-            )
-            bounds = CurvatureBounds(
-                float(rng.uniform(0, 4 * math.pi)),
-                float(rng.uniform(0, 6)),
-                float(rng.uniform(0, 12)),
-                g,
-            )
-            instances.append((m, s, e, bounds))
+        instances = [_random_census(rng, max_rank=3) for _ in range(10)]
         # N = 2 with zero energies: the window of c1 = (1, 1) is [1], which excludes 0
         m = FourManifold("diag", 0, [[1, 0], [0, 1]])
         instances.append(
@@ -392,6 +399,52 @@ class TestEnumerateReductions:
             ]
             assert got == sorted(expected)
             assert rep.pruned_inconsistent == pruned
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), den=st.integers(1, 3), k_max=st.integers(0, 2))
+    def test_census_matches_the_object_route(self, seed, den, k_max):
+        """Each candidate's complement, dimensions and norm equal the object-level functions' (N up to 5).
+
+        Ranks 4 and 5 walk the c2 windows of the ranks 2 <= n < N-1; ``den``
+        puts a denominator in the metric.
+        """
+        m, s, e, bounds = _random_census(make_rng(seed), max_rank=5)
+        g = tuple(tuple(x / den for x in row) for row in bounds.metric)
+        bounds = CurvatureBounds(bounds.c_trace, bounds.c_plus, bounds.c_minus, g)
+        rep = enumerate_reductions(m, e, s, bounds, k_max=k_max)
+        for c in rep.candidates:
+            f, k, v = c.F, c.stratum_k, c.F.c1.coeffs
+            assert c.Fperp == whitney_complement(e, f, m, k)
+            assert (c.dim_un_part, c.dim_asd_part, c.total_dim) == component_dims(e, s, m, f, k)
+            norm_sq = sum(x * g[i][j] * y for i, x in enumerate(v) for j, y in enumerate(v))
+            assert c.c1_norm == math.sqrt(float(norm_sq))
+
+    def test_census_is_counted_exactly_before_it_is_built(self, monkeypatch):
+        """A cap equal to the census size admits it; one less refuses it, naming the energy bounds."""
+        rng = make_rng(5)
+        walked = 0
+        for _ in range(12):
+            m, s, e, bounds = _random_census(rng, max_rank=5)
+            rep = enumerate_reductions(m, e, s, bounds, k_max=2)
+            size = len(rep.candidates)
+            walked += sum(1 < c.F.rank < e.rank - 1 for c in rep.candidates)
+            monkeypatch.setattr(reductions, "MAX_CENSUS_CANDIDATES", size)
+            assert enumerate_reductions(m, e, s, bounds, k_max=2) == rep
+            monkeypatch.setattr(reductions, "MAX_CENSUS_CANDIDATES", size - 1)
+            with pytest.raises(ValueError, match=rf"^census too large: the energy bounds c_plus = .* admit {size} "):
+                enumerate_reductions(m, e, s, bounds, k_max=2)
+            monkeypatch.undo()
+        assert walked > 0  # some instance kept a rank 2 <= n < N-1, whose window is walked
+
+    def test_half_integral_dirac_index_is_refused(self):
+        """c1(s) = 0 is not characteristic for diag(1, -1): the first candidate's index is -1/2."""
+        m = FourManifold("diag", 0, [[1, 0], [0, -1]])
+        bounds = CurvatureBounds(6.2832, 0.0, 10.0, identity_metric(2))
+        with pytest.raises(
+            InconsistentTopologyError,
+            match=r"^inconsistent topological input: twisted Dirac index -1/2 is not an integer$",
+        ):
+            enumerate_reductions(m, BundleData(3, [0, 0], 1), SpincStructure([0, 0]), bounds)
 
     def test_unimodular_basis_change_permutes_census(self, rng):
         m, s, e, bounds = _basic_census()
