@@ -307,17 +307,13 @@ def _p1_su(rank: int, c1_sq: int, c2: int) -> int:
     return (rank - 1) * c1_sq - 2 * rank * c2
 
 
-def _dirac_numerator(rank: int, c1_sq: int, c1_s: int, c2: int, ssq_minus_sig: int) -> int:
-    """Eight times the twisted Dirac index, with ``ssq_minus_sig = <c1(s)^2> - sigma``.
-
-    ``4(<c1^2> - 2<c2> + <c1 . c1(s)>) + N(<c1(s)^2> - sigma)``, an integer.
-    """
-    return 4 * (c1_sq - 2 * c2 + c1_s) + rank * ssq_minus_sig
-
-
 def _dirac_index(rank: int, c1_sq: int, c1_s: int, c2: int, ssq_minus_sig: int) -> int:
-    """:func:`dirac_index` from its integers; a numerator not divisible by 8 raises."""
-    num = _dirac_numerator(rank, c1_sq, c1_s, c2, ssq_minus_sig)
+    """:func:`dirac_index` from its integers, with ``ssq_minus_sig = <c1(s)^2> - sigma``.
+
+    Eight times the index is the integer ``4(<c1^2> - 2<c2> + <c1 . c1(s)>)
+    + N(<c1(s)^2> - sigma)``; one not divisible by 8 raises.
+    """
+    num = 4 * (c1_sq - 2 * c2 + c1_s) + rank * ssq_minus_sig
     if num % 8:
         raise InconsistentTopologyError(
             "inconsistent topological input: twisted Dirac index "
@@ -444,7 +440,6 @@ def _index_terms(bundle, s, manifold, dirac_multiplicity, group_dim, term_name) 
     terms = {
         "p1_su": _p1_su(rank, c1_sq, c2),
         "dirac_index": _dirac_index(*args),
-        "dirac_index_exact": Fraction(_dirac_numerator(*args), 8),
         "dirac_multiplicity": dirac_multiplicity,
         "b2plus": manifold.b2plus,
         "b1": manifold.b1,

@@ -1,10 +1,12 @@
 """Problem-file parsing and canonical JSON serialization.
 
 Input documents describe a manifold, a Spin^c class and a bundle, plus
-optional curvature bounds and run options.  Validation is strict: unknown
-keys are rejected with the offending path, integers must be genuine
-integers (booleans and floats with fractional part are refused), and
-rationals may be written as integers or ``{"num": p, "den": q}`` objects.
+optional curvature bounds and run options.  Their format is stated once, in
+:func:`problem_schema`; the parser walks it and names the first field that
+breaks it by its JSON path.  Unknown keys are refused, a boolean is no
+integer, every float is refused where an integer is expected, a number must
+convert to a finite float, and rationals may be written as integers or
+``{"num": p, "den": q}`` objects.
 
 Serialization is canonical so identical inputs and seeds produce
 byte-identical reports: keys are sorted, exact rationals are emitted as
@@ -53,65 +55,86 @@ class ValidationError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
-def _require_mapping(doc, path):
-    if not isinstance(doc, dict):
-        raise ValidationError(path, "expected a JSON object")
-    return doc
+# the JSON types problem_schema names: the Python types json.load gives them, and their noun
+_JSON_TYPES = {
+    "object": (dict, "a JSON object"),
+    "array": (list, "a JSON array"),
+    "string": (str, "a string"),
+    "integer": (int, "an integer"),
+    "number": ((int, float), "a finite number"),
+}
 
 
-def _reject_unknown(doc: dict, allowed: set[str], path: str):
-    unknown = sorted(set(doc) - allowed)
-    if unknown:
-        raise ValidationError(path, f"unknown keys {unknown}; allowed keys {sorted(allowed)}")
+def _fits(schema: dict, value) -> bool:
+    """Whether ``value`` has the schema's JSON ``type`` and is its ``const`` or in its ``enum``.
+
+    A boolean is no number and equals none, and ``2.0`` is no integer.
+    """
+    kind = schema.get("type")
+    if kind is not None and (type(value) is bool or not isinstance(value, _JSON_TYPES[kind][0])):
+        return False
+    allowed = [schema["const"]] if "const" in schema else schema.get("enum")
+    if allowed is not None and not any(type(value) is type(x) and value == x for x in allowed):
+        return False
+    if kind != "number":
+        return True
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
-def _get(doc: dict, key: str, path: str, required=True, default=None):
-    if key not in doc:
-        if required:
-            raise ValidationError(f"{path}.{key}", "missing required field")
-        return default
-    return doc[key]
+def _describe(schema: dict) -> str:
+    """What ``schema`` admits, in words, for an error message."""
+    if "const" in schema:
+        return json.dumps(schema["const"])
+    return f"one of {schema['enum']}" if "enum" in schema else _JSON_TYPES[schema["type"]][1]
 
 
-def _int_field(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(path, f"expected an integer, got {value!r}")
-    return value
+def _validate(schema: dict, value, path: str) -> None:
+    """Raise :class:`ValidationError` at the JSON path where ``value`` first breaks ``schema``.
+
+    Reads the keywords :func:`problem_schema` uses: ``oneOf``, whose
+    branches differ in their ``type`` or ``const`` (the branch that fits
+    the value is walked), ``type``, ``const``, ``enum``, ``minimum``,
+    ``items``, and ``properties`` with its ``required`` and
+    ``additionalProperties: false``.  Annotations such as ``title`` are
+    ignored.
+    """
+    if "oneOf" in schema:
+        branches = [b for b in schema["oneOf"] if _fits(b, value)]
+        if not branches:
+            wanted = " or ".join(_describe(b) for b in schema["oneOf"])
+            raise ValidationError(path, f"expected {wanted}, got {value!r}")
+        _validate(branches[0], value, path)
+    if not _fits(schema, value):
+        raise ValidationError(path, f"expected {_describe(schema)}, got {value!r}")
+    if "minimum" in schema and value < schema["minimum"]:
+        raise ValidationError(path, f"must be >= {schema['minimum']}, got {value!r}")
+    if "items" in schema:
+        for i, item in enumerate(value):
+            _validate(schema["items"], item, f"{path}[{i}]")
+    known = schema.get("properties")
+    if known is not None:
+        if schema.get("additionalProperties") is False:
+            unknown = sorted(set(value) - set(known))
+            if unknown:
+                raise ValidationError(path, f"unknown keys {unknown}; allowed keys {sorted(known)}")
+        for key in schema.get("required", ()):
+            if key not in value:
+                raise ValidationError(f"{path}.{key}", "missing required field")
+        for key, sub in known.items():
+            if key in value:
+                _validate(sub, value[key], f"{path}.{key}")
 
 
-def _number_field(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(path, f"expected a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ValidationError(path, f"expected a finite number, got {value!r}")
-    return float(value)
-
-
-def _rational_field(value, path: str) -> Fraction:
-    if isinstance(value, bool):
-        raise ValidationError(path, "expected a rational number")
+def _rational(value, path: str) -> Fraction:
+    """A rational the schema admitted: an integer, or ``{"num", "den"}`` with a nonzero ``den``."""
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, dict):
-        _reject_unknown(value, {"num", "den"}, path)
-        num = _int_field(_get(value, "num", path), f"{path}.num")
-        den = _int_field(_get(value, "den", path), f"{path}.den")
-        if den == 0:
-            raise ValidationError(f"{path}.den", "denominator must be nonzero")
-        return Fraction(num, den)
-    raise ValidationError(path, f"expected an integer or {{num, den}} object, got {value!r}")
-
-
-def _int_vector(value, path: str) -> tuple[int, ...]:
-    if not isinstance(value, list):
-        raise ValidationError(path, "expected a list of integers")
-    return tuple(_int_field(v, f"{path}[{i}]") for i, v in enumerate(value))
-
-
-def _int_matrix(value, path: str) -> tuple[tuple[int, ...], ...]:
-    if not isinstance(value, list):
-        raise ValidationError(path, "expected a list of rows (possibly empty for b2 = 0)")
-    return tuple(_int_vector(row, f"{path}[{i}]") for i, row in enumerate(value))
+    if value["den"] == 0:
+        raise ValidationError(f"{path}.den", "denominator must be nonzero")
+    return Fraction(value["num"], value["den"])
 
 
 @dataclass(frozen=True)
@@ -210,90 +233,56 @@ def problem_schema() -> dict:
     }
 
 
-def parse_metric(g: Any, b2: int, path: str) -> tuple[tuple[Fraction, ...], ...]:
-    """A ``b2 x b2`` harmonic metric: ``"identity"`` or a matrix of rationals at ``path``."""
+def _metric(g, b2: int, path: str) -> tuple[tuple[Fraction, ...], ...]:
+    """The metric the schema admitted at ``path``, as a ``b2 x b2`` matrix of rationals."""
     if g == "identity":
         return identity_metric(b2)
-    if not isinstance(g, list):
-        raise ValidationError(path, "expected \"identity\" or a matrix of rationals")
-    rows = []
-    for i, row in enumerate(g):
-        if not isinstance(row, list):
-            raise ValidationError(f"{path}[{i}]", "expected a list of rationals")
-        rows.append(tuple(_rational_field(x, f"{path}[{i}][{j}]") for j, x in enumerate(row)))
+    rows = tuple(tuple(_rational(x, f"{path}[{i}][{j}]") for j, x in enumerate(row)) for i, row in enumerate(g))
     if len(rows) != b2 or any(len(r) != b2 for r in rows):
         raise ValidationError(path, f"expected a {b2}x{b2} matrix")
-    return tuple(rows)
+    return rows
+
+
+def parse_metric(g: Any, b2: int, path: str) -> tuple[tuple[Fraction, ...], ...]:
+    """A ``b2 x b2`` harmonic metric at ``path``, in the form of the schema's ``bounds.g``."""
+    _validate(problem_schema()["properties"]["bounds"]["properties"]["g"], g, path)
+    return _metric(g, b2, path)
 
 
 def parse_problem(doc: Any) -> Problem:
-    """Validate a problem document against the published schema, strictly."""
-    doc = _require_mapping(doc, "$")
-    _reject_unknown(doc, {"manifold", "spinc", "bundle", "bounds", "options"}, "$")
+    """Validate a problem document against :func:`problem_schema`, then build it.
 
-    mdoc = _require_mapping(_get(doc, "manifold", "$"), "$.manifold")
-    _reject_unknown(mdoc, {"name", "b1", "b2plus", "intersection_form"}, "$.manifold")
-    name = _get(mdoc, "name", "$.manifold")
-    if not isinstance(name, str):
-        raise ValidationError("$.manifold.name", "expected a string")
-    b1 = _int_field(_get(mdoc, "b1", "$.manifold"), "$.manifold.b1")
-    form = _int_matrix(_get(mdoc, "intersection_form", "$.manifold"), "$.manifold.intersection_form")
-    b2plus = _get(mdoc, "b2plus", "$.manifold", required=False)
-    if b2plus is not None:
-        b2plus = _int_field(b2plus, "$.manifold.b2plus")
+    The schema walk checks every key, type and minimum.  What a schema
+    cannot state is checked while building: class lengths against ``b2``,
+    nonzero denominators and the metric's size at their field; ``b2plus``
+    against the form, the line-bundle rule and metric positivity in the
+    constructors, reported at their block.
+    """
+    _validate(problem_schema(), doc, "$")
+    mdoc, sdoc, bdoc = doc["manifold"], doc["spinc"], doc["bundle"]
     try:
-        manifold = FourManifold(name, b1, form, b2plus)
+        manifold = FourManifold(mdoc["name"], mdoc["b1"], mdoc["intersection_form"], mdoc.get("b2plus"))
     except ValueError as exc:
         raise ValidationError("$.manifold", str(exc)) from None
-
-    sdoc = _require_mapping(_get(doc, "spinc", "$"), "$.spinc")
-    _reject_unknown(sdoc, {"c1"}, "$.spinc")
-    c1s = _int_vector(_get(sdoc, "c1", "$.spinc"), "$.spinc.c1")
-    if len(c1s) != manifold.b2:
-        raise ValidationError("$.spinc.c1", f"length {len(c1s)} does not match b2={manifold.b2}")
-    spinc = SpincStructure(CohClass2(c1s))
-
-    bdoc = _require_mapping(_get(doc, "bundle", "$"), "$.bundle")
-    _reject_unknown(bdoc, {"rank", "c1", "c2"}, "$.bundle")
-    rank = _int_field(_get(bdoc, "rank", "$.bundle"), "$.bundle.rank")
-    c1 = _int_vector(_get(bdoc, "c1", "$.bundle"), "$.bundle.c1")
-    if len(c1) != manifold.b2:
-        raise ValidationError("$.bundle.c1", f"length {len(c1)} does not match b2={manifold.b2}")
-    c2 = _int_field(_get(bdoc, "c2", "$.bundle"), "$.bundle.c2")
+    for path, c1 in (("$.spinc.c1", sdoc["c1"]), ("$.bundle.c1", bdoc["c1"])):
+        if len(c1) != manifold.b2:
+            raise ValidationError(path, f"length {len(c1)} does not match b2={manifold.b2}")
+    spinc = SpincStructure(sdoc["c1"])
     try:
-        bundle = BundleData(rank, CohClass2(c1), c2)
+        bundle = BundleData(bdoc["rank"], bdoc["c1"], bdoc["c2"])
     except ValueError as exc:
         raise ValidationError("$.bundle", str(exc)) from None
 
     bounds = None
     if "bounds" in doc:
-        kdoc = _require_mapping(doc["bounds"], "$.bounds")
-        _reject_unknown(kdoc, {"c_trace", "c_plus", "c_minus", "g"}, "$.bounds")
-        c_trace = _number_field(_get(kdoc, "c_trace", "$.bounds"), "$.bounds.c_trace")
-        c_plus = _number_field(_get(kdoc, "c_plus", "$.bounds"), "$.bounds.c_plus")
-        c_minus = _number_field(_get(kdoc, "c_minus", "$.bounds"), "$.bounds.c_minus")
-        metric = parse_metric(kdoc.get("g", "identity"), manifold.b2, "$.bounds.g")
+        kdoc = doc["bounds"]
+        metric = _metric(kdoc.get("g", "identity"), manifold.b2, "$.bounds.g")
         try:
-            bounds = CurvatureBounds(c_trace, c_plus, c_minus, metric)
+            bounds = CurvatureBounds(kdoc["c_trace"], kdoc["c_plus"], kdoc["c_minus"], metric)
         except ValueError as exc:
             raise ValidationError("$.bounds", str(exc)) from None
 
-    odoc = doc.get("options", {})
-    odoc = _require_mapping(odoc, "$.options")
-    _reject_unknown(odoc, {"dirac_multiplicity", "kmax"}, "$.options")
-    defaults = RunOptions()
-    mult = _int_field(
-        odoc.get("dirac_multiplicity", defaults.dirac_multiplicity),
-        "$.options.dirac_multiplicity",
-    )
-    if mult not in (1, 2):
-        raise ValidationError("$.options.dirac_multiplicity", "must be 1 or 2")
-    kmax = _int_field(odoc.get("kmax", defaults.kmax), "$.options.kmax")
-    if kmax < 0:
-        raise ValidationError("$.options.kmax", "must be nonnegative")
-    options = RunOptions(mult, kmax)
-
-    return Problem(manifold, spinc, bundle, bounds, options, raw=doc)
+    return Problem(manifold, spinc, bundle, bounds, RunOptions(**doc.get("options", {})), raw=doc)
 
 
 def _read_json(path: str, field: str) -> Any:
@@ -301,7 +290,7 @@ def _read_json(path: str, field: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # also an integer literal beyond Python's 4300-digit limit
             raise ValidationError(field, f"malformed JSON: {exc}") from None
 
 

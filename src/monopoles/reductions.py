@@ -23,7 +23,8 @@ private index functions of :mod:`cohomology`, with no pairing.  For rank
 ``N-1`` the line-bundle complement has ``c2 = 0``, which forces ``c2(F) =
 c2(E) - k - <c1(F) c1(Fperp)>``: that single value is checked against the
 window instead of walking the window, and the other window entries are
-counted as pruned, as a walk would have counted them.  Before any candidate
+counted as pruned, as a walk would have counted them; the strata past the
+last one that keeps a candidate are counted so, unwalked.  Before any candidate
 is built the census is counted by the same range arithmetic, and one larger
 than :data:`MAX_CENSUS_CANDIDATES` is refused.
 
@@ -349,20 +350,24 @@ class _BallClass(NamedTuple):
     c1_norm: float
 
 
+def _top_strata(c: _BallClass, big_n: int, k_max: int, c2: int) -> range:
+    """The strata ``k <= k_max`` in which rank ``N-1`` keeps its one candidate on class ``c``."""
+    top = _eligible(big_n - 1, c.window)
+    base = c2 - c.pairing  # the line-bundle complement forces c2(F) = base - k
+    return range(max(0, base - top.stop + 1), min(k_max, base - top.start) + 1)
+
+
 def _census_size(classes: list[_BallClass], big_n: int, k_max: int, c2: int) -> int:
     """The number of candidates :func:`enumerate_reductions` keeps, by range arithmetic.
 
     Ranks ``1..N-2`` keep their whole eligible window in every stratum; rank
-    ``N-1`` keeps ``c2(F) = c2 - k - <c1F . c1Fperp>`` in the strata ``k``
-    that put it inside its eligible window.  No window is walked.
+    ``N-1`` keeps one candidate per stratum of :func:`_top_strata`.  No
+    window is walked.
     """
     size = 0
     for c in classes:
         below = (_width(_eligible(1, c.window)) + (big_n - 3) * _width(c.window)) if big_n > 2 else 0
-        top = _eligible(big_n - 1, c.window)
-        base = c2 - c.pairing  # rank N-1 has c2(F) = base - k
-        strata = range(max(0, base - top.stop + 1), min(k_max, base - top.start) + 1)
-        size += (k_max + 1) * below + _width(strata)
+        size += (k_max + 1) * below + _width(_top_strata(c, big_n, k_max, c2))
     return size
 
 
@@ -435,7 +440,14 @@ def enumerate_reductions(
     for n in range(1, big_n):
         tau = tau_parameter(n, big_n)
         rank_perp = big_n - n
-        for k in range(k_max + 1):
+        k_stop = k_max + 1
+        if rank_perp == 1:
+            # no stratum past the last one that keeps a candidate is walked: its
+            # eligible entries are all pruned, and counted here
+            kept = [_top_strata(c, big_n, k_max, bundle.c2) for c in classes]
+            k_stop = max((r.stop for r in kept if _width(r)), default=0)
+            pruned += (k_max + 1 - k_stop) * sum(_width(_eligible(n, c.window)) for c in classes)
+        for k in range(k_stop):
             for c1f, c1_perp, window, f_sq, f_s, pairing, perp_sq, c1_norm in classes:
                 eligible = _eligible(n, window)
                 if rank_perp == 1:

@@ -267,7 +267,7 @@ class TestDiracIndex:
             dirac_index(BundleData(1, [1], 0), s, m)
 
     def test_integer_numerator_is_the_rational_formula(self):
-        """The index and ``dirac_index_exact`` are the Fraction formula; a non-integral one raises, named exactly."""
+        """The index, also as the reports' ``dirac_index``, is the Fraction formula; a non-integral one raises, named exactly."""
         rng = make_rng(29)
         raised = 0
         for _ in range(60):
@@ -279,7 +279,7 @@ class TestDiracIndex:
             want = Fraction(c1sq - 2 * e.c2 + mixed, 2) + Fraction(n, 8) * (ssq - m.signature)
             if want.denominator == 1:
                 assert dirac_index(e, s, m) == want
-                assert un_dimension_report(e, s, m)["dirac_index_exact"] == want
+                assert un_dimension_report(e, s, m)["dirac_index"] == want
             else:
                 raised += 1
                 with pytest.raises(InconsistentTopologyError, match=f"index {want} is not an integer$"):

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -612,6 +613,55 @@ class TestCli:
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("error: census too large: the energy bounds c_plus = 0.0 and c_minus = 1000000.0 ")
         assert elapsed < 1.0
+
+    @pytest.mark.parametrize(
+        "block, key, value, field",
+        [
+            ("manifold", "b2plus", None, "$.manifold.b2plus"),
+            ("manifold", "b1", -1, "$.manifold.b1"),
+            ("bundle", "rank", 0, "$.bundle.rank"),
+            ("bounds", "c_trace", 10**400, "$.bounds.c_trace"),
+            ("bounds", "c_minus", -10**400, "$.bounds.c_minus"),
+        ],
+    )
+    def test_problem_file_fault_exits_2_naming_its_field(self, block, key, value, field, tmp_path, capsys):
+        doc = problem_doc()
+        doc.setdefault(block, {"c_trace": 6.2832, "c_plus": 0, "c_minus": 0})[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))  # a huge integer is written as an integer literal
+        code = main(["reductions", "enumerate", "--input", str(path), "--c-trace", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith(f"error: {field}: ")
+
+    def test_integer_literal_beyond_the_digit_limit_is_malformed_json(self, tmp_path, capsys):
+        path = tmp_path / "digits.json"
+        path.write_text(json.dumps(problem_doc()).replace('"c2": 1', '"c2": ' + "1" * 5000))
+        code = main(["dim", "pun", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: $: malformed JSON: Exceeds the limit")
+
+    def test_census_walks_no_stratum_past_the_last_kept(self, tmp_path, monkeypatch, capsys):
+        """Rank N-1 keeps at most one stratum per class; the strata past the last are counted as pruned."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "problem.json").write_text(json.dumps(problem_doc()))
+        argv = ["reductions", "enumerate", "--input", "problem.json", "--c-trace", "6.2832", "--kmax", "100000"]
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert code == 0
+        # the report of the census that walked all 100 001 strata
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "6aa55e459dbcf72b3b9e379c9df64a27ad966af183f51fc83f5dfa7d131e01ed"
+        )
+        assert json.loads(out)["result"]["pruned_inconsistent"] == 5 * 100000
+        (tmp_path / "huge.json").write_text(json.dumps(problem_doc(options={"kmax": 10**400})))
+        start = time.perf_counter()
+        code = main(["reductions", "enumerate", "--input", "huge.json", "--c-trace", "6.2832"])
+        elapsed = time.perf_counter() - start
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert code == 0 and elapsed < 1.0
+        assert result["count"] == 5 and result["pruned_inconsistent"] == 5 * 10**400
 
     @pytest.mark.parametrize(
         "argv, flag",

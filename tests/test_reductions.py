@@ -1,6 +1,7 @@
 """Reduction census, Whitney arithmetic, strata and the tau=0 verdict."""
 
 import dataclasses
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -375,14 +376,15 @@ class TestEnumerateReductions:
              CurvatureBounds(3 * math.pi, 0.0, 0.0, identity_metric(2)))
         )
         assert list(chern_weil_c2_window(CohClass2([1, 1]), m, instances[-1][3])) == [1]
-        for m, s, e, bounds in instances:
-            rep = enumerate_reductions(m, e, s, bounds, k_max=1)
-            # oracle: rebuild the census from scratch
+        skipped = 0  # censuses whose rank N-1 keeps no candidate in the last stratum
+        for (m, s, e, bounds), k_max in itertools.product(instances, (1, 9)):
+            rep = enumerate_reductions(m, e, s, bounds, k_max=k_max)
+            # oracle: rebuild the census from scratch, walking every stratum
             r = Fraction(bounds.c_trace / (2 * math.pi))
             expected = []
             pruned = 0
             for n in range(1, e.rank):
-                for k in (0, 1):
+                for k in range(k_max + 1):
                     for v in brute_force_ball(bounds.metric, r * r):
                         for c2f in chern_weil_c2_window(CohClass2(v), m, bounds):
                             if n == 1 and c2f != 0:
@@ -399,6 +401,8 @@ class TestEnumerateReductions:
             ]
             assert got == sorted(expected)
             assert rep.pruned_inconsistent == pruned
+            skipped += max((c.stratum_k for c in rep.candidates if c.F.rank == e.rank - 1), default=-1) < k_max
+        assert skipped > 0
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), den=st.integers(1, 3), k_max=st.integers(0, 2))
