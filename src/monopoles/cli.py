@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import contextlib
+import functools
 import io
 import json
 import math
@@ -62,6 +63,7 @@ from .jsonio import (
     problem_schema,
 )
 from .reductions import (
+    MAX_STRATA_ROWS,
     CurvatureBounds,
     enumerate_reductions,
     generic_tau0_vanishing,
@@ -125,7 +127,16 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on the first :func:`main` call.
+
+    Parsing reads the tree and never changes it, so one tree serves every
+    call.  Each command's handler is bound when the tree is built, through
+    ``set_defaults(run=...)``: rebinding a ``_run_*`` name afterwards does
+    not reach ``main``.  What the handlers call (``load_problem``,
+    ``canonical_dumps``, ...) they still look up at call time.
+    """
     parser = _Parser(
         prog="monopoles",
         description="expected dimensions, spinor-map certificates, Kahler fiber "
@@ -341,10 +352,16 @@ def _run_reductions(args, argv, start_time) -> int:
 
 def _run_strata(args, argv, start_time) -> int:
     problem = load_problem(args.input)
-    rows = uhlenbeck_strata(
-        problem.bundle, problem.manifold, problem.spinc,
-        _option(args, problem, "kmax"), _option(args, problem, "dirac_multiplicity"),
-    )
+    k_max = _option(args, problem, "kmax")
+    try:
+        rows = uhlenbeck_strata(
+            problem.bundle, problem.manifold, problem.spinc, k_max, _option(args, problem, "dirac_multiplicity")
+        )
+    except ValueError as exc:
+        if k_max < MAX_STRATA_ROWS:
+            raise
+        # the row cap, checked first: name the field k_max came from
+        raise ValidationError("$.options.kmax" if args.kmax is None else "--kmax", str(exc)) from None
     result = {
         "strata": [
             {

@@ -3,20 +3,25 @@
 Input documents describe a manifold, a Spin^c class and a bundle, plus
 optional curvature bounds and run options.  Their format is stated once, in
 :func:`problem_schema`; the parser walks it and names the first field that
-breaks it by its JSON path.  Unknown keys are refused, a boolean is no
-integer, every float is refused where an integer is expected, a number must
-convert to a finite float, and rationals may be written as integers or
-``{"num": p, "den": q}`` objects.
+breaks it by its JSON path, quoting the offending value as its JSON token
+(``null``, ``true``, ``"Identity"``), cut short past 40 characters.
+Unknown keys are refused, a boolean is no integer, every float is refused
+where an integer is expected, a number must convert to a finite float, and
+rationals may be written as integers or ``{"num": p, "den": q}`` objects.
 
 Serialization is canonical so identical inputs and seeds produce
 byte-identical reports: keys are sorted, exact rationals are emitted as
 ``{"num", "den"}`` objects rather than corrupted to floats, complex numbers
 as ``{"re", "im"}``, and floats through their shortest round-trip repr.
 Reports are strict JSON: ``NaN`` and infinities are refused on input and
-output alike.  The JSON encoder walks each report once: it recurses
-through dicts, lists and tuples itself and calls :func:`to_jsonable` only
-for a value it cannot encode, which the hook turns into one level of
-encodable structure.
+output alike.  :func:`canonical_dumps` is a direct encoder that walks each
+report once and builds every container with one ``str.join``; it calls
+:func:`to_jsonable` only for a value it cannot encode, which the hook
+turns into one level of encodable structure.  Its text is, byte for byte,
+that of ``json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": "),
+allow_nan=False, default=to_jsonable)``, whose indented form runs the
+stdlib's pure-Python encoder at about twice the cost;
+``tests/test_jsonio_cli.py::TestEncoderOracle`` holds it to that call.
 """
 
 from __future__ import annotations
@@ -88,7 +93,17 @@ def _describe(schema: dict) -> str:
     """What ``schema`` admits, in words, for an error message."""
     if "const" in schema:
         return json.dumps(schema["const"])
-    return f"one of {schema['enum']}" if "enum" in schema else _JSON_TYPES[schema["type"]][1]
+    return f"one of {json.dumps(schema['enum'])}" if "enum" in schema else _JSON_TYPES[schema["type"]][1]
+
+
+# an offending value is quoted in an error message up to this many characters
+_TOKEN_CHARS = 40
+
+
+def _token(value) -> str:
+    """``value`` as its JSON token for an error message, cut with ``...`` past :data:`_TOKEN_CHARS`."""
+    text = json.dumps(value)
+    return text if len(text) <= _TOKEN_CHARS else text[: _TOKEN_CHARS - 3] + "..."
 
 
 def _validate(schema: dict, value, path: str) -> None:
@@ -105,12 +120,12 @@ def _validate(schema: dict, value, path: str) -> None:
         branches = [b for b in schema["oneOf"] if _fits(b, value)]
         if not branches:
             wanted = " or ".join(_describe(b) for b in schema["oneOf"])
-            raise ValidationError(path, f"expected {wanted}, got {value!r}")
+            raise ValidationError(path, f"expected {wanted}, got {_token(value)}")
         _validate(branches[0], value, path)
     if not _fits(schema, value):
-        raise ValidationError(path, f"expected {_describe(schema)}, got {value!r}")
+        raise ValidationError(path, f"expected {_describe(schema)}, got {_token(value)}")
     if "minimum" in schema and value < schema["minimum"]:
-        raise ValidationError(path, f"must be >= {schema['minimum']}, got {value!r}")
+        raise ValidationError(path, f"must be >= {schema['minimum']}, got {_token(value)}")
     if "items" in schema:
         for i, item in enumerate(value):
             _validate(schema["items"], item, f"{path}[{i}]")
@@ -119,7 +134,9 @@ def _validate(schema: dict, value, path: str) -> None:
         if schema.get("additionalProperties") is False:
             unknown = sorted(set(value) - set(known))
             if unknown:
-                raise ValidationError(path, f"unknown keys {unknown}; allowed keys {sorted(known)}")
+                raise ValidationError(
+                    path, f"unknown keys {_token(unknown)}; allowed keys {json.dumps(sorted(known))}"
+                )
         for key in schema.get("required", ()):
             if key not in value:
                 raise ValidationError(f"{path}.{key}", "missing required field")
@@ -322,17 +339,114 @@ def to_jsonable(obj: Any) -> Any:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+# the stdlib encoder's scalar spellings, which canonical_dumps reproduces
+_quote = json.encoder.encode_basestring_ascii
+_int_text = int.__repr__
+
+
+def _float_text(x: float) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+
+
+def _key_text(key) -> str:
+    """A dict key that is not exactly a ``str``, quoted as the stdlib encoder spells it."""
+    if isinstance(key, str):
+        return _quote(key)
+    if isinstance(key, float):
+        return _quote(_float_text(key))
+    if key is True or key is False or key is None:
+        return _quote(json.dumps(key))
+    if isinstance(key, int):
+        return _quote(_int_text(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _encode(obj, nl: str) -> str:
+    """The canonical text of ``obj``; ``nl`` is the newline and indent of the line it starts on.
+
+    Exact types are dispatched first; subclasses then take the stdlib
+    encoder's ``isinstance`` order, and anything else goes to the hook.
+    """
+    kind = type(obj)
+    if kind is str:
+        return _quote(obj)
+    if kind is int:
+        return _int_text(obj)
+    if kind is float:
+        return _float_text(obj)
+    if kind is list or kind is tuple:
+        return _encode_array(obj, nl)
+    if kind is dict:
+        return _encode_object(obj, nl)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, int):
+        return _int_text(obj)
+    if isinstance(obj, float):
+        return _float_text(obj)
+    if isinstance(obj, (list, tuple)):
+        return _encode_array(obj, nl)
+    if isinstance(obj, dict):
+        return _encode_object(obj, nl)
+    return _encode(to_jsonable(obj), nl)
+
+
+_PLAIN_INTS = {int}
+
+
+def _encode_array(items, nl: str) -> str:
+    if not items:
+        return "[]"
+    inner = nl + "  "
+    if set(map(type, items)) == _PLAIN_INTS:  # a class's coefficients: most arrays of a census
+        body = map(_int_text, items)
+    else:
+        body = [_encode(x, inner) for x in items]
+    return "[" + inner + ("," + inner).join(body) + nl + "]"
+
+
+def _encode_object(mapping, nl: str) -> str:
+    if not mapping:
+        return "{}"
+    inner = nl + "  "
+    body = [
+        (_quote(k) if type(k) is str else _key_text(k)) + ": " + _encode(v, inner)
+        for k, v in sorted(mapping.items())
+    ]
+    return "{" + inner + ("," + inner).join(body) + nl + "}"
+
+
 def canonical_dumps(obj: Any) -> str:
     """Deterministic strict JSON text: sorted keys, fixed separators, 2-space indent.
 
-    ``obj`` goes to the encoder as it is, with :func:`to_jsonable` as the
-    hook for package objects, so the report is walked once.  Non-finite
-    floats raise ``ValueError`` instead of becoming the bare
-    ``NaN``/``Infinity`` tokens that strict JSON parsers reject.
+    The text is that of ``json.dumps(obj, sort_keys=True, indent=2,
+    separators=(",", ": "), allow_nan=False, default=to_jsonable)``, errors
+    included: strings are ASCII-escaped as ``encode_basestring_ascii`` does,
+    ints and floats spelled by ``int.__repr__`` and ``float.__repr__`` (also
+    for their subclasses), non-string keys as the stdlib converts them, and
+    a non-finite float raises ``ValueError`` instead of becoming a bare
+    ``NaN``/``Infinity`` token that strict JSON parsers reject.
+    :func:`to_jsonable` is the hook for package objects, so the report is
+    walked once.  The encoder keeps no record of the containers it is
+    inside: a circular structure recurses until ``RecursionError``, and only
+    then does the stdlib encoder, whose markers find the cycle, take over to
+    raise its ``ValueError("Circular reference detected")``, or to encode a
+    structure that is merely deep.
     """
-    return json.dumps(
-        obj, sort_keys=True, indent=2, separators=(",", ": "), allow_nan=False, default=to_jsonable
-    )
+    try:
+        return _encode(obj, "\n")
+    except RecursionError:
+        return json.dumps(
+            obj, sort_keys=True, indent=2, separators=(",", ": "), allow_nan=False, default=to_jsonable
+        )
 
 
 def input_sha256(doc: Any) -> str:

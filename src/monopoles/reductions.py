@@ -87,6 +87,13 @@ __all__ = [
 # above that is refused before any candidate is built.
 MAX_CENSUS_CANDIDATES = 2**30 // 8192
 
+# A strata table holds one row per stratum 0..k_max.  Through the CLI one row
+# costs about 1.5 KB of peak memory (measured between 2*10^4 and 5*10^4 rows).
+# Every row follows from the first by the drops stated in uhlenbeck_strata, so
+# a long table says nothing a short one does not: its budget is 128 MiB, an
+# eighth of the census's, which holds 87 381 rows.
+MAX_STRATA_ROWS = 2**27 // 1536
+
 
 class InconsistentCandidateError(ValueError):
     """A forced complement violates line-bundle Chern constraints."""
@@ -517,9 +524,14 @@ def uhlenbeck_strata(
     * the twisted Dirac index rises by ``k``, since it contains ``-<c2>``;
     * the expected dimension therefore drops by ``(4N - m)k``: ``(4N-2)k``
       with the default ``m = 2``, the classical 6 per level for ``N = 2``.
+
+    A ``k_max`` of :data:`MAX_STRATA_ROWS` or more is refused before any row
+    is built.
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
+    if k_max >= MAX_STRATA_ROWS:
+        raise ValueError(f"too many strata: k_max must be below {MAX_STRATA_ROWS}, the cap on strata rows")
     rows = []
     for k in range(k_max + 1):
         b_k = BundleData(bundle.rank, bundle.c1, bundle.c2 - k)

@@ -5,22 +5,25 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from monopoles import cli
 from monopoles.cli import main
 from monopoles.cohomology import CohClass2
 from monopoles.mu_kernel import SpinorPair, properness_constant_estimate, zero_divisor_margin
-from monopoles.reductions import enumerate_reductions
+from monopoles.reductions import MAX_STRATA_ROWS, enumerate_reductions
 from monopoles.suites import _KAEHLER_CHECKS, _MU_CHECKS, CheckResult, SuiteReport
 from monopoles.jsonio import (
     ValidationError,
@@ -68,7 +71,7 @@ class TestValidation:
         assert p.options.kmax == 0
 
     def test_unknown_top_level_key(self):
-        with pytest.raises(ValidationError, match=r"\$: unknown keys \['extra'\]"):
+        with pytest.raises(ValidationError, match=r'\$: unknown keys \["extra"\]'):
             parse_problem(problem_doc(extra=1))
 
     def test_unknown_nested_key_named(self):
@@ -119,7 +122,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("key, value", [("seed", 7), ("starts", 4), ("tol", 1e-6), ("positivity_floor", 0.1)])
     def test_options_nothing_reads_are_unknown_keys(self, key, value):
-        with pytest.raises(ValidationError, match=rf"\$\.options: unknown keys \['{key}'\]"):
+        with pytest.raises(ValidationError, match=rf'\$\.options: unknown keys \["{key}"\]'):
             parse_problem(problem_doc(options={key: value}))
         assert key not in problem_schema()["properties"]["options"]["properties"]
 
@@ -350,6 +353,159 @@ class TestSerializerOracle:
         width = max(len(k) for k, _ in leaves)
         tokens = [(k, v if isinstance(v, str) else json.dumps(v)) for k, v in leaves]
         assert table == "".join(f"{k.ljust(width)}  {v}\n" for k, v in tokens)
+
+
+# --- the direct encoder against the stdlib call it replaced ---
+
+
+def stdlib_dumps(obj) -> str:
+    """The deliberate oracle: the call ``canonical_dumps`` once was."""
+    return json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": "), allow_nan=False, default=to_jsonable)
+
+
+def outcome(dumps, obj):
+    """The text ``dumps(obj)`` returns, or the type and message of what it raises."""
+    try:
+        return dumps(obj)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# subclasses whose repr differs from their JSON token: the encoder must not call it
+class _Str(str):
+    def __repr__(self):
+        return "_Str!"
+
+
+class _Int(int):
+    def __repr__(self):
+        return "_Int!"
+
+
+class _Float(float):
+    def __repr__(self):
+        return "_Float!"
+
+
+class _List(list):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+@dataclasses.dataclass
+class _Record:
+    name: object
+    value: object
+    raw: object = None  # never serialized
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_INTS = st.one_of(st.integers(), st.sampled_from([2**64, -(2**63) - 1, 10**100, -(10**300)]))
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    _INTS,
+    _FINITE,
+    st.sampled_from([-0.0, 5e-324, 1e308, -1e308, 0.1]),
+    st.text(st.characters(), max_size=8),  # non-ASCII and control characters
+    st.text(st.characters(codec=None, exclude_categories=()), max_size=4),  # lone surrogates too
+    st.builds(_Str, st.text(max_size=4)),
+    st.builds(_Int, _INTS),
+    st.builds(_Float, _FINITE),
+    st.fractions(),
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+    st.builds(CohClass2, st.lists(st.integers(-9, 9), max_size=4)),
+    st.builds(np.float64, _FINITE),
+    st.builds(np.float32, st.floats(width=32, allow_nan=False, allow_infinity=False)),
+    st.builds(np.int64, st.integers(-(2**63), 2**63 - 1)),
+    st.builds(np.bool_, st.booleans()),
+    st.builds(np.complex128, st.complex_numbers(allow_nan=False, allow_infinity=False)),
+    hnp.arrays(np.int64, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3)),
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3), elements=_FINITE),
+)
+# what the stdlib refuses: non-finite floats, unknown types, and keys it cannot convert or sort
+_FAULTS = st.sampled_from([
+    math.nan, math.inf, -math.inf, np.float64("nan"), _Float("-inf"), complex(1.0, math.inf),
+    object(), {1, 2}, b"bytes", {(1,): 0}, {math.nan: 0}, {"a": 0, 1: 0}, {None: 0, "b": 0},
+])
+
+_FAULTY_LEAVES = st.integers(0, 3).flatmap(lambda i: _FAULTS if i == 0 else _SCALARS)  # one leaf in four
+
+
+def _dicts(children):
+    """Dicts keyed one way each: strings, numbers and booleans (which compare), or a lone ``None``."""
+    return st.one_of(
+        st.dictionaries(st.one_of(st.text(max_size=4), st.builds(_Str, st.text(max_size=4))), children, max_size=4),
+        st.dictionaries(st.one_of(_INTS, _FINITE, st.booleans(), st.builds(_Int, _INTS)), children, max_size=4),
+        st.dictionaries(st.none(), children, max_size=1),
+    )
+
+
+def _trees(leaves):
+    return st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            st.lists(children, max_size=4).map(_List),
+            _dicts(children),
+            _dicts(children).map(_Dict),
+            st.builds(_Record, children, children, children),
+            st.lists(_INTS, max_size=6),  # the encoder's all-int path
+        ),
+        max_leaves=16,
+    )
+
+
+class TestEncoderOracle:
+    """``canonical_dumps`` is the stdlib call ``stdlib_dumps``, byte for byte and error for error."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(tree=_trees(_SCALARS))
+    def test_text_and_hash_equal_the_stdlib_call(self, tree):
+        expected = outcome(stdlib_dumps, tree)
+        assert outcome(canonical_dumps, tree) == expected
+        if isinstance(expected, str):
+            assert input_sha256(tree) == hashlib.sha256(expected.encode("utf-8")).hexdigest()
+
+    @settings(max_examples=300, deadline=None)
+    @given(tree=_trees(_FAULTY_LEAVES))
+    def test_errors_equal_the_stdlib_call(self, tree):
+        assert outcome(canonical_dumps, tree) == outcome(stdlib_dumps, tree)
+
+    @pytest.mark.parametrize("fault", [math.nan, math.inf, -math.inf, np.float64("nan"), _Float("inf")])
+    def test_non_finite_float_message(self, fault):
+        expected = f"Out of range float values are not JSON compliant: {fault!r}"
+        for obj in (fault, [1, fault], {"x": fault}, {fault: 1}):
+            with pytest.raises(ValueError) as exc:
+                canonical_dumps(obj)
+            assert str(exc.value) == expected
+            assert outcome(stdlib_dumps, obj) == (ValueError, expected)
+
+    @pytest.mark.parametrize("obj, name", [(object(), "object"), ([{"a": {1, 2}}], "set")])
+    def test_unknown_type_message(self, obj, name):
+        assert outcome(canonical_dumps, obj) == outcome(stdlib_dumps, obj) == (TypeError, f"cannot serialize {name}")
+
+    def test_circular_structures_are_refused(self):
+        lst = [1]
+        lst.append(lst)
+        dct = {"a": [0]}
+        dct["a"].append(dct)
+        rec = _Record("r", None)
+        rec.value = [rec]  # the cycle runs through the hook
+        for obj in (lst, dct, rec):
+            with pytest.raises(ValueError, match=r"^Circular reference detected$"):
+                canonical_dumps(obj)
+            assert outcome(stdlib_dumps, obj) == (ValueError, "Circular reference detected")
+
+    def test_deep_structure_that_is_no_cycle_is_encoded(self):
+        deep = {"leaf": [1, 2]}
+        for _ in range(400):  # deeper than the direct encoder recurses
+            deep = [deep]
+        assert canonical_dumps(deep) == stdlib_dumps(deep)
 
 
 class TestCli:
@@ -615,6 +771,22 @@ class TestCli:
         assert elapsed < 1.0
 
     @pytest.mark.parametrize(
+        "flag, options, field",
+        [(["--kmax", "200000"], {}, "--kmax"), ([], {"kmax": 10**400}, "$.options.kmax")],
+    )
+    def test_strata_past_the_row_cap_are_refused_before_they_are_built(self, flag, options, field, tmp_path, capsys):
+        path = tmp_path / "strata.json"
+        path.write_text(json.dumps(problem_doc(options=options)))  # 10**400 is written as an integer literal
+        start = time.perf_counter()
+        code = main(["strata", "--input", str(path), *flag])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and elapsed < 1.0
+        assert captured.err == (
+            f"error: {field}: too many strata: k_max must be below {MAX_STRATA_ROWS}, the cap on strata rows\n"
+        )
+
+    @pytest.mark.parametrize(
         "block, key, value, field",
         [
             ("manifold", "b2plus", None, "$.manifold.b2plus"),
@@ -762,6 +934,48 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.decode().startswith("monopoles ")
+
+
+def test_cached_parser_leaks_nothing_between_calls(tmp_path, monkeypatch):
+    """One process, many ``main`` calls on one parser tree: each prints what a fresh process prints."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.json").write_text(json.dumps(problem_doc()))
+    cases = [
+        ["strata", "--input", "p.json", "--kmax", "2", "--dirac-multiplicity", "1"],
+        ["strata", "--input", "p.json"],  # neither flag carries over
+        ["dim", "pun", "--input", "p.json", "--format", "table"],
+        ["dim", "pun", "--input", "p.json"],
+        ["reductions", "enumerate", "--input", "p.json", "--c-trace", "6.2832", "--kmax", "1"],
+        ["reductions", "enumerate", "--input", "p.json"],  # exit 2: no --c-trace this time
+        ["strata", "--input", "p.json", "--kmax", "-1"],  # usage error, exit 2
+        ["--version"],
+        ["no-such-command"],
+        [],
+        ["kaehler", "margin", "--n", "2", "--tau", "0.5", "--lambda", "-1-2i", "--starts", "2", "--format", "table"],
+        ["schema"],
+        ["strata", "--input", "p.json", "--kmax", "2", "--dirac-multiplicity", "1"],
+    ]
+
+    def in_process(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    parser = cli._build_parser()
+    got = [in_process(argv) for argv in cases]
+    assert cli._build_parser() is parser
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for argv, result in zip(cases, got):
+        proc = subprocess.run(
+            [sys.executable, "-m", "monopoles", *argv], capture_output=True, text=True, env=env, check=False
+        )
+        assert result == (proc.returncode, proc.stdout, proc.stderr), argv
+    assert {code for code, _, _ in got} == {0, 2}
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])

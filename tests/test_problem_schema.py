@@ -340,7 +340,7 @@ class TestDeliberateDifferences:
     def test_null_b2plus_is_refused(self):
         doc = _with(("manifold", "b2plus"), None)
         assert reference_parse_problem(doc).manifold.b2plus == 1  # taken as absent
-        with pytest.raises(ValidationError, match=r"^\$\.manifold\.b2plus: expected an integer, got None$"):
+        with pytest.raises(ValidationError, match=r"^\$\.manifold\.b2plus: expected an integer, got null$"):
             parse_problem(doc)
 
     @pytest.mark.parametrize("field", ["c_trace", "c_plus", "c_minus"])
@@ -380,11 +380,11 @@ KEYWORD_REFUSALS = {
     "type": (("bundle", "c2"), 2.0, "$.bundle.c2: expected an integer, got 2.0"),
     "properties": (("manifold", "name"), 5, "$.manifold.name: expected a string, got 5"),
     "required": (("bundle", "rank"), None, "$.bundle.rank: missing required field"),
-    "additionalProperties": (("spinc",), {"c1": [0, 0], "c2": 0}, "$.spinc: unknown keys ['c2']; allowed keys ['c1']"),
-    "items": (("spinc", "c1", 1), True, "$.spinc.c1[1]: expected an integer, got True"),
+    "additionalProperties": (("spinc",), {"c1": [0, 0], "c2": 0}, '$.spinc: unknown keys ["c2"]; allowed keys ["c1"]'),
+    "items": (("spinc", "c1", 1), True, "$.spinc.c1[1]: expected an integer, got true"),
     "minimum": (("options", "kmax"), -1, "$.options.kmax: must be >= 0, got -1"),
     "enum": (("options", "dirac_multiplicity"), 3, "$.options.dirac_multiplicity: expected one of [1, 2], got 3"),
-    "const": (("bounds", "g"), "Identity", "$.bounds.g: expected \"identity\" or a JSON array, got 'Identity'"),
+    "const": (("bounds", "g"), "Identity", "$.bounds.g: expected \"identity\" or a JSON array, got \"Identity\""),
     "oneOf": (("bounds", "g", 0, 1), 0.5, "$.bounds.g[0][1]: expected an integer or a JSON object, got 0.5"),
 }
 
@@ -467,11 +467,24 @@ def test_metric_file_walks_the_g_subschema():
         ([[1, {"num": 1}], [0, 1]], "$.g[0][1].den: missing required field"),
         ([[1, 0], [0, {"num": 1, "den": 0}]], "$.g[1][1].den: denominator must be nonzero"),
         ([[1, 0], [0, 1], [0, 0]], "$.g: expected a 2x2 matrix"),
-        ({"g": 1}, "$.g: expected \"identity\" or a JSON array, got {'g': 1}"),
+        ({"g": 1}, "$.g: expected \"identity\" or a JSON array, got {\"g\": 1}"),
     ]:
         with pytest.raises(ValidationError) as exc:
             parse_metric(g, 2, "$.g")
         assert str(exc.value) == error
+
+
+def test_misplaced_large_values_print_a_bounded_message():
+    """The offending value is quoted as its JSON token, cut past 40 characters: one short line."""
+    form = [[(1 if i < 3 else -1) * (i == j) for j in range(22)] for i in range(22)]  # a K3 form
+    doc = _with(("bundle", "c2"), form)
+    with pytest.raises(ValidationError) as exc:
+        parse_problem(doc)
+    assert str(exc.value) == "$.bundle.c2: expected an integer, got [[1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,..."
+    doc = _with(("spinc",), {"c1": [0, 0], **{f"k{i}": 0 for i in range(30)}})
+    with pytest.raises(ValidationError) as exc:
+        parse_problem(doc)
+    assert str(exc.value) == '$.spinc: unknown keys ["k0", "k1", "k10", "k11", "k12", "k1...; allowed keys ["c1"]'
 
 
 # --- the README's example problem file cannot go stale ---

@@ -507,6 +507,22 @@ class TestUhlenbeckStrata:
             assert row.dirac_index - rows[0].dirac_index == k
             assert rows[0].expected_dim - row.expected_dim == (4 * big_n - 2) * k
 
+    def test_row_cap_is_checked_before_any_row_is_built(self, monkeypatch):
+        """A cap equal to the row count admits the table; one less refuses it, whatever the bundle."""
+        m = k3_like()
+        s = SpincStructure(m.zero_class())
+        e = BundleData(2, m.zero_class(), 3)
+        rows = uhlenbeck_strata(e, m, s, 4)
+        monkeypatch.setattr(reductions, "MAX_STRATA_ROWS", 5)
+        assert uhlenbeck_strata(e, m, s, 4) == rows
+        monkeypatch.setattr(reductions, "MAX_STRATA_ROWS", 4)
+        for bundle in (e, BundleData(1, m.zero_class(), 0)):  # the rank-1 refusal would come later
+            with pytest.raises(ValueError, match="^too many strata: k_max must be below 4, the cap on strata rows$"):
+                uhlenbeck_strata(bundle, m, s, 4)
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="^too many strata: "):
+            uhlenbeck_strata(e, m, s, 10**400)
+
     def test_rank1_is_refused_by_the_monopole_dimension(self):
         m = k3_like()
         with pytest.raises(ValueError, match="^projective monopole dimension needs rank >= 2$"):
