@@ -64,6 +64,7 @@ from .jsonio import (
 )
 from .reductions import (
     MAX_STRATA_ROWS,
+    BallTooLargeError,
     CurvatureBounds,
     enumerate_reductions,
     generic_tau0_vanishing,
@@ -319,10 +320,13 @@ def _run_reductions(args, argv, start_time) -> int:
         name = str(exc).partition(" ")[0]
         field = "--" + name.replace("_", "-") if name in ("c_trace", "c_plus", "c_minus") else "$.g"
         raise ValidationError(field, str(exc)) from None
-    report = enumerate_reductions(
-        problem.manifold, problem.bundle, problem.spinc, bounds,
-        _option(args, problem, "kmax"), _option(args, problem, "dirac_multiplicity"),
-    )
+    try:
+        report = enumerate_reductions(
+            problem.manifold, problem.bundle, problem.spinc, bounds,
+            _option(args, problem, "kmax"), _option(args, problem, "dirac_multiplicity"),
+        )
+    except BallTooLargeError as exc:
+        raise ValidationError("$.bounds.c_trace" if args.c_trace is None else "--c-trace", str(exc)) from None
     notes = _problem_warnings(problem) + [w for w in report.warnings if w not in problem.manifold.warnings]
     result = {
         "candidates": [

@@ -168,40 +168,35 @@ def real_pairing(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return row_dots(a.conj().reshape(lead + (-1,)), b.reshape(lead + (-1,))).real
 
 
+def _block_traces(v: np.ndarray) -> np.ndarray:
+    """The four block traces ``(..., 2, 2)`` of a ``(..., 2, n, 2, n)`` block view.
+
+    Each is the sum of a contiguous copy of the block's diagonal, which is
+    the per-block ``ndarray.trace`` bit for bit; ``v.trace(axis1=-3,
+    axis2=-1)`` adds in another order for n >= 4.
+    """
+    return np.ascontiguousarray(v.diagonal(axis1=-3, axis2=-1)).sum(-1)
+
+
 def batch_project_P(mats: np.ndarray, n: int) -> np.ndarray:
     """Batched projection onto sl(2) (x) sl(n); mats has shape (..., 2n, 2n)."""
     out = mats.copy()
-    half = 0.5 * (out[..., :n, :n] + out[..., n:, n:])
-    out[..., :n, :n] -= half
-    out[..., n:, n:] -= half
-    eye = identity_matrix(n)
-    for (ra, rb) in ((slice(0, n), slice(0, n)), (slice(0, n), slice(n, 2 * n)),
-                     (slice(n, 2 * n), slice(0, n)), (slice(n, 2 * n), slice(n, 2 * n))):
-        blk = out[..., ra, rb]
-        tr = blk.trace(axis1=-2, axis2=-1) / n
-        out[..., ra, rb] = blk - tr[..., None, None] * eye
+    v = out.reshape(out.shape[:-2] + (2, n, 2, n))  # v[..., i, :, j, :] is block (i, j)
+    half = 0.5 * (v[..., 0, :, 0, :] + v[..., 1, :, 1, :])
+    v[..., 0, :, 0, :] -= half
+    v[..., 1, :, 1, :] -= half
+    v -= (_block_traces(v) / n)[..., :, None, :, None] * identity_matrix(n)[:, None, :]
     return out
 
 
 def batch_project_Q(mats: np.ndarray, n: int) -> np.ndarray:
     """Batched projection onto sl(2) (x) C id."""
-    out = np.zeros_like(mats)
-    half_tr = 0.5 * (
-        mats[..., :n, :n].trace(axis1=-2, axis2=-1)
-        + mats[..., n:, n:].trace(axis1=-2, axis2=-1)
-    )
-    eye = identity_matrix(n)
-    for (ra, rb), diag in (
-        ((slice(0, n), slice(0, n)), True),
-        ((slice(0, n), slice(n, 2 * n)), False),
-        ((slice(n, 2 * n), slice(0, n)), False),
-        ((slice(n, 2 * n), slice(n, 2 * n)), True),
-    ):
-        tr = mats[..., ra, rb].trace(axis1=-2, axis2=-1)
-        if diag:
-            tr = tr - half_tr
-        out[..., ra, rb] = (tr / n)[..., None, None] * eye
-    return out
+    tr = _block_traces(mats.reshape(mats.shape[:-2] + (2, n, 2, n)))
+    half_tr = 0.5 * (tr[..., 0, 0] + tr[..., 1, 1])
+    tr[..., 0, 0] -= half_tr
+    tr[..., 1, 1] -= half_tr
+    blocks = (tr / n)[..., :, None, :, None] * identity_matrix(n)[:, None, :]
+    return blocks.reshape(mats.shape)
 
 
 def project_P(m: BlockEndo) -> BlockEndo:
@@ -435,9 +430,12 @@ def properness_constant_estimate(
     reported estimate is the square root of the best objective value found,
     hence always an upper bound for the true constant.  Each start takes at
     most 2000 steps and stops once the tangent gradient is below ``tol``
-    (1e-8 unless given).  For ``n > 1`` the report's ``success`` flag
-    records whether the estimate clears the positivity floor
-    :data:`DEFAULT_POSITIVITY_FLOOR` (1e-3).
+    (1e-8 unless given), or at its last point once no strict decrease is
+    representable at machine precision (the floor rule of
+    :func:`monopoles.optim._descend`); its ``converged_per_start`` flag is
+    ``False`` only if it ran out of steps.  For ``n > 1`` the report's
+    ``success`` flag records whether the estimate clears the positivity
+    floor :data:`DEFAULT_POSITIVITY_FLOOR` (1e-3).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -494,9 +492,11 @@ def zero_divisor_margin(
     the map is identically zero and the zero-divisor property fails, so the
     input is rejected by name.  A margin above the positivity floor
     :data:`DEFAULT_POSITIVITY_FLOOR` (1e-3) certifies (numerically) that the
-    bilinear map has no zero divisors.  The descent budget is that of
-    :func:`properness_constant_estimate`: at most 2000 steps per start,
-    gradient tolerance 1e-8.
+    bilinear map has no zero divisors.  The descent budget and stopping
+    rule are those of :func:`properness_constant_estimate`: at most 2000
+    steps per start, gradient tolerance 1e-8, and a stop at the last point
+    once no strict decrease is representable; only a start that ran out of
+    steps reads ``False`` in ``converged_per_start``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -6,6 +6,9 @@ polynomials on R^d, optionally constrained to a product of unit spheres.
 Descent is projected gradient with spectral (Barzilai-Borwein) steps and
 monotone Armijo backtracking; each start draws its own counter-based Philox
 stream, and the reduction over starts is performed in start-index order.
+A start stops at the gradient tolerance, or converged at its last point
+once no strict decrease is representable at machine precision (see
+:func:`_descend`); only a start that runs out of iterations is unconverged.
 
 The starts of one call descend together as the rows of an ``(S, d)``
 stack.  Each round makes one objective call on the rows that are
@@ -40,8 +43,10 @@ class OptimizationReport:
     ``success`` is ``None`` when no positivity criterion applies.
     ``converged_per_start[i]`` is ``False`` only when start ``i`` ran out of
     ``iterations_per_start`` iterations; a start that met the gradient
-    tolerance or could make no strict decrease at machine precision reads
-    ``True``.
+    tolerance or could make no strict decrease at machine precision (its
+    backtracking reached a step of 1e-18 or one whose whole first-order
+    decrease is below ulp(f), or accepted a step that left f unchanged)
+    reads ``True``.
     """
 
     estimate: float
@@ -160,18 +165,20 @@ def _descend(value_and_grad, x0, project, tangent, gtol, max_iter):
 
     Per row, the spectral (BB1) step length <s,s>/<s,y> is clipped to
     [1e-12, 1e8] and safeguarded by monotone Armijo backtracking: the trial
-    step starts at the last spectral step and halves while it exceeds
-    1e-18.  Each round evaluates the rows that are backtracking or starting
+    step starts at the last spectral step and halves after each failed
+    trial.  Each round evaluates the rows that are backtracking or starting
     an iteration in one ``value_and_grad`` call, which maps ``(k, d)``
     points to ``k`` values and ``(k, d)`` gradients.
 
     Returns ``(x, f, converged)`` as arrays over the rows.  A row stops
     converged when its projected gradient norm drops below ``gtol`` or when
     no strict decrease is representable at machine precision: backtracking
-    accepts no step, or it accepts one with ``f_new == f`` because the
-    Armijo decrease has fallen below ulp(f); the row then keeps its last
-    point.  ``converged`` is ``False`` only for a row whose ``max_iter``
-    iterations ran out, which is checked before the gradient test.
+    accepts a step with ``f_new == f`` because the Armijo decrease has
+    fallen below ulp(f), or, after halving, the step ``t`` reaches 1e-18 or
+    ``f - t |g|^2 == f``, so that even the whole first-order decrease of
+    the next trial is below ulp(f); the row then keeps its last point.
+    ``converged`` is ``False`` only for a row whose ``max_iter`` iterations
+    ran out, which is checked before the gradient test.
     """
     x = project(np.array(x0, dtype=float))
     f, g = value_and_grad(x)
@@ -205,7 +212,9 @@ def _descend(value_and_grad, x0, project, tangent, gtol, max_iter):
         converged[trial[accepted & ~decreased]] = True
         failed = trial[~accepted]
         t[failed] *= 0.5
-        exhausted = t[failed] <= 1e-18
+        tf, gf, ff = t[failed], gnorm[failed], f[failed]
+        # the floor, before the next trial: not even its whole first-order decrease changes f
+        exhausted = (tf <= 1e-18) | (ff - tf * gf * gf == ff)
         converged[failed[exhausted]] = True
         backtracking = failed[~exhausted]
         moved = trial[decreased]

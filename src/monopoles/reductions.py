@@ -11,6 +11,8 @@ integer window around ``<c1(F)^2>/2``.
 The ball is enumerated by Fincke-Pohst depth-first search over the exact
 ``L D L^T`` factorization of ``G`` from :func:`cohomology.ldl`, so the work
 follows the ball's own search tree rather than a bounding box around it.
+A ball that holds more than :data:`MAX_BALL_POINTS` points is refused while
+it is enumerated.
 The same factorization's pivots decide, for :class:`CurvatureBounds` and
 the ball alike, that ``G`` is positive definite.
 
@@ -62,6 +64,7 @@ from .cohomology import (
 )
 
 __all__ = [
+    "BallTooLargeError",
     "InconsistentCandidateError",
     "CurvatureBounds",
     "ReductionCandidate",
@@ -93,6 +96,19 @@ MAX_CENSUS_CANDIDATES = 2**30 // 8192
 # a long table says nothing a short one does not: its budget is 128 MiB, an
 # eighth of the census's, which holds 87 381 rows.
 MAX_STRATA_ROWS = 2**27 // 1536
+
+
+# The census holds every point of the trace bound's ball at once, each with
+# its pairings and window.  Through the CLI one point costs about 1.2 KB of
+# peak memory at b2 = 22 (measured between 1.9*10^4 and 1.3*10^5 points of
+# censuses that keep no candidate).  At 1.25 KB each, a 256 MiB budget, a
+# quarter of the census's, holds 209 715 points; the enumeration stops with
+# an error before it holds more.
+MAX_BALL_POINTS = 2**28 // 1280
+
+
+class BallTooLargeError(ValueError):
+    """The trace bound's ball holds more than :data:`MAX_BALL_POINTS` lattice points."""
 
 
 class InconsistentCandidateError(ValueError):
@@ -188,6 +204,9 @@ def lattice_points_in_ball(
     turns each test into ``w_i (a v_i + s_i)^2 <= B`` with integers
     ``w_i = b d_i``, ``s_i = a c_i`` and ``B = floor(a^2 b radius_sq)``,
     whose solutions are ``|a v_i + s_i| <= isqrt(B // w_i)``.
+
+    Raises :class:`BallTooLargeError` once the ball is found to hold more
+    than :data:`MAX_BALL_POINTS` points.
     """
     g = _symmetric_matrix(metric, _as_fraction, "metric")
     factors = _positive_ldl(g)
@@ -207,6 +226,11 @@ def lattice_points_in_ball(
 
     def descend(i: int, budget: int) -> None:
         if i < 0:
+            if len(points) == MAX_BALL_POINTS:
+                raise BallTooLargeError(
+                    f"ball too large: more than {MAX_BALL_POINTS} lattice points lie in the trace "
+                    f"bound's ball (radius squared {float(r2):.6g}), the cap on ball points"
+                )
             points.append(tuple(v))
             return
         s = sum(lint[j][i] * v[j] for j in range(i + 1, m))

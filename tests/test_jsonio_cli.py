@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -23,7 +24,7 @@ from monopoles import cli
 from monopoles.cli import main
 from monopoles.cohomology import CohClass2
 from monopoles.mu_kernel import SpinorPair, properness_constant_estimate, zero_divisor_margin
-from monopoles.reductions import MAX_STRATA_ROWS, enumerate_reductions
+from monopoles.reductions import MAX_BALL_POINTS, MAX_STRATA_ROWS, enumerate_reductions
 from monopoles.suites import _KAEHLER_CHECKS, _MU_CHECKS, CheckResult, SuiteReport
 from monopoles.jsonio import (
     ValidationError,
@@ -784,6 +785,38 @@ class TestCli:
         assert code == 2 and captured.out == "" and elapsed < 1.0
         assert captured.err == (
             f"error: {field}: too many strata: k_max must be below {MAX_STRATA_ROWS}, the cap on strata rows\n"
+        )
+
+    @pytest.mark.parametrize(
+        "flag, bounds, field",
+        [(["--c-trace", "1e5"], None, "--c-trace"),
+         ([], {"c_trace": 1e5, "c_plus": 0, "c_minus": 0}, "$.bounds.c_trace")],
+    )
+    def test_a_ball_past_the_point_cap_exits_2_naming_the_trace_bound(self, flag, bounds, field, tmp_path):
+        """In a child with 512 MiB of address space: the uncapped ball of radius^2 ~ 2.5e8 ends in MemoryError."""
+        doc = problem_doc(
+            manifold={"name": "b3", "b1": 0, "intersection_form": [[1, 0, 0], [0, -1, 0], [0, 0, -1]]},
+            spinc={"c1": [1, 1, 1]},
+            bundle={"rank": 2, "c1": [0, 0, 0], "c2": 1},
+        )
+        if bounds is not None:
+            doc["bounds"] = bounds
+        path = tmp_path / "b3.json"
+        path.write_text(json.dumps(doc))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "monopoles", "reductions", "enumerate", "--input", str(path), *flag],
+            capture_output=True, text=True, env=env, timeout=60, preexec_fn=limit_address_space, check=False,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            f"error: {field}: ball too large: more than {MAX_BALL_POINTS} lattice points lie in the trace "
+            "bound's ball (radius squared 2.53303e+08), the cap on ball points\n"
         )
 
     @pytest.mark.parametrize(

@@ -387,21 +387,21 @@ class TestZeroDivisorMargin:
             assert f_pair == pytest.approx(f_diag, rel=1e-12)
 
 
-def _projections_by_np_trace(mats, n):
-    """P and Q of a stack, with ``np.trace`` and a fresh ``np.eye`` per call."""
+def _per_block_projections(mats, n):
+    """P and Q of a stack, one 2-d block slice at a time: the reference the block view equals bit for bit."""
     p = mats.copy()
     half = 0.5 * (p[..., :n, :n] + p[..., n:, n:])
     p[..., :n, :n] -= half
     p[..., n:, n:] -= half
     q = np.zeros_like(mats)
-    half_tr = 0.5 * (np.trace(mats[..., :n, :n], axis1=-2, axis2=-1)
-                     + np.trace(mats[..., n:, n:], axis1=-2, axis2=-1))
+    half_tr = 0.5 * (mats[..., :n, :n].trace(axis1=-2, axis2=-1)
+                     + mats[..., n:, n:].trace(axis1=-2, axis2=-1))
     halves = (slice(0, n), slice(n, 2 * n))
     for i, ra in enumerate(halves):
         for j, rb in enumerate(halves):
             blk = p[..., ra, rb]
-            p[..., ra, rb] = blk - (np.trace(blk, axis1=-2, axis2=-1) / n)[..., None, None] * np.eye(n)
-            tr = np.trace(mats[..., ra, rb], axis1=-2, axis2=-1)
+            p[..., ra, rb] = blk - (blk.trace(axis1=-2, axis2=-1) / n)[..., None, None] * np.eye(n)
+            tr = mats[..., ra, rb].trace(axis1=-2, axis2=-1)
             if i == j:
                 tr = tr - half_tr
             q[..., ra, rb] = (tr / n)[..., None, None] * np.eye(n)
@@ -417,7 +417,7 @@ def _single_point_objective(n, tau, pair):
     def value_and_grad(x):
         v, w = (unpack(x[: 4 * n]), unpack(x[4 * n :])) if pair else (unpack(x),) * 2
         k = np.outer(v, w.conj())
-        p, q = _projections_by_np_trace(k[None], n)
+        p, q = _per_block_projections(k[None], n)
         r = (p + tau * tau * q)[0]
         value = float(np.real(np.vdot(r, k)))
         if not pair:
@@ -432,11 +432,13 @@ def _single_point_objective(n, tau, pair):
 class TestStackedObjectives:
     """Each slice of a stacked objective call is the single-point call, bit for bit."""
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_batch_projections_equal_the_np_trace_route(self, n):
+    @pytest.mark.parametrize("lead", [(), (0,), (1,), (17,), (3, 5)], ids=str)
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_block_view_projections_equal_the_per_block_oracle(self, n, lead):
         rng = np.random.default_rng(n)
-        mats = rng.standard_normal((3, 5, 2 * n, 2 * n)) + 1j * rng.standard_normal((3, 5, 2 * n, 2 * n))
-        p, q = _projections_by_np_trace(mats, n)
+        shape = lead + (2 * n, 2 * n)
+        mats = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        p, q = _per_block_projections(mats, n)
         assert np.array_equal(batch_project_P(mats, n), p)
         assert np.array_equal(batch_project_Q(mats, n), q)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import monopoles.kaehler as kaehler
+import monopoles.mu_kernel as mu_kernel
 from monopoles.kaehler import (
     _impossibility_value_grad,
     impossibility_margin,
@@ -86,6 +87,34 @@ def test_backtracking_gives_up_once_the_step_reaches_1e_18():
     assert sum(rows) == 1 + 60 and np.array_equal(x, x0)
 
 
+def test_backtracking_stops_once_no_decrease_is_representable():
+    # f is 1e8 at the start and 2 ulp above it anywhere else, |g|^2 = 3e-10: after
+    # one failed trial, even the whole decrease t |g|^2 of the next is below ulp(1e8).
+    # Halving until t <= 1e-18 alone would take 41 evaluations, until the step left x bitwise unmoved.
+    rows = []
+    x0 = np.array([[1.0, -2.0, 0.5]])
+    g = np.full(3, np.sqrt(1e-10))
+    above = np.nextafter(np.nextafter(1e8, np.inf), np.inf)
+    f = counted(lambda x: (np.where((x == x0).all(axis=-1), 1e8, above), np.broadcast_to(g, x.shape).copy()), rows)
+    x, fx, converged = _descend(f, x0, _identity_projector, _identity_tangent, 1e-12, 50)
+    assert converged.tolist() == [True] and fx.tolist() == [1e8]
+    assert sum(rows) == 2 and np.array_equal(x, x0)
+
+
+def test_properness_stragglers_stop_at_the_floor(monkeypatch):
+    """n=3, tau=1, seed 7: start 5 sits at f = 0.5 with |g| = 2.2e-8, 59 halvings above t = 1e-18."""
+    calls = []
+    original = mu_kernel.multistart_minimize
+
+    def counting_multistart(value_and_grad, *args, **kwargs):
+        return original(counted(value_and_grad, calls), *args, **kwargs)
+
+    monkeypatch.setattr(mu_kernel, "multistart_minimize", counting_multistart)
+    report = properness_constant_estimate(3, 1.0, starts=16, seed=7)
+    assert len(calls) <= 12  # 64 if only t <= 1e-18 stopped a failing row
+    assert all(report.converged_per_start)
+
+
 def test_margin_starts_stop_at_the_floating_point_floor(monkeypatch):
     """n=2, tau=0.25, lam=1, seed 7: two starts used to spin to max_iter (12 838 evaluations)."""
     rows = []
@@ -122,13 +151,15 @@ def serial_descend(value_and_grad, x0, project, tangent, gtol, max_iter):
             break
         accepted = False
         t = step
-        while t > 1e-18:
+        while True:
             x_new = project(x - t * direction)
             f_new, g_new = value_and_grad(x_new)
             if f_new <= f - 1e-4 * t * gnorm * gnorm:
                 accepted = True
                 break
             t *= 0.5
+            if t <= 1e-18 or f - t * gnorm * gnorm == f:
+                break
         if not accepted or not f_new < f:
             converged = True
             break

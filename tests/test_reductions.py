@@ -28,7 +28,7 @@ from monopoles import (
     whitney_complement,
 )
 from monopoles import reductions
-from monopoles.reductions import identity_metric, lattice_points_in_ball
+from monopoles.reductions import BallTooLargeError, identity_metric, lattice_points_in_ball
 
 from conftest import (
     brute_force_ball,
@@ -255,6 +255,15 @@ class TestLatticeEnumeration:
 
     def test_negative_radius_is_empty(self):
         assert lattice_points_in_ball(identity_metric(3), Fraction(-1, 4)) == []
+
+    def test_ball_cap_admits_a_full_ball_and_refuses_one_point_more(self, monkeypatch):
+        g = ((Fraction(2), Fraction(1, 2)), (Fraction(1, 2), Fraction(3)))
+        ball = lattice_points_in_ball(g, 40)
+        monkeypatch.setattr(reductions, "MAX_BALL_POINTS", len(ball))
+        assert lattice_points_in_ball(g, 40) == ball
+        monkeypatch.setattr(reductions, "MAX_BALL_POINTS", len(ball) - 1)
+        with pytest.raises(BallTooLargeError, match=rf"^ball too large: more than {len(ball) - 1} lattice points "):
+            lattice_points_in_ball(g, 40)
 
     def test_b2_zero_is_the_empty_vector(self):
         assert lattice_points_in_ball((), 0) == [()]
