@@ -185,13 +185,13 @@ def _build_parser() -> argparse.ArgumentParser:
     prop.add_argument("--n", type=_positive_int, required=True)
     prop.add_argument("--tau", type=_finite_float, required=True)
     prop.add_argument("--starts", type=_positive_int, default=64)
-    prop.add_argument("--seed", type=int, default=0)
-    prop.add_argument("--tol", type=_finite_float, default=1e-8)
+    prop.add_argument("--seed", type=_nonnegative_int, default=0)
+    prop.add_argument("--tol", type=_nonnegative_float, default=1e-8)
     check = mu_sub.add_parser("check")
     add_common(check, _run_check)
     check.add_argument("--suite", default="all")
     check.add_argument("--samples", type=_positive_int, default=200)
-    check.add_argument("--seed", type=int, default=0)
+    check.add_argument("--seed", type=_nonnegative_int, default=0)
 
     ka = sub.add_parser("kaehler", help="Kahler fiber algebra")
     ka_sub = ka.add_subparsers(dest="ka_kind", required=True)
@@ -199,7 +199,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(kcheck, _run_check)
     kcheck.add_argument("--suite", default="all")
     kcheck.add_argument("--samples", type=_positive_int, default=200)
-    kcheck.add_argument("--seed", type=int, default=0)
+    kcheck.add_argument("--seed", type=_nonnegative_int, default=0)
     margin = ka_sub.add_parser("margin")
     add_common(margin, _run_margin)
     margin.add_argument(
@@ -210,7 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     margin.add_argument("--lambda", dest="lam", type=_finite_complex, required=True)
     margin.add_argument("--starts", type=_positive_int, default=64)
-    margin.add_argument("--seed", type=int, default=0)
+    margin.add_argument("--seed", type=_nonnegative_int, default=0)
 
     tau0 = sub.add_parser("tau0", help="generic vanishing of the tau=0 trace equation")
     add_common(tau0, _run_tau0, input_file=True)

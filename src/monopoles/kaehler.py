@@ -36,6 +36,7 @@ from .mu_kernel import (
     BlockEndo,
     SpinorPair,
     _as_complex_vector as _vec,
+    _unpack,
     batch_matvec,
     batch_outer,
     identity_matrix,
@@ -417,21 +418,22 @@ def _impossibility_value_grad(n: int, tau: float, lam: complex):
     The brace map is self-adjoint for the Frobenius pairing, so with
     G = brace(beta alpha^*, tau) - lam id the gradients are
     2 brace(G, tau) alpha in beta and 2 brace(G, tau)^H beta in alpha.
-    Points may carry leading batch axes, ``(..., 4n)``; each slice of a
-    stack is computed bit for bit as the slice alone would be.
+    Points are ``[Re v, Im v]`` with ``v = (alpha, beta)``, the layout of
+    :func:`monopoles.mu_kernel._unpack`, and may carry leading batch axes,
+    ``(..., 4n)``; each slice of a stack is computed bit for bit as the
+    slice alone would be.
     """
     lam_id = lam * np.eye(n)
 
     def value_and_grad(x: np.ndarray):
-        a = x[..., :n] + 1j * x[..., 2 * n : 3 * n]
-        b = x[..., n : 2 * n] + 1j * x[..., 3 * n :]
+        v = _unpack(x)
+        a, b = v[..., :n], v[..., n:]
         g = brace(batch_outer(b, a), tau) - lam_id
         tg = brace(g, tau)
-        grad_b = 2.0 * batch_matvec(tg, a)
-        grad_a = 2.0 * batch_matvec(np.swapaxes(tg.conj(), -1, -2), b)
-        return real_pairing(g, g), np.concatenate(
-            [grad_a.real, grad_b.real, grad_a.imag, grad_b.imag], axis=-1
+        grad_v = 2.0 * np.concatenate(
+            [batch_matvec(np.swapaxes(tg.conj(), -1, -2), b), batch_matvec(tg, a)], axis=-1
         )
+        return real_pairing(g, g), np.concatenate([grad_v.real, grad_v.imag], axis=-1)
 
     return value_and_grad
 
@@ -443,16 +445,14 @@ def _rebalance(x: np.ndarray) -> np.ndarray:
     ``beta alpha^*`` unchanged; balancing the two norms picks one witness on
     this flat direction, which the descent itself leaves unfixed.
     """
-    n = x.size // 4
-    a = x[:n] + 1j * x[2 * n : 3 * n]
-    b = x[n : 2 * n] + 1j * x[3 * n :]
+    v = _unpack(x)
+    a, b = np.split(v, 2)
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na < 1e-150 or nb < 1e-150:
         return x
     s = sqrt(nb / na)
-    a = a * s
-    b = b / s
-    return np.concatenate([a.real, b.real, a.imag, b.imag])
+    v = np.concatenate([a * s, b / s])
+    return np.concatenate([v.real, v.imag])
 
 
 _MARGIN_MAX_ITER = 4000
@@ -498,10 +498,7 @@ def impossibility_margin(
         max_iter=_MARGIN_MAX_ITER,
         fixed_starts=[np.zeros(4 * n)],
     )
-    x_best = _rebalance(x_best)
-    argmin = SpinorPair(
-        x_best[:n] + 1j * x_best[2 * n : 3 * n], x_best[n : 2 * n] + 1j * x_best[3 * n :]
-    )
     return OptimizationReport.from_squares(
-        values_sq, flags, argmin, seed=seed, max_iter=_MARGIN_MAX_ITER, tol=_MARGIN_GRADIENT_TOL
+        values_sq, flags, SpinorPair.from_vector(_unpack(_rebalance(x_best))), seed=seed,
+        max_iter=_MARGIN_MAX_ITER, tol=_MARGIN_GRADIENT_TOL,
     )

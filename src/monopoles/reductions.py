@@ -21,14 +21,17 @@ Everything that depends on the class is computed once per ball point:
 ``<c1(F) c1(Fperp)>`` and ``<c1(Fperp)^2>``, and the norm (over the metric's
 common denominator, cleared once).  A candidate then differs from its
 neighbours only in ``<c2>``, so its dimensions are integer arithmetic in the
-private index functions of :mod:`cohomology`, with no pairing.  For rank
-``N-1`` the line-bundle complement has ``c2 = 0``, which forces ``c2(F) =
-c2(E) - k - <c1(F) c1(Fperp)>``: that single value is checked against the
-window instead of walking the window, and the other window entries are
-counted as pruned, as a walk would have counted them; the strata past the
-last one that keeps a candidate are counted so, unwalked.  Before any candidate
-is built the census is counted by the same range arithmetic, and one larger
-than :data:`MAX_CENSUS_CANDIDATES` is refused.
+private index functions of :mod:`cohomology`, with no pairing.
+
+What one rank keeps on one class is stated once, in ``_cells``: the
+``(stratum, <c2(F)>)`` cells it keeps, and how many it keeps and prunes, by
+range arithmetic.  A line bundle has ``c2 = 0``, so a rank-1 subbundle is
+eligible only at ``<c2(F)> = 0``.  For rank ``N-1`` the line-bundle
+complement forces ``c2(F) = c2(E) - k - <c1(F) c1(Fperp)>``, so only the
+strata where that value lies in the window keep it, and every other eligible
+window entry is counted as pruned, unwalked.  The census is counted first,
+and one larger than :data:`MAX_CENSUS_CANDIDATES` is refused before any
+candidate is built.
 
 All filtering is exact: ``G`` is a rational positive-definite matrix, the
 ball test clears denominators and compares integers, and window endpoints
@@ -84,10 +87,12 @@ __all__ = [
 
 
 # A census and its report hold every candidate at once.  Through the CLI one
-# candidate costs about 4.5 KB of peak memory at b2 = 2 and 8.1 KB at b2 = 22
-# (the objects plus the indented report text, measured at 10^5 candidates).
-# At 8 KB each, a 1 GiB budget holds 131 072 candidates; a census counted
-# above that is refused before any candidate is built.
+# candidate costs about 4.3 KB of peak memory at b2 = 22 (the objects plus
+# the report text; measured between 5.1*10^4 and 1.29*10^5 candidates, at
+# 236 and 563 MB).  The cap was set at 8 KB each, a 1 GiB budget, when the
+# report went through the stdlib's indented encoder; at today's cost its
+# 131 072 candidates take about 0.55 GiB.  A census counted above the cap is
+# refused before any candidate is built.
 MAX_CENSUS_CANDIDATES = 2**30 // 8192
 
 # A strata table holds one row per stratum 0..k_max.  Through the CLI one row
@@ -325,11 +330,6 @@ def _c2_window(c1_sq: int, bounds: CurvatureBounds) -> range:
     return range(math.ceil(half_sq - bounds.plus_energy), math.floor(half_sq + bounds.minus_energy) + 1)
 
 
-def _eligible(n: int, window: range) -> range:
-    """The ``<c2(F)>`` values of a rank-``n`` subbundle in ``window``: a line bundle has ``c2 = 0``."""
-    return window if n > 1 else range(int(0 in window))
-
-
 def _width(r: range) -> int:
     """``len(r)`` of a step-1 range; ``len`` refuses a range longer than ``sys.maxsize``."""
     return max(0, r.stop - r.start)
@@ -381,25 +381,24 @@ class _BallClass(NamedTuple):
     c1_norm: float
 
 
-def _top_strata(c: _BallClass, big_n: int, k_max: int, c2: int) -> range:
-    """The strata ``k <= k_max`` in which rank ``N-1`` keeps its one candidate on class ``c``."""
-    top = _eligible(big_n - 1, c.window)
-    base = c2 - c.pairing  # the line-bundle complement forces c2(F) = base - k
-    return range(max(0, base - top.stop + 1), min(k_max, base - top.start) + 1)
+def _cells(c: _BallClass, n: int, big_n: int, k_max: int, c2: int):
+    """What rank ``n`` keeps on class ``c`` in the strata ``0..k_max``: ``(kept, pruned, cells)``.
 
-
-def _census_size(classes: list[_BallClass], big_n: int, k_max: int, c2: int) -> int:
-    """The number of candidates :func:`enumerate_reductions` keeps, by range arithmetic.
-
-    Ranks ``1..N-2`` keep their whole eligible window in every stratum; rank
-    ``N-1`` keeps one candidate per stratum of :func:`_top_strata`.  No
-    window is walked.
+    ``cells`` yields each kept ``(k, <c2(F)>)`` lazily; ``kept`` and
+    ``pruned`` count the kept and the pruned window entries by range
+    arithmetic, so counting walks no window.  Ranks ``1..N-2`` keep every
+    eligible entry in every stratum.  Rank ``N-1`` keeps the one value its
+    line-bundle complement forces, in the strata where that value lies in
+    the window; its other eligible entries are pruned.
     """
-    size = 0
-    for c in classes:
-        below = (_width(_eligible(1, c.window)) + (big_n - 3) * _width(c.window)) if big_n > 2 else 0
-        size += (k_max + 1) * below + _width(_top_strata(c, big_n, k_max, c2))
-    return size
+    eligible = c.window if n > 1 else range(int(0 in c.window))  # a line bundle has c2 = 0
+    if n < big_n - 1:
+        strata = range(k_max + 1 if eligible else 0)  # an empty window walks no stratum
+        return _width(strata) * _width(eligible), 0, ((k, c2f) for k in strata for c2f in eligible)
+    base = c2 - c.pairing  # the line-bundle complement forces c2(F) = base - k
+    strata = range(max(0, base - eligible.stop + 1), min(k_max, base - eligible.start) + 1)
+    kept = _width(strata)
+    return kept, (k_max + 1) * _width(eligible) - kept, ((k, base - k) for k in strata)
 
 
 def enumerate_reductions(
@@ -457,7 +456,7 @@ def enumerate_reductions(
             math.sqrt(norm_sq / den),
         ))
     big_n = bundle.rank
-    size = _census_size(classes, big_n, k_max, bundle.c2)
+    size = sum(_cells(c, n, big_n, k_max, bundle.c2)[0] for n in range(1, big_n) for c in classes)
     if size > MAX_CENSUS_CANDIDATES:
         raise ValueError(
             f"census too large: the energy bounds c_plus = {bounds.c_plus!r} and c_minus = "
@@ -471,41 +470,29 @@ def enumerate_reductions(
     for n in range(1, big_n):
         tau = tau_parameter(n, big_n)
         rank_perp = big_n - n
-        k_stop = k_max + 1
-        if rank_perp == 1:
-            # no stratum past the last one that keeps a candidate is walked: its
-            # eligible entries are all pruned, and counted here
-            kept = [_top_strata(c, big_n, k_max, bundle.c2) for c in classes]
-            k_stop = max((r.stop for r in kept if _width(r)), default=0)
-            pruned += (k_max + 1 - k_stop) * sum(_width(_eligible(n, c.window)) for c in classes)
-        for k in range(k_stop):
-            for c1f, c1_perp, window, f_sq, f_s, pairing, perp_sq, c1_norm in classes:
-                eligible = _eligible(n, window)
-                if rank_perp == 1:
-                    # the line-bundle complement has c2 = 0, which forces c2(F)
-                    forced = (bundle.c2 - k) - pairing
-                    kept = (forced,) if forced in eligible else ()
-                    pruned += _width(eligible) - len(kept)
-                    eligible = kept
-                for c2f in eligible:
-                    sub = BundleData(n, c1f, c2f)
-                    perp = _forced_complement(bundle, sub, k, c1_perp, pairing)
-                    dim_un = _monopole_dim(n * n, n, f_sq, f_s, c2f, ssq_minus_sig, chi, dirac_multiplicity)
-                    dim_asd = 0 if rank_perp == 1 else _asd_dim(
-                        rank_perp * rank_perp - 1, rank_perp, perp_sq, perp.c2, chi
+        for c in classes:
+            c1f, c1_perp, _, f_sq, f_s, pairing, perp_sq, c1_norm = c
+            _, dropped, cells = _cells(c, n, big_n, k_max, bundle.c2)
+            pruned += dropped
+            for k, c2f in cells:
+                sub = BundleData(n, c1f, c2f)
+                perp = _forced_complement(bundle, sub, k, c1_perp, pairing)
+                dim_un = _monopole_dim(n * n, n, f_sq, f_s, c2f, ssq_minus_sig, chi, dirac_multiplicity)
+                dim_asd = 0 if rank_perp == 1 else _asd_dim(
+                    rank_perp * rank_perp - 1, rank_perp, perp_sq, perp.c2, chi
+                )
+                candidates.append(
+                    ReductionCandidate(
+                        F=sub,
+                        Fperp=perp,
+                        tau=tau,
+                        dim_un_part=dim_un,
+                        dim_asd_part=dim_asd,
+                        total_dim=dim_un + dim_asd,
+                        stratum_k=k,
+                        c1_norm=c1_norm,
                     )
-                    candidates.append(
-                        ReductionCandidate(
-                            F=sub,
-                            Fperp=perp,
-                            tau=tau,
-                            dim_un_part=dim_un,
-                            dim_asd_part=dim_asd,
-                            total_dim=dim_un + dim_asd,
-                            stratum_k=k,
-                            c1_norm=c1_norm,
-                        )
-                    )
+                )
     candidates.sort(key=ReductionCandidate.sort_key)
     return EnumerationReport(
         candidates=tuple(candidates),

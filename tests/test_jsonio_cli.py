@@ -887,6 +887,11 @@ class TestCli:
             (["kaehler", "margin", "--n", "2", "--tau", "1.5", "--lambda", "1"], "--tau"),
             (["mu", "properness", "--n", "0", "--tau", "0.5"], "--n"),
             (["kaehler", "margin", "--n", "2", "--tau", "0.5", "--lambda", "--starts", "2"], "--lambda"),
+            (["mu", "properness", "--n", "2", "--tau", "0.5", "--seed", "-1"], "--seed"),
+            (["mu", "check", "--seed", "-1"], "--seed"),
+            (["kaehler", "check", "--seed", "-1"], "--seed"),
+            (["kaehler", "margin", "--n", "2", "--tau", "0.5", "--lambda", "1", "--seed", "-1"], "--seed"),
+            (["mu", "properness", "--n", "2", "--tau", "0.5", "--tol", "-1"], "--tol"),
         ],
     )
     def test_bad_numeric_flag_exits_2_naming_the_flag(self, argv, flag, capsys):

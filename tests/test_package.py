@@ -1,9 +1,11 @@
 """The package surface: lazy exports, and numpy kept off the exact paths."""
 
+import ast
 import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -44,6 +46,29 @@ def test_no_export_shadows_a_submodule():
     submodules = {info.name for info in pkgutil.iter_modules(monopoles.__path__)}
     assert submodules >= {"cohomology", "kaehler", "mu_kernel", "optim", "reductions"}
     assert not submodules & set(monopoles.__all__)
+
+
+def _top_level_names(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                yield from (t.id for t in ast.walk(target) if isinstance(t, ast.Name))
+
+
+def test_every_private_top_level_name_is_used():
+    """A private function, class or constant that only its definition names is dead code."""
+    sources = {p.name: p.read_text() for p in sorted(Path(monopoles.__file__).parent.glob("*.py"))}
+    text = "\n".join(sources.values())
+    unused = [
+        f"{file}: {name}"
+        for file, source in sources.items()
+        for name in _top_level_names(ast.parse(source))
+        if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+        and len(re.findall(rf"\b{re.escape(name)}\b", text)) < 2
+    ]
+    assert not unused, unused
 
 
 # Runs in a fresh interpreter: this test process has numpy loaded already.
