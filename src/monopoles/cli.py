@@ -105,6 +105,24 @@ _finite_complex = _flag_type(
 )
 
 
+def _suite_flag(kind: str):
+    """The ``--suite`` type of ``mu check`` or ``kaehler check``: ``all`` or one of the suite's checks.
+
+    The names live in the numpy layer, imported here only for a name other than ``all``.
+    """
+
+    def convert(text: str):
+        if text == "all":
+            return text
+        from . import suites
+
+        checks = suites._MU_CHECKS if kind == "mu" else suites._KAEHLER_CHECKS
+        names = ["all", *(name for name, _ in checks)]
+        return _flag_type(str, names.__contains__, f"one of {names}")(text)
+
+    return convert
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors as one line on stderr, exit 2: ``<prog>: error: argument --flag: ...``."""
 
@@ -189,7 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
     prop.add_argument("--tol", type=_nonnegative_float, default=1e-8)
     check = mu_sub.add_parser("check")
     add_common(check, _run_check)
-    check.add_argument("--suite", default="all")
+    check.add_argument("--suite", type=_suite_flag("mu"), default="all")
     check.add_argument("--samples", type=_positive_int, default=200)
     check.add_argument("--seed", type=_nonnegative_int, default=0)
 
@@ -197,7 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ka_sub = ka.add_subparsers(dest="ka_kind", required=True)
     kcheck = ka_sub.add_parser("check")
     add_common(kcheck, _run_check)
-    kcheck.add_argument("--suite", default="all")
+    kcheck.add_argument("--suite", type=_suite_flag("kaehler"), default="all")
     kcheck.add_argument("--samples", type=_positive_int, default=200)
     kcheck.add_argument("--seed", type=_nonnegative_int, default=0)
     margin = ka_sub.add_parser("margin")
@@ -277,6 +295,13 @@ def _envelope(argv, result, warnings_list, input_doc=None) -> dict:
     return report
 
 
+def _projective(problem: Problem) -> Problem:
+    """``problem``, for a command that reads its bundle as a PU(N) bundle: a line bundle is refused at its rank."""
+    if problem.bundle.rank < 2:
+        raise ValidationError("$.bundle.rank", f"must be >= 2 for a PU(N) bundle, got {problem.bundle.rank}")
+    return problem
+
+
 def _option(args, problem: Problem, name: str):
     """The flag ``--<name>`` if given, else the problem file's option ``name``."""
     flag = getattr(args, name, None)
@@ -285,6 +310,8 @@ def _option(args, problem: Problem, name: str):
 
 def _run_dim(args, argv, start_time) -> int:
     problem = load_problem(args.input)
+    if args.dim_kind != "un":
+        _projective(problem)
     mult = _option(args, problem, "dirac_multiplicity")
     if args.dim_kind == "pun":
         result = pun_dimension_report(problem.bundle, problem.spinc, problem.manifold, mult)
@@ -297,7 +324,7 @@ def _run_dim(args, argv, start_time) -> int:
 
 
 def _run_reductions(args, argv, start_time) -> int:
-    problem = load_problem(args.input)
+    problem = _projective(load_problem(args.input))
     base = problem.bounds
     c_trace = args.c_trace if args.c_trace is not None else (base.c_trace if base else None)
     c_plus = args.c_plus if args.c_plus is not None else (base.c_plus if base else 0.0)
@@ -355,7 +382,7 @@ def _run_reductions(args, argv, start_time) -> int:
 
 
 def _run_strata(args, argv, start_time) -> int:
-    problem = load_problem(args.input)
+    problem = _projective(load_problem(args.input))
     k_max = _option(args, problem, "kmax")
     try:
         rows = uhlenbeck_strata(

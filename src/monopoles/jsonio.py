@@ -14,14 +14,12 @@ byte-identical reports: keys are sorted, exact rationals are emitted as
 ``{"num", "den"}`` objects rather than corrupted to floats, complex numbers
 as ``{"re", "im"}``, and floats through their shortest round-trip repr.
 Reports are strict JSON: ``NaN`` and infinities are refused on input and
-output alike.  :func:`canonical_dumps` is a direct encoder that walks each
-report once and builds every container with one ``str.join``; it calls
-:func:`to_jsonable` only for a value it cannot encode, which the hook
-turns into one level of encodable structure.  Its text is, byte for byte,
-that of ``json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": "),
-allow_nan=False, default=to_jsonable)``, whose indented form runs the
-stdlib's pure-Python encoder at about twice the cost;
-``tests/test_jsonio_cli.py::TestEncoderOracle`` holds it to that call.
+output alike.  :func:`canonical_dumps` indents the envelope, its blocks and
+their fields, and writes every value below them (a candidate, a check, a
+stratum) on one line through the stdlib's C encoder, with
+:func:`to_jsonable` as its ``default`` hook.  :func:`input_sha256` hashes
+the input document's fully indented canonical text, which the layout does
+not change.
 """
 
 from __future__ import annotations
@@ -339,116 +337,46 @@ def to_jsonable(obj: Any) -> Any:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-# the stdlib encoder's scalar spellings, which canonical_dumps reproduces
-_quote = json.encoder.encode_basestring_ascii
-_int_text = int.__repr__
+# the stdlib's C encoder, compact: every row of a report, and every scalar
+_ROW = json.JSONEncoder(sort_keys=True, separators=(", ", ": "), allow_nan=False, default=to_jsonable).encode
+# containers shallower than this are indented; a value at this depth is one row
+_ROW_DEPTH = 3
+# what the encoder writes without the hook, besides None
+_JSON_NATIVE = (str, int, float, list, tuple, dict)
 
 
-def _float_text(x: float) -> str:
-    if math.isfinite(x):
-        return float.__repr__(x)
-    raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
-
-
-def _key_text(key) -> str:
-    """A dict key that is not exactly a ``str``, quoted as the stdlib encoder spells it."""
-    if isinstance(key, str):
-        return _quote(key)
-    if isinstance(key, float):
-        return _quote(_float_text(key))
-    if key is True or key is False or key is None:
-        return _quote(json.dumps(key))
-    if isinstance(key, int):
-        return _quote(_int_text(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
-def _encode(obj, nl: str) -> str:
-    """The canonical text of ``obj``; ``nl`` is the newline and indent of the line it starts on.
-
-    Exact types are dispatched first; subclasses then take the stdlib
-    encoder's ``isinstance`` order, and anything else goes to the hook.
-    """
-    kind = type(obj)
-    if kind is str:
-        return _quote(obj)
-    if kind is int:
-        return _int_text(obj)
-    if kind is float:
-        return _float_text(obj)
-    if kind is list or kind is tuple:
-        return _encode_array(obj, nl)
-    if kind is dict:
-        return _encode_object(obj, nl)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
-        return _quote(obj)
-    if isinstance(obj, int):
-        return _int_text(obj)
-    if isinstance(obj, float):
-        return _float_text(obj)
-    if isinstance(obj, (list, tuple)):
-        return _encode_array(obj, nl)
-    if isinstance(obj, dict):
-        return _encode_object(obj, nl)
-    return _encode(to_jsonable(obj), nl)
-
-
-_PLAIN_INTS = {int}
-
-
-def _encode_array(items, nl: str) -> str:
-    if not items:
-        return "[]"
-    inner = nl + "  "
-    if set(map(type, items)) == _PLAIN_INTS:  # a class's coefficients: most arrays of a census
-        body = map(_int_text, items)
-    else:
-        body = [_encode(x, inner) for x in items]
-    return "[" + inner + ("," + inner).join(body) + nl + "]"
-
-
-def _encode_object(mapping, nl: str) -> str:
-    if not mapping:
-        return "{}"
-    inner = nl + "  "
-    body = [
-        (_quote(k) if type(k) is str else _key_text(k)) + ": " + _encode(v, inner)
-        for k, v in sorted(mapping.items())
-    ]
-    return "{" + inner + ("," + inner).join(body) + nl + "}"
+def _layout(obj, nl: str, depth: int) -> str:
+    """The canonical text of ``obj``; ``nl`` is the newline and indent of the line it starts on."""
+    if depth < _ROW_DEPTH:
+        hooked = []  # what the hook converted here, kept alive so that ``is`` finds a cycle through it
+        while not (obj is None or isinstance(obj, _JSON_NATIVE) or any(obj is h for h in hooked)):
+            hooked.append(obj)
+            obj = to_jsonable(obj)
+        inner = nl + "  "
+        if isinstance(obj, (list, tuple)) and obj:
+            return "[" + inner + ("," + inner).join([_layout(x, inner, depth + 1) for x in obj]) + nl + "]"
+        if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
+            body = [_ROW(k) + ": " + _layout(v, inner, depth + 1) for k, v in sorted(obj.items())]
+            return "{" + inner + ("," + inner).join(body) + nl + "}"
+    return _ROW(obj)
 
 
 def canonical_dumps(obj: Any) -> str:
-    """Deterministic strict JSON text: sorted keys, fixed separators, 2-space indent.
+    """Deterministic strict JSON text: sorted keys, fixed separators, one row per line.
 
-    The text is that of ``json.dumps(obj, sort_keys=True, indent=2,
-    separators=(",", ": "), allow_nan=False, default=to_jsonable)``, errors
-    included: strings are ASCII-escaped as ``encode_basestring_ascii`` does,
-    ints and floats spelled by ``int.__repr__`` and ``float.__repr__`` (also
-    for their subclasses), non-string keys as the stdlib converts them, and
-    a non-finite float raises ``ValueError`` instead of becoming a bare
-    ``NaN``/``Infinity`` token that strict JSON parsers reject.
-    :func:`to_jsonable` is the hook for package objects, so the report is
-    walked once.  The encoder keeps no record of the containers it is
-    inside: a circular structure recurses until ``RecursionError``, and only
-    then does the stdlib encoder, whose markers find the cycle, take over to
-    raise its ``ValueError("Circular reference detected")``, or to encode a
-    structure that is merely deep.
+    Containers at depths 0-2 (the envelope, its blocks and their fields)
+    are indented by 2 spaces.  Every value below them (a candidate, a
+    check, a stratum) is one ``_ROW`` line, the stdlib's C encoder, and so
+    is a dict whose keys are not all strings; any other value above them
+    passes :func:`to_jsonable` first.  Read each line break after a comma
+    as a space and drop the other breaks and indents, and the text is the
+    C encoder's for the whole ``obj``; so are its errors, among them the
+    ``ValueError`` for a non-finite float or a circular structure.
     """
-    try:
-        return _encode(obj, "\n")
-    except RecursionError:
-        return json.dumps(
-            obj, sort_keys=True, indent=2, separators=(",", ": "), allow_nan=False, default=to_jsonable
-        )
+    return _layout(obj, "\n", 0)
 
 
 def input_sha256(doc: Any) -> str:
-    """Hash of the canonical form of an input document."""
-    return hashlib.sha256(canonical_dumps(doc).encode("utf-8")).hexdigest()
+    """SHA-256 of the input document's fully indented canonical text, whatever the report layout."""
+    text = json.dumps(doc, sort_keys=True, indent=2, separators=(",", ": "), allow_nan=False, default=to_jsonable)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -248,25 +248,6 @@ def quartic_form(tau: float, psi: SpinorPair) -> float:
     return float(np.real(np.vdot(v, mu(tau, psi).mat @ v)))
 
 
-def _row_invariants(re_a, re_b, im_a, im_b):
-    """|alpha|^2, |beta|^2 and |<alpha, beta>|^2 from real component rows.
-
-    Each argument is an ``(n, m)`` array whose row ``j`` holds the real or
-    imaginary parts of component ``j`` of ``m`` spinors.  Every term is
-    formed as the complex product forms it and the components are summed in
-    order from zero, so the values equal a complex ``einsum`` over rows of
-    ``alpha`` and ``beta`` bit for bit.
-    """
-    shape = re_a.shape[1:]
-    na2, nb2, ab_re, ab_im = (np.zeros(shape) for _ in range(4))
-    for ra, rb, ia, ib in zip(re_a, re_b, im_a, im_b):
-        na2 += ra * ra + ia * ia
-        nb2 += rb * rb + ib * ib
-        ab_re += ra * rb + ia * ib
-        ab_im += ra * ib - ia * rb
-    return na2, nb2, np.abs(ab_re + 1j * ab_im) ** 2
-
-
 def _mu_norm(tau: float, n: int, na2, nb2, ab2) -> np.ndarray:
     """|mu(tau, Psi, Psi)| from the invariants |a|^2, |b|^2, |<a,b>|^2."""
     if n == 1:
@@ -302,8 +283,10 @@ def mu_norm_batch(tau: float, alphas, betas) -> np.ndarray:
         raise ValueError("alphas and betas must be matching (m, n) arrays")
     if alphas.shape[1] < 1:
         raise ValueError("n must be >= 1")
-    invariants = _row_invariants(alphas.real.T, betas.real.T, alphas.imag.T, betas.imag.T)
-    return _mu_norm(tau, alphas.shape[1], *invariants)
+    na2 = np.einsum("ij,ij->i", alphas.conj(), alphas).real
+    nb2 = np.einsum("ij,ij->i", betas.conj(), betas).real
+    ab2 = np.abs(np.einsum("ij,ij->i", alphas.conj(), betas)) ** 2
+    return _mu_norm(tau, alphas.shape[1], na2, nb2, ab2)
 
 
 _SPHERE_CHUNK = 16_384

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -224,9 +225,7 @@ def oracle_to_jsonable(obj):
 
 
 def oracle_dumps(obj) -> str:
-    return json.dumps(
-        oracle_to_jsonable(obj), sort_keys=True, indent=2, separators=(",", ": "), allow_nan=False
-    )
+    return json.dumps(oracle_to_jsonable(obj), sort_keys=True, separators=(", ", ": "), allow_nan=False)
 
 
 def leaf_rows(obj, path=()):
@@ -331,7 +330,9 @@ class TestSerializerOracle:
         assert corpus["reductions enumerate report"]["result"]["count"] > 0
         assert corpus["enumeration report with its candidates"].candidates
         for label, obj in corpus.items():
-            assert canonical_dumps(obj) == oracle_dumps(obj), label
+            text = canonical_dumps(obj)
+            assert flattened(text) == oracle_dumps(obj), label
+            assert deepest_indent(text) <= 6, label
 
     @pytest.mark.parametrize(
         "argv",
@@ -356,12 +357,34 @@ class TestSerializerOracle:
         assert table == "".join(f"{k.ljust(width)}  {v}\n" for k, v in tokens)
 
 
-# --- the direct encoder against the stdlib call it replaced ---
+# --- the layout against the stdlib's C encoder ---
 
 
 def stdlib_dumps(obj) -> str:
-    """The deliberate oracle: the call ``canonical_dumps`` once was."""
+    """The fully indented canonical text, which ``input_sha256`` hashes."""
     return json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": "), allow_nan=False, default=to_jsonable)
+
+
+def c_dumps(obj) -> str:
+    """The deliberate oracle: the stdlib's C encoder on the whole of ``obj``, one line."""
+    return json.dumps(obj, sort_keys=True, separators=(", ", ": "), allow_nan=False, default=to_jsonable)
+
+
+def flattened(text: str) -> str:
+    """``text`` on one line: each line break after a comma read as a space, every other one and its indent dropped.
+
+    A JSON string holds no raw line break, so every one in ``text`` is layout; no line ends in a space.
+    """
+    assert " \n" not in text
+    return re.sub(r"\n *", "", re.sub(r",\n *", ", ", text))
+
+
+def deepest_indent(text: str) -> int:
+    return max(len(line) - len(line.lstrip(" ")) for line in text.split("\n"))
+
+
+def flat_dumps(obj) -> str:
+    return flattened(canonical_dumps(obj))
 
 
 def outcome(dumps, obj):
@@ -462,33 +485,34 @@ def _trees(leaves):
 
 
 class TestEncoderOracle:
-    """``canonical_dumps`` is the stdlib call ``stdlib_dumps``, byte for byte and error for error."""
+    """``canonical_dumps`` is the C call ``c_dumps`` laid out on lines, error for error; the hash reads the indented text."""
 
     @settings(max_examples=400, deadline=None)
     @given(tree=_trees(_SCALARS))
     def test_text_and_hash_equal_the_stdlib_call(self, tree):
-        expected = outcome(stdlib_dumps, tree)
-        assert outcome(canonical_dumps, tree) == expected
+        expected = outcome(c_dumps, tree)
+        assert outcome(flat_dumps, tree) == expected
         if isinstance(expected, str):
-            assert input_sha256(tree) == hashlib.sha256(expected.encode("utf-8")).hexdigest()
+            text, indented = canonical_dumps(tree), stdlib_dumps(tree)
+            assert deepest_indent(text) <= 6
+            assert json.loads(text) == json.loads(indented)
+            assert input_sha256(tree) == hashlib.sha256(indented.encode("utf-8")).hexdigest()
 
     @settings(max_examples=300, deadline=None)
     @given(tree=_trees(_FAULTY_LEAVES))
     def test_errors_equal_the_stdlib_call(self, tree):
-        assert outcome(canonical_dumps, tree) == outcome(stdlib_dumps, tree)
+        assert outcome(flat_dumps, tree) == outcome(c_dumps, tree)
 
     @pytest.mark.parametrize("fault", [math.nan, math.inf, -math.inf, np.float64("nan"), _Float("inf")])
     def test_non_finite_float_message(self, fault):
-        expected = f"Out of range float values are not JSON compliant: {fault!r}"
-        for obj in (fault, [1, fault], {"x": fault}, {fault: 1}):
-            with pytest.raises(ValueError) as exc:
+        for obj in (fault, [1, fault], {"x": fault}, {fault: 1}, [[[{"x": [fault]}]]]):
+            with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant") as exc:
                 canonical_dumps(obj)
-            assert str(exc.value) == expected
-            assert outcome(stdlib_dumps, obj) == (ValueError, expected)
+            assert outcome(c_dumps, obj) == (ValueError, str(exc.value))
 
-    @pytest.mark.parametrize("obj, name", [(object(), "object"), ([{"a": {1, 2}}], "set")])
+    @pytest.mark.parametrize("obj, name", [(object(), "object"), ([{"a": {1, 2}}], "set"), ([[[{1, 2}]]], "set")])
     def test_unknown_type_message(self, obj, name):
-        assert outcome(canonical_dumps, obj) == outcome(stdlib_dumps, obj) == (TypeError, f"cannot serialize {name}")
+        assert outcome(canonical_dumps, obj) == outcome(c_dumps, obj) == (TypeError, f"cannot serialize {name}")
 
     def test_circular_structures_are_refused(self):
         lst = [1]
@@ -497,16 +521,21 @@ class TestEncoderOracle:
         dct["a"].append(dct)
         rec = _Record("r", None)
         rec.value = [rec]  # the cycle runs through the hook
-        for obj in (lst, dct, rec):
+        selfish = np.empty((), dtype=object)
+        selfish[()] = selfish  # the hook returns the value it was given
+        for obj in (lst, dct, rec, selfish):
             with pytest.raises(ValueError, match=r"^Circular reference detected$"):
                 canonical_dumps(obj)
-            assert outcome(stdlib_dumps, obj) == (ValueError, "Circular reference detected")
+            assert outcome(c_dumps, obj) == (ValueError, "Circular reference detected")
 
     def test_deep_structure_that_is_no_cycle_is_encoded(self):
         deep = {"leaf": [1, 2]}
-        for _ in range(400):  # deeper than the direct encoder recurses
+        for _ in range(400):
             deep = [deep]
-        assert canonical_dumps(deep) == stdlib_dumps(deep)
+        text = canonical_dumps(deep)
+        assert flattened(text) == c_dumps(deep)
+        assert json.loads(text) == json.loads(stdlib_dumps(deep))
+        assert deepest_indent(text) == 6  # the row at depth 3
 
 
 class TestCli:
@@ -820,21 +849,26 @@ class TestCli:
         )
 
     @pytest.mark.parametrize(
-        "block, key, value, field",
+        "command, block, key, value, field",
         [
-            ("manifold", "b2plus", None, "$.manifold.b2plus"),
-            ("manifold", "b1", -1, "$.manifold.b1"),
-            ("bundle", "rank", 0, "$.bundle.rank"),
-            ("bounds", "c_trace", 10**400, "$.bounds.c_trace"),
-            ("bounds", "c_minus", -10**400, "$.bounds.c_minus"),
+            ("reductions enumerate --c-trace 1", "manifold", "b2plus", None, "$.manifold.b2plus"),
+            ("reductions enumerate --c-trace 1", "manifold", "b1", -1, "$.manifold.b1"),
+            ("reductions enumerate --c-trace 1", "bundle", "rank", 0, "$.bundle.rank"),
+            ("reductions enumerate --c-trace 1", "bounds", "c_trace", 10**400, "$.bounds.c_trace"),
+            ("reductions enumerate --c-trace 1", "bounds", "c_minus", -10**400, "$.bounds.c_minus"),
+            # a line bundle is a valid problem, but no PU(N) bundle
+            ("dim pun", "bundle", "rank", 1, "$.bundle.rank"),
+            ("dim asd", "bundle", "rank", 1, "$.bundle.rank"),
+            ("strata", "bundle", "rank", 1, "$.bundle.rank"),
+            ("reductions enumerate --c-trace 1", "bundle", "rank", 1, "$.bundle.rank"),
         ],
     )
-    def test_problem_file_fault_exits_2_naming_its_field(self, block, key, value, field, tmp_path, capsys):
-        doc = problem_doc()
+    def test_problem_file_fault_exits_2_naming_its_field(self, command, block, key, value, field, tmp_path, capsys):
+        doc = problem_doc(bundle={"rank": 2, "c1": [0, 0], "c2": 0})  # c2 = 0 admits rank 1
         doc.setdefault(block, {"c_trace": 6.2832, "c_plus": 0, "c_minus": 0})[key] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))  # a huge integer is written as an integer literal
-        code = main(["reductions", "enumerate", "--input", str(path), "--c-trace", "1"])
+        code = main([*command.split(), "--input", str(path)])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith(f"error: {field}: ")
@@ -855,9 +889,10 @@ class TestCli:
         code = main(argv)
         out = capsys.readouterr().out
         assert code == 0
-        # the report of the census that walked all 100 001 strata
+        # the report of the census that walked all 100 001 strata, re-taken once each candidate
+        # took one line; it parses equal to the indented report of digest 6aa55e45...
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "6aa55e459dbcf72b3b9e379c9df64a27ad966af183f51fc83f5dfa7d131e01ed"
+            "ef9ec15873961b6e9e7ecb56f37b97db089d5c9ef39f34b9e50456861e1fe4d6"
         )
         assert json.loads(out)["result"]["pruned_inconsistent"] == 5 * 100000
         (tmp_path / "huge.json").write_text(json.dumps(problem_doc(options={"kmax": 10**400})))
@@ -892,6 +927,8 @@ class TestCli:
             (["kaehler", "check", "--seed", "-1"], "--seed"),
             (["kaehler", "margin", "--n", "2", "--tau", "0.5", "--lambda", "1", "--seed", "-1"], "--seed"),
             (["mu", "properness", "--n", "2", "--tau", "0.5", "--tol", "-1"], "--tol"),
+            (["mu", "check", "--suite", "bogus"], "--suite"),
+            (["kaehler", "check", "--suite", "nope"], "--suite"),
         ],
     )
     def test_bad_numeric_flag_exits_2_naming_the_flag(self, argv, flag, capsys):
