@@ -354,7 +354,7 @@ def _run_reductions(args, argv, start_time) -> int:
         )
     except BallTooLargeError as exc:
         raise ValidationError("$.bounds.c_trace" if args.c_trace is None else "--c-trace", str(exc)) from None
-    notes = _problem_warnings(problem) + [w for w in report.warnings if w not in problem.manifold.warnings]
+    notes = _problem_warnings(problem) + list(report.warnings)
     result = {
         "candidates": [
             {

@@ -16,7 +16,7 @@ Derived conventions, fixed once for the whole package:
 * ``p1(TX) = 3 * signature`` (signature theorem) and
   ``euler = 2 - 2*b1 + b2``.
 * Degree-two classes are integer coordinate vectors in a fixed basis of
-  ``H^2/torsion``; the cup pairing is ``x^T Q y``.
+  ``H^2/torsion``; the cup pairing is ``x^T Q y``, read as ``x . (Q y)``.
 * ``<p1(su(E)), [X]> = (N-1)<c1(E)^2> - 2N <c2(E)>`` for a rank-``N``
   Hermitian bundle ``E`` (degree-4 term of ``ch(E)ch(E*)``, trivial summand
   removed).
@@ -264,6 +264,21 @@ class SpincStructure:
         object.__setattr__(self, "c1s", c1s)
 
 
+def _times(rows: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
+    """The integer vector ``M v`` of a symmetric ``M``, exactly: ``v_i`` times row ``i``, summed.
+
+    Reads only the rows at the nonzero entries of ``v`` and only their
+    nonzero entries: classes are mostly zeros and unimodular forms sparse.
+    """
+    out = [0] * len(v)
+    for i, x in enumerate(v):
+        if x:
+            for j, q in enumerate(rows[i]):
+                if q:
+                    out[j] += x * q
+    return out
+
+
 def cup(x: CohClass2, y: CohClass2, manifold: FourManifold) -> int:
     """Evaluate the cup product pairing <x . y, [X]> = x^T Q y, exactly."""
     if not isinstance(x, CohClass2):
@@ -275,13 +290,7 @@ def cup(x: CohClass2, y: CohClass2, manifold: FourManifold) -> int:
         raise ValueError(
             f"class length mismatch: got {len(x)} and {len(y)}, expected b2={b2}"
         )
-    q, yc = manifold.intersection_form, y.coeffs
-    # classes are mostly zeros and unimodular forms sparse: skip both
-    return sum(
-        xi * sum(qij * yc[j] for j, qij in enumerate(q[i]) if qij)
-        for i, xi in enumerate(x.coeffs)
-        if xi
-    )
+    return sum(a * b for a, b in zip(x.coeffs, _times(manifold.intersection_form, y.coeffs)))
 
 
 def characteristic_defects(s: SpincStructure, manifold: FourManifold) -> tuple[int, ...]:
@@ -291,15 +300,10 @@ def characteristic_defects(s: SpincStructure, manifold: FourManifold) -> tuple[i
     advisory only; callers surface it as a warning.
     """
     q = manifold.intersection_form
-    b2 = manifold.b2
-    if len(s.c1s) != b2:
+    if len(s.c1s) != manifold.b2:
         raise ValueError("Spin^c class length does not match b2")
-    bad = []
-    for i in range(b2):
-        pairing = sum(s.c1s.coeffs[j] * q[j][i] for j in range(b2))
-        if (pairing - q[i][i]) % 2 != 0:
-            bad.append(i)
-    return tuple(bad)
+    pairings = _times(q, s.c1s.coeffs)
+    return tuple(i for i, x in enumerate(pairings) if (x - q[i][i]) % 2)
 
 
 def _p1_su(rank: int, c1_sq: int, c2: int) -> int:

@@ -16,12 +16,14 @@ it is enumerated.
 The same factorization's pivots decide, for :class:`CurvatureBounds` and
 the ball alike, that ``G`` is positive definite.
 
-Everything that depends on the class is computed once per ball point:
-``c1(Fperp)``, the window, the pairings ``<c1(F)^2>``, ``<c1(F) c1(s)>``,
-``<c1(F) c1(Fperp)>`` and ``<c1(Fperp)^2>``, and the norm (over the metric's
-common denominator, cleared once).  A candidate then differs from its
-neighbours only in ``<c2>``, so its dimensions are integer arithmetic in the
-private index functions of :mod:`cohomology`, with no pairing.
+Each ball point ``v = c1(F)`` is paired through one exact product ``Q v``,
+whose dot products with ``v``, ``c1(s)`` and ``c1(E)`` give every pairing of
+``c1(F)`` and ``c1(Fperp)``, so the window and the counts cost no object.
+Only a point that keeps a candidate builds ``c1(F)``, ``c1(Fperp)`` and its
+norm (``v . G v`` over the metric's common denominator, cleared once), which
+all its candidates share.  A candidate then differs from its neighbours only
+in ``<c2>``, so its dimensions are integer arithmetic in the private index
+functions of :mod:`cohomology`, with no pairing.
 
 What one rank keeps on one class is stated once, in ``_cells``: the
 ``(stratum, <c2(F)>)`` cells it keeps, and how many it keeps and prunes, by
@@ -57,6 +59,7 @@ from .cohomology import (
     _chi,
     _monopole_dim,
     _symmetric_matrix,
+    _times,
     cup,
     dirac_index,
     expected_dim_asd,
@@ -87,11 +90,11 @@ __all__ = [
 
 
 # A census and its report hold every candidate at once.  Through the CLI one
-# candidate costs about 4.3 KB of peak memory at b2 = 22 (the objects plus
+# candidate costs about 2.3 KB of peak memory at b2 = 22 (the objects plus
 # the report text; measured between 5.1*10^4 and 1.29*10^5 candidates, at
-# 236 and 563 MB).  The cap was set at 8 KB each, a 1 GiB budget, when the
+# 169 and 345 MB).  The cap was set at 8 KB each, a 1 GiB budget, when the
 # report went through the stdlib's indented encoder; at today's cost its
-# 131 072 candidates take about 0.55 GiB.  A census counted above the cap is
+# 131 072 candidates take about 0.3 GiB.  A census counted above the cap is
 # refused before any candidate is built.
 MAX_CENSUS_CANDIDATES = 2**30 // 8192
 
@@ -103,12 +106,12 @@ MAX_CENSUS_CANDIDATES = 2**30 // 8192
 MAX_STRATA_ROWS = 2**27 // 1536
 
 
-# The census holds every point of the trace bound's ball at once, each with
-# its pairings and window.  Through the CLI one point costs about 1.2 KB of
-# peak memory at b2 = 22 (measured between 1.9*10^4 and 1.3*10^5 points of
-# censuses that keep no candidate).  At 1.25 KB each, a 256 MiB budget, a
-# quarter of the census's, holds 209 715 points; the enumeration stops with
-# an error before it holds more.
+# The census holds every point of the trace bound's ball at once, and the
+# classes of each point that keeps a candidate.  Through the CLI a point costs
+# about 0.24 KB of peak memory at b2 = 22 if it keeps none (measured between
+# 1.3*10^4 and 1.3*10^5 points) and at most about 1.2 KB if it keeps one.  At
+# 1.25 KB each, a 256 MiB budget, a quarter of the census's, holds 209 715
+# points; the enumeration stops with an error before it holds more.
 MAX_BALL_POINTS = 2**28 // 1280
 
 
@@ -369,7 +372,7 @@ class EnumerationReport:
 
 
 class _BallClass(NamedTuple):
-    """What the census reads of one ball point ``c1(F)``: every candidate on it shares these."""
+    """What the census reads of a ball point ``c1(F)`` that keeps a candidate: its candidates share these."""
 
     c1f: CohClass2
     c1_perp: CohClass2
@@ -381,9 +384,10 @@ class _BallClass(NamedTuple):
     c1_norm: float
 
 
-def _cells(c: _BallClass, n: int, big_n: int, k_max: int, c2: int):
-    """What rank ``n`` keeps on class ``c`` in the strata ``0..k_max``: ``(kept, pruned, cells)``.
+def _cells(window: range, pairing: int, n: int, big_n: int, k_max: int, c2: int):
+    """What rank ``n`` keeps on a class in the strata ``0..k_max``: ``(kept, pruned, cells)``.
 
+    The class enters as its ``<c2(F)>`` window and ``pairing = <c1F . c1Fperp>``;
     ``cells`` yields each kept ``(k, <c2(F)>)`` lazily; ``kept`` and
     ``pruned`` count the kept and the pruned window entries by range
     arithmetic, so counting walks no window.  Ranks ``1..N-2`` keep every
@@ -391,11 +395,11 @@ def _cells(c: _BallClass, n: int, big_n: int, k_max: int, c2: int):
     line-bundle complement forces, in the strata where that value lies in
     the window; its other eligible entries are pruned.
     """
-    eligible = c.window if n > 1 else range(int(0 in c.window))  # a line bundle has c2 = 0
+    eligible = window if n > 1 else range(int(0 in window))  # a line bundle has c2 = 0
     if n < big_n - 1:
         strata = range(k_max + 1 if eligible else 0)  # an empty window walks no stratum
         return _width(strata) * _width(eligible), 0, ((k, c2f) for k in strata for c2f in eligible)
-    base = c2 - c.pairing  # the line-bundle complement forces c2(F) = base - k
+    base = c2 - pairing  # the line-bundle complement forces c2(F) = base - k
     strata = range(max(0, base - eligible.stop + 1), min(k_max, base - eligible.start) + 1)
     kept = _width(strata)
     return kept, (k_max + 1) * _width(eligible) - kept, ((k, base - k) for k in strata)
@@ -427,36 +431,40 @@ def enumerate_reductions(
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     _check_multiplicity(dirac_multiplicity)
+    if len(bundle.c1) != manifold.b2 or len(s.c1s) != manifold.b2:
+        raise ValueError(
+            f"class length mismatch: c1(E) has {len(bundle.c1)} and c1(s) has {len(s.c1s)} "
+            f"coordinates, expected b2={manifold.b2}"
+        )
     notes = []
     if manifold.b1 != 0:
         notes.append(
             "b1 != 0: the product description of fixed-point components "
             "assumes a simply connected manifold"
         )
-    notes.extend(manifold.warnings)
     points = lattice_points_in_ball(bounds.metric, bounds.radius_sq)
+    # each point is paired through one Q c1(F); <c1(Fperp)^2> = <c1E^2> - 2<c1F . c1E> + <c1F^2>
+    q, c1s, c1e = manifold.intersection_form, s.c1s.coeffs, bundle.c1.coeffs
+    e_sq = cup(bundle.c1, bundle.c1, manifold)
     # ||c1F||^2 = v^T G v over the common denominator of G: one exact int / int division
     den = math.lcm(*(x.denominator for row in bounds.metric for x in row))
     g = [[int(x * den) for x in row] for row in bounds.metric]
+    big_n = bundle.rank
+    ranks = range(1, big_n)
+    size = pruned = 0
     classes = []
     for v in points:
-        c1f = CohClass2(v)
-        c1_perp = bundle.c1 - c1f
-        f_sq = cup(c1f, c1f, manifold)
-        support = [(i, x) for i, x in enumerate(v) if x]
-        norm_sq = sum(x * g[i][j] * y for i, x in support for j, y in support)
-        classes.append(_BallClass(
-            c1f,
-            c1_perp,
-            _c2_window(f_sq, bounds),
-            f_sq,
-            cup(c1f, s.c1s, manifold),
-            cup(c1f, c1_perp, manifold),
-            cup(c1_perp, c1_perp, manifold),
-            math.sqrt(norm_sq / den),
-        ))
-    big_n = bundle.rank
-    size = sum(_cells(c, n, big_n, k_max, bundle.c2)[0] for n in range(1, big_n) for c in classes)
+        qv = _times(q, v)
+        f_sq, f_s, f_e = (sum(x * y for x, y in zip(u, qv)) for u in (v, c1s, c1e))
+        window, pairing = _c2_window(f_sq, bounds), f_e - f_sq
+        counts = [_cells(window, pairing, n, big_n, k_max, bundle.c2)[:2] for n in ranks]
+        kept = sum(n_kept for n_kept, _ in counts)
+        size += kept
+        pruned += sum(n_pruned for _, n_pruned in counts)
+        if kept:
+            c1f = CohClass2(v)
+            norm = math.sqrt(sum(x * y for x, y in zip(v, _times(g, v))) / den)
+            classes.append(_BallClass(c1f, bundle.c1 - c1f, window, f_sq, f_s, pairing, e_sq - 2 * f_e + f_sq, norm))
     if size > MAX_CENSUS_CANDIDATES:
         raise ValueError(
             f"census too large: the energy bounds c_plus = {bounds.c_plus!r} and c_minus = "
@@ -466,15 +474,12 @@ def enumerate_reductions(
     ssq_minus_sig = cup(s.c1s, s.c1s, manifold) - manifold.signature
     chi = _chi(manifold)
     candidates = []
-    pruned = 0
-    for n in range(1, big_n):
+    for n in ranks:
         tau = tau_parameter(n, big_n)
         rank_perp = big_n - n
         for c in classes:
-            c1f, c1_perp, _, f_sq, f_s, pairing, perp_sq, c1_norm = c
-            _, dropped, cells = _cells(c, n, big_n, k_max, bundle.c2)
-            pruned += dropped
-            for k, c2f in cells:
+            c1f, c1_perp, window, f_sq, f_s, pairing, perp_sq, c1_norm = c
+            for k, c2f in _cells(window, pairing, n, big_n, k_max, bundle.c2)[2]:
                 sub = BundleData(n, c1f, c2f)
                 perp = _forced_complement(bundle, sub, k, c1_perp, pairing)
                 dim_un = _monopole_dim(n * n, n, f_sq, f_s, c2f, ssq_minus_sig, chi, dirac_multiplicity)

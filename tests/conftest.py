@@ -32,6 +32,20 @@ def k3_like() -> FourManifold:
     return FourManifold("K3-like", 0, q)
 
 
+def k3_surface() -> FourManifold:
+    """The K3 form -E8 (+) -E8 (+) 3H, written out from the E8 Dynkin diagram."""
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (2, 7)]
+    q = [[0] * 22 for _ in range(22)]
+    for off in (0, 8):
+        for i in range(8):
+            q[off + i][off + i] = -2
+        for i, j in edges:
+            q[off + i][off + j] = q[off + j][off + i] = 1
+    for off in (16, 18, 20):
+        q[off][off + 1] = q[off + 1][off] = 1
+    return FourManifold("K3", 0, q)
+
+
 def s4_like() -> FourManifold:
     return FourManifold("S4-like", 0, [])
 

@@ -68,6 +68,30 @@ class TestCup:
         assert cup(cx, cy, m) == cup(cy, cx, m)
         assert cup(cx + cy, cx + cy, m) == cup(cx, cx, m) + 2 * cup(cx, cy, m) + cup(cy, cy, m)
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_pairings_equal_the_double_sum(self, seed):
+        """cup is the sum of x_i Q_ij y_j, and the defects are every i where c . Q_i - Q_ii is odd.
+
+        The forms have zero entries and the classes zero coordinates, which
+        the shared product skips.
+        """
+        rng = make_rng(seed)
+        m = random_manifold(rng)
+        q, b2 = m.intersection_form, m.b2
+        x, y, c = ((rng.integers(-3, 4, size=b2) * rng.integers(0, 2, size=b2)).tolist() for _ in range(3))
+        assert cup(CohClass2(x), CohClass2(y), m) == sum(
+            x[i] * q[i][j] * y[j] for i in range(b2) for j in range(b2)
+        )
+        defects = [i for i in range(b2) if (sum(c[j] * q[j][i] for j in range(b2)) - q[i][i]) % 2]
+        assert characteristic_defects(SpincStructure(c), m) == tuple(defects)
+
+    def test_characteristic_defects_of_classes_that_fail(self):
+        diag = FourManifold("diag", 0, [[1, 0], [0, -1]])
+        assert characteristic_defects(SpincStructure([0, 0]), diag) == (0, 1)
+        assert characteristic_defects(SpincStructure([1, 0]), hyperbolic()) == (1,)
+        assert characteristic_defects(SpincStructure([0, 0]), hyperbolic()) == ()
+
 
 class TestManifoldValidation:
     def test_derived_invariants(self):

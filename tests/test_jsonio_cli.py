@@ -629,6 +629,24 @@ class TestCli:
         taus = {json.dumps(c["tau"], sort_keys=True) for c in report["result"]["candidates"]}
         assert taus == {json.dumps({"num": 1, "den": 2}, sort_keys=True)}
 
+    def test_reductions_enumerate_states_each_warning_once(self, tmp_path, capsys):
+        """The problem's warnings, then the census's own b1 note, each once."""
+        doc = problem_doc()
+        doc["manifold"].update(b1=1, intersection_form=[[2, 0], [0, -1]])
+        doc["bundle"]["c2"] = 5  # the ball holds the origin alone, whose rank-1 splitting prunes
+        path = tmp_path / "census.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli(["reductions", "enumerate", "--input", str(path), "--c-trace", "1"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert (report["result"]["count"], report["result"]["pruned_inconsistent"]) == (0, 1)
+        assert report["warnings"] == [
+            "intersection form is not unimodular (|det| = 2)",
+            "Spin^c class fails the mod-2 characteristic test at basis indices [1]",
+            "b1 != 0: simple-connectivity assumptions do not apply",
+            "b1 != 0: the product description of fixed-point components assumes a simply connected manifold",
+        ]
+
     def test_strata(self, k3_file, capsys):
         code, out = run_cli(["strata", "--input", k3_file, "--kmax", "2"], capsys)
         rows = json.loads(out)["result"]["strata"]

@@ -36,6 +36,7 @@ from conftest import (
     hyperbolic,
     inertia_oracle,
     k3_like,
+    k3_surface,
     make_rng,
     random_symmetric_rational,
     random_unimodular,
@@ -344,6 +345,20 @@ def _random_census(rng, max_rank):
     return m, s, e, bounds
 
 
+def _assert_object_route(m, s, e, bounds, k_max):
+    """The census of ``bounds``, each candidate checked against the object-level functions."""
+    rep = enumerate_reductions(m, e, s, bounds, k_max=k_max)
+    g = bounds.metric
+    for c in rep.candidates:
+        f, k, v = c.F, c.stratum_k, c.F.c1.coeffs
+        assert c.Fperp == whitney_complement(e, f, m, k)
+        assert (c.dim_un_part, c.dim_asd_part, c.total_dim) == component_dims(e, s, m, f, k)
+        support = [(i, x) for i, x in enumerate(v) if x]
+        norm_sq = sum(x * g[i][j] * y for i, x in support for j, y in support)
+        assert c.c1_norm == math.sqrt(float(norm_sq))
+    return rep
+
+
 def _basic_census():
     m = hyperbolic()
     s = SpincStructure(m.zero_class())
@@ -423,14 +438,51 @@ class TestEnumerateReductions:
         """
         m, s, e, bounds = _random_census(make_rng(seed), max_rank=5)
         g = tuple(tuple(x / den for x in row) for row in bounds.metric)
-        bounds = CurvatureBounds(bounds.c_trace, bounds.c_plus, bounds.c_minus, g)
-        rep = enumerate_reductions(m, e, s, bounds, k_max=k_max)
-        for c in rep.candidates:
-            f, k, v = c.F, c.stratum_k, c.F.c1.coeffs
-            assert c.Fperp == whitney_complement(e, f, m, k)
-            assert (c.dim_un_part, c.dim_asd_part, c.total_dim) == component_dims(e, s, m, f, k)
-            norm_sq = sum(x * g[i][j] * y for i, x in enumerate(v) for j, y in enumerate(v))
-            assert c.c1_norm == math.sqrt(float(norm_sq))
+        _assert_object_route(m, s, e, CurvatureBounds(bounds.c_trace, bounds.c_plus, bounds.c_minus, g), k_max)
+
+    def test_census_matches_the_object_route_on_the_k3_form(self):
+        """The paper's form -E8 (+) -E8 (+) 3H, whose pairings mix coordinates: 969 ball points, N = 4."""
+        m = k3_surface()
+        c1 = [0] * 22
+        c1[0] = c1[21] = 1
+        e = BundleData(4, c1, 2)
+        bounds = CurvatureBounds(2 * math.pi * math.sqrt(2.5), 1.0, 1.0, identity_metric(22))
+        rep = _assert_object_route(m, SpincStructure(m.zero_class()), e, bounds, 1)
+        assert (rep.lattice_points, len(rep.candidates), rep.pruned_inconsistent) == (969, 2793, 1205)
+
+    def test_points_that_keep_no_candidate_build_no_class(self, monkeypatch):
+        """The census builds c1(F) once for each ball point that keeps a candidate, and for no other."""
+        built = []
+
+        def counting_class(coeffs):
+            built.append(coeffs)
+            return CohClass2(coeffs)
+
+        monkeypatch.setattr(reductions, "CohClass2", counting_class)
+        m = k3_surface()
+        s = SpincStructure(m.zero_class())
+        bounds = CurvatureBounds(2 * math.pi * math.sqrt(2.5), 0.0, 0.0, identity_metric(22))
+        # rank 1 needs <c2(F)> = 0 = <c1(F)^2>/2, and its complement forces <c2(F)> = 100 + <c1(F)^2> - k
+        rep = enumerate_reductions(m, BundleData(2, m.zero_class(), 100), s, bounds, k_max=1)
+        assert (rep.candidates, rep.lattice_points) == ((), 969)
+        assert rep.pruned_inconsistent > 0
+        assert built == []
+        rep = enumerate_reductions(m, BundleData(3, m.zero_class(), 0), s, bounds, k_max=1)
+        kept = {c.F.c1.coeffs for c in rep.candidates}
+        assert 1 < len(kept) < rep.lattice_points
+        assert sorted(built) == sorted(kept)
+
+    def test_class_lengths_are_checked_before_the_ball_is_walked(self, monkeypatch):
+        m = hyperbolic()
+        bounds = CurvatureBounds(2 * math.pi, 0.0, 0.0, identity_metric(2))
+        monkeypatch.setattr(reductions, "lattice_points_in_ball", lambda *a: pytest.fail("walked the ball"))
+        for c1e, c1s in (([0, 0, 0], [0, 0]), ([0, 0], [0]), ([1], [0, 0, 0])):
+            with pytest.raises(
+                ValueError,
+                match=rf"^class length mismatch: c1\(E\) has {len(c1e)} and c1\(s\) has {len(c1s)} "
+                r"coordinates, expected b2=2$",
+            ):
+                enumerate_reductions(m, BundleData(2, c1e, 0), SpincStructure(c1s), bounds)
 
     def test_census_is_counted_exactly_before_it_is_built(self, monkeypatch):
         """A cap equal to the census size admits it; one less refuses it, naming the energy bounds."""
@@ -479,13 +531,17 @@ class TestEnumerateReductions:
         assert got == mapped
 
     def test_nonzero_b1_warns_in_report(self):
-        q = [[0, 1], [1, 0]]
-        m = FourManifold("b1", 2, q)
+        """The census states its own note only; the manifold's warnings stay on the manifold."""
+        m = FourManifold("b1", 2, [[2, 0], [0, -1]])
+        assert m.warnings == ("intersection form is not unimodular (|det| = 2)",)
         s = SpincStructure([0, 0])
-        e = BundleData(2, [0, 0], 0)
+        e = BundleData(2, [0, 0], 5)
         bounds = CurvatureBounds(1.0, 0.0, 0.0, identity_metric(2))
         rep = enumerate_reductions(m, e, s, bounds)
-        assert any("b1" in w for w in rep.warnings)
+        assert (rep.candidates, rep.pruned_inconsistent) == ((), 1)  # the origin alone, pruned
+        assert rep.warnings == (
+            "b1 != 0: the product description of fixed-point components assumes a simply connected manifold",
+        )
 
 
 class TestUhlenbeckStrata:
