@@ -289,7 +289,7 @@ def mu_norm_batch(tau: float, alphas, betas) -> np.ndarray:
     return _mu_norm(tau, alphas.shape[1], na2, nb2, ab2)
 
 
-_SPHERE_CHUNK = 16_384
+_SPHERE_CHUNK = 4_096  # buffers and temporaries of 32-64 KiB stay below malloc's 128 KiB mmap threshold
 
 
 def _integer(value, what: str) -> int:
@@ -344,9 +344,11 @@ def random_sphere_search(n: int, tau: float, samples: int, seed: int = 0) -> flo
     Each sample costs three variates whatever ``n`` is.  The Gamma pairs
     come from ``Philox(SeedSequence(seed))`` and the uniforms from the same
     Philox jumped ahead by 2^128 draws, so the two streams never overlap.
-    Both are drawn into reused buffers 16 384 samples at a time, which
+    Both are drawn into reused buffers 4 096 samples at a time, which
     draws the same streams as one call for all samples and keeps the
-    working set in cache.  ``samples <= 0`` returns ``inf``.
+    working set in cache: the Gamma pairs take 64 KiB and the uniforms and
+    each temporary of the closed form 32 KiB, below malloc's mmap
+    threshold.  ``samples <= 0`` returns ``inf``.
     """
     n, samples = _integer(n, "n"), _integer(samples, "samples")
     if n < 1:

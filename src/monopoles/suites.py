@@ -5,8 +5,10 @@ check's registry index), evaluates a mathematical identity or inequality
 over a sample grid, and reports the worst deviation together with the first
 counterexample found, if any.  Every sampled grid check has one shape: it
 draws each grid cell whole, in a fixed stream order, and :func:`_sliced`
-evaluates the cell ``_CHUNK`` rows at a time, so the matrices built from a
-large ``samples`` stay bounded and the slice size changes no report.  The
+evaluates the cell in slices of at most ``_SLICE_BYTES`` of complex
+matrices, so the matrices built from a large ``samples`` stay bounded, each
+slice's temporaries stay below malloc's mmap threshold, and the slice size
+changes no report.  The
 ``mu`` checks evaluate the batch projections ``batch_project_P``/
 ``batch_project_Q``, which the single-pair ``mu``, ``project_P`` and
 ``project_Q`` apply to a stack of one, and tie the scalar API to them with
@@ -142,19 +144,27 @@ def _grid(name: str, tol: float):
     return wrap
 
 
-_CHUNK = 512  # rows per array call; bounds a large --samples, size measured in BENCH_14.json
+# Bytes of complex matrices one slice may build.  Below glibc's 128 KiB
+# M_MMAP_THRESHOLD (mallopt(3)) a slice's temporaries come from the heap
+# and are reused, where larger ones are mapped and faulted in afresh on
+# every call; the budget sweep is in BENCH_28.json.
+_SLICE_BYTES = 64 * 1024
 
 
 def _sliced(part: Callable, *draws: np.ndarray):
-    """One grid cell, drawn whole, evaluated ``_CHUNK`` rows at a time.
+    """One grid cell, drawn whole, evaluated ``_SLICE_BYTES`` of matrices at a time.
 
     ``draws`` hold the cell's samples, one row each.  ``part(start, *rows)``
     gets the rows from ``start`` of every draw and returns their deviations
     and a builder of the counterexample at an index into those rows.  The
-    cell's deviations are the slices' concatenated, and its builder routes a
-    cell index to its slice, so the slice size changes no report.
+    widest complex matrix a part builds from one row is ``w x w``, with ``w``
+    the widest trailing axis of the draws (at least 2), so a slice holds
+    ``_SLICE_BYTES // (16 w^2)`` rows, and at least one.  The cell's
+    deviations are the slices' concatenated, and its builder routes a cell
+    index to its slice, so the slice size changes no report.
     """
-    size = _CHUNK
+    width = max([2] + [d.shape[-1] for d in draws if d.ndim > 1])
+    size = max(1, _SLICE_BYTES // (16 * width * width))
     parts = [part(i, *(d[i : i + size] for d in draws)) for i in range(0, len(draws[0]), size)]
     return np.concatenate([devs for devs, _ in parts]), lambda i: parts[i // size][1](i % size)
 
@@ -686,6 +696,9 @@ def _split_chunk(rng, m: int, tol: float):
     return worst, wrong, counterexample
 
 
+_SPLIT_CHUNK = 512  # samples per batched split call; draws stay per sample, so it changes no report
+
+
 def _check_curvature_split(seed, index, samples, tol=1e-9):
     """Matrix and split forms of the curvature equation give the same verdicts.
 
@@ -697,8 +710,8 @@ def _check_curvature_split(seed, index, samples, tol=1e-9):
     """
     rng = _rng(seed, index)
     worst, bad, false_verdicts = 0.0, None, 0
-    for start in range(0, samples, _CHUNK):
-        chunk_worst, wrong, counterexample = _split_chunk(rng, min(_CHUNK, samples - start), tol)
+    for start in range(0, samples, _SPLIT_CHUNK):
+        chunk_worst, wrong, counterexample = _split_chunk(rng, min(_SPLIT_CHUNK, samples - start), tol)
         worst = max(worst, chunk_worst)
         if bad is None and wrong.any():
             bad = counterexample(int(wrong.argmax()))

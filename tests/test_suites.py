@@ -295,12 +295,15 @@ def test_sampled_grid_checks_are_the_expected_fourteen():
     ]
 
 
-def test_chunk_size_changes_nothing(monkeypatch):
-    """Passing and forced-failing reports are equal with slices of 2 rows.
+def test_slice_budget_changes_nothing(monkeypatch):
+    """Passing and forced-failing reports are equal with slices of a few rows.
 
-    At 40 samples every cell has at least 3 rows (``gradient_fd``'s), so
-    every cell is split; a recorder on the slicing helper checks that.
-    Checks whose worst is 0.0 cannot be forced to fail.
+    A 1 KiB budget holds 16 rows of 2x2 matrices, 7 of 3x3, 4 of 4x4, 2 of
+    5x5 and one row of anything wider, so at 40 samples every cell (each has
+    at least 3 rows, ``gradient_fd``'s) is split and some end in a shorter
+    slice; a recorder on the slicing helper checks both.  The split check's
+    own chunk goes to 2 samples.  Checks whose worst is 0.0 cannot be forced
+    to fail.
     """
     seed, samples = 7, 40
 
@@ -316,43 +319,58 @@ def test_chunk_size_changes_nothing(monkeypatch):
         return out + [split, suites._check_curvature_split(seed, SPLIT_INDEX, samples, tol=split.worst / 2)]
 
     default = reports()
-    rows, sliced = [], suites._sliced
+    cells, sliced = [], suites._sliced
 
     def recorded(part, *draws):
-        rows.append(len(draws[0]))
-        return sliced(part, *draws)
+        rows = []
+        cells.append(rows)
 
-    monkeypatch.setattr(suites, "_CHUNK", 2)
+        def counted(start, *slices):
+            rows.append(len(slices[0]))
+            return part(start, *slices)
+
+        return sliced(counted, *draws)
+
+    monkeypatch.setattr(suites, "_SLICE_BYTES", 1024)
+    monkeypatch.setattr(suites, "_SPLIT_CHUNK", 2)
     monkeypatch.setattr(suites, "_sliced", recorded)
-    chunked = reports()
-    assert len(chunked) == len(default) > 20
-    assert min(rows) > 2
-    for new, old in zip(chunked, default):
+    small = reports()
+    assert len(small) == len(default) > 20
+    assert min(len(rows) for rows in cells) > 1
+    assert any(rows[-1] < rows[0] for rows in cells)
+    for new, old in zip(small, default):
         _same(new, old)
 
 
-def test_mu_grid_checks_build_at_most_chunk_rows(monkeypatch):
-    """With ``_CHUNK = 7`` no mu matrix or projection call sees more than 7 rows."""
-    rows = []
+@pytest.mark.parametrize("budget, samples", [(4096, 40), (None, 200)])
+def test_mu_grid_checks_build_at_most_the_slice_budget(monkeypatch, budget, samples):
+    """No mu matrix or projection call builds more than ``_SLICE_BYTES`` of matrices.
+
+    ``_batch_mu_mats`` builds the ``(rows, 2n, 2n)`` complex outer products
+    first, and ``batch_project_P`` copies its input.  At the default budget
+    and 200 samples the cells of n = 6 take eight slices of 28 rows.
+    """
+    if budget is not None:
+        monkeypatch.setattr(suites, "_SLICE_BYTES", budget)
+    built = []
     batch_mu_mats, project_P = suites._batch_mu_mats, suites.batch_project_P
 
     def record_mu_mats(tau, v, w, n):
-        rows.append(len(v))
+        built.append(len(v) * 16 * (2 * n) ** 2)
         return batch_mu_mats(tau, v, w, n)
 
     def record_project_P(mats, n):
-        rows.append(len(mats))
+        built.append(mats.nbytes)
         return project_P(mats, n)
 
-    monkeypatch.setattr(suites, "_CHUNK", 7)
     monkeypatch.setattr(suites, "_batch_mu_mats", record_mu_mats)
     monkeypatch.setattr(suites, "batch_project_P", record_project_P)
     for name in ("quartic", "block_formula", "orthogonality", "hermiticity", "monotonicity", "equivariance",
                  "phase", "diagonal"):
-        before = len(rows)
-        assert mu_suite(name, samples=40, seed=3).all_passed
-        assert len(rows) > before, name
-    assert max(rows) == 7
+        before = len(built)
+        assert mu_suite(name, samples=samples, seed=3).all_passed
+        assert len(built) > before, name
+    assert suites._SLICE_BYTES / 2 < max(built) <= suites._SLICE_BYTES
 
 
 def test_diagonal_check_fails_when_the_bilinear_route_drops_a_conjugate(monkeypatch):
