@@ -52,6 +52,7 @@ __all__ = [
     "mu_norm_batch",
     "random_sphere_search",
     "properness_value_grad",
+    "properness_constant_closed_form",
     "properness_constant_estimate",
     "zero_divisor_margin",
     "DEFAULT_POSITIVITY_FLOOR",
@@ -400,6 +401,30 @@ def properness_value_grad(n: int, tau: float):
 # The descent budget shared by both spinor-map certificates.
 _MAX_ITER = 2000
 _GRADIENT_TOL = 1e-8
+
+
+def properness_constant_closed_form(n: int, tau: float) -> float:
+    """The properness constant min_{|Psi|=1} |mu(tau, Psi, Psi)|, exactly.
+
+    Derivation: with ``x = |alpha|^2``, ``y = |beta|^2`` and ``c = |<alpha,
+    beta>|^2``, the closed form of :func:`mu_norm_batch` regroups as
+
+        |mu(tau, Psi, Psi)|^2 = (n-1+tau^2)/(2n) |Psi|^4
+                                + (1 + 2(1-tau^2)/n) (x y - c),
+
+    since ``|Psi|^4 = (x + y)^2``.  For ``tau`` in [0, 1] the second
+    coefficient is positive, and ``x y - c >= 0`` by Cauchy-Schwarz, with
+    equality exactly when ``alpha`` and ``beta`` are parallel.  So the
+    minimum over the unit sphere is ``sqrt((n-1+tau^2)/(2n))``, attained at
+    ``alpha || beta``; for ``n = 1`` every pair is parallel and it is
+    ``tau / sqrt(2)``.  :func:`properness_constant_estimate` stays as the
+    independent optimizer cross-check.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not 0.0 <= tau <= 1.0:
+        raise ValueError(f"the closed form holds for tau in [0, 1], got {tau!r}")
+    return math.sqrt((n - 1 + tau * tau) / (2 * n))
 
 
 def properness_constant_estimate(

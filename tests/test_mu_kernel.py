@@ -23,6 +23,7 @@ from monopoles.mu_kernel import (
     BlockEndo,
     batch_project_P,
     batch_project_Q,
+    properness_constant_closed_form,
     properness_value_grad,
     _sphere_norms,
     _zero_divisor_value_grad,
@@ -206,6 +207,25 @@ class TestPropernessEstimate:
     def test_rejects_n0(self):
         with pytest.raises(ValueError):
             properness_constant_estimate(0, 0.0)
+
+
+class TestPropernessClosedForm:
+    @pytest.mark.parametrize("n, tau", [(n, t) for n in (1, 2, 3, 4) for t in (0.0, 0.5, 1.0) if (n, t) != (1, 0.0)])
+    def test_equals_the_optimizer_estimate(self, n, tau):
+        """sqrt((n-1+tau^2)/(2n)) is the descent's minimum; at tau = 0.5 it is not sqrt((n-1+tau)/(2n))."""
+        estimate = properness_constant_estimate(n, tau, starts=16, seed=7).estimate
+        assert properness_constant_closed_form(n, tau) == pytest.approx(estimate, rel=1e-12, abs=0.0)
+
+    def test_attained_at_parallel_components(self):
+        a = np.array([0.6, 0.8j])  # a unit vector; (a, a/2)/|.| is a unit spinor with beta || alpha
+        psi = SpinorPair(a / 1.25**0.5, 0.5j * a / 1.25**0.5)
+        for tau in (0.0, 0.5, 1.0):
+            assert mu(tau, psi).norm() == pytest.approx(properness_constant_closed_form(2, tau), rel=1e-14)
+
+    @pytest.mark.parametrize("n, tau", [(0, 0.5), (2, -0.1), (2, 1.5), (2, float("nan"))])
+    def test_rejects_inputs_outside_its_derivation(self, n, tau):
+        with pytest.raises(ValueError):
+            properness_constant_closed_form(n, tau)
 
 
 def _einsum_norms(tau, a, b):
