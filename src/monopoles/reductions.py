@@ -228,7 +228,8 @@ def lattice_points_in_ball(
     a = math.lcm(*(x.denominator for row in low for x in row))
     b = math.lcm(*(x.denominator for x in d))
     w = [int(x * b) for x in d]
-    lint = [[int(x * a) for x in row] for row in low]
+    # a L_ji for the nonzero L_ji (j > i) of each column: s_i reads only these
+    later = [[(j, int(low[j][i] * a)) for j in range(i + 1, m) if low[j][i]] for i in range(m)]
     points = []
     v = [0] * m
 
@@ -241,7 +242,7 @@ def lattice_points_in_ball(
                 )
             points.append(tuple(v))
             return
-        s = sum(lint[j][i] * v[j] for j in range(i + 1, m))
+        s = sum(x * v[j] for j, x in later[i])
         h = math.isqrt(budget // w[i])
         for t in range(-((s + h) // a), (h - s) // a + 1):
             v[i] = t
@@ -324,13 +325,24 @@ def chern_weil_c2_window(
     the window is ``[ceil(<c1^2>/2 - C+^2/(8 pi^2)),
     floor(<c1^2>/2 + C-^2/(8 pi^2))]``, possibly empty, from the exact energies of ``bounds``.
     """
-    return _c2_window(cup(c1f, c1f, manifold), bounds)
+    return _c2_window(cup(c1f, c1f, manifold), _cleared_energies(bounds.plus_energy, bounds.minus_energy))
 
 
-def _c2_window(c1_sq: int, bounds: CurvatureBounds) -> range:
-    """:func:`chern_weil_c2_window` given ``c1_sq = <c1^2>``."""
-    half_sq = Fraction(c1_sq, 2)
-    return range(math.ceil(half_sq - bounds.plus_energy), math.floor(half_sq + bounds.minus_energy) + 1)
+def _cleared_energies(plus_energy: Fraction, minus_energy: Fraction) -> tuple[int, int, int, int]:
+    """``(h, p, q, d)`` with ``1/2 = h/d``, ``plus_energy = p/d`` and ``minus_energy = q/d``."""
+    d = math.lcm(2, plus_energy.denominator, minus_energy.denominator)
+    p, q = (e.numerator * (d // e.denominator) for e in (plus_energy, minus_energy))
+    return d // 2, p, q, d
+
+
+def _c2_window(c1_sq: int, energies: tuple[int, int, int, int]) -> range:
+    """:func:`chern_weil_c2_window` given ``c1_sq = <c1^2>`` and the :func:`_cleared_energies` of the bounds.
+
+    The ends are ``ceil((h c1_sq - p) / d)`` and ``floor((h c1_sq + q) / d)``,
+    each one floor division of integers, with ``ceil(x / d) = -(-x // d)``.
+    """
+    h, p, q, d = energies
+    return range(-((p - h * c1_sq) // d), (h * c1_sq + q) // d + 1)
 
 
 def _width(r: range) -> int:
@@ -446,6 +458,7 @@ def enumerate_reductions(
     # each point is paired through one Q c1(F); <c1(Fperp)^2> = <c1E^2> - 2<c1F . c1E> + <c1F^2>
     q, c1s, c1e = manifold.intersection_form, s.c1s.coeffs, bundle.c1.coeffs
     e_sq = cup(bundle.c1, bundle.c1, manifold)
+    energies = _cleared_energies(bounds.plus_energy, bounds.minus_energy)
     # ||c1F||^2 = v^T G v over the common denominator of G: one exact int / int division
     den = math.lcm(*(x.denominator for row in bounds.metric for x in row))
     g = [[int(x * den) for x in row] for row in bounds.metric]
@@ -456,7 +469,7 @@ def enumerate_reductions(
     for v in points:
         qv = _times(q, v)
         f_sq, f_s, f_e = (sum(x * y for x, y in zip(u, qv)) for u in (v, c1s, c1e))
-        window, pairing = _c2_window(f_sq, bounds), f_e - f_sq
+        window, pairing = _c2_window(f_sq, energies), f_e - f_sq
         counts = [_cells(window, pairing, n, big_n, k_max, bundle.c2)[:2] for n in ranks]
         kept = sum(n_kept for n_kept, _ in counts)
         size += kept

@@ -150,6 +150,22 @@ class TestChernWeilWindow:
         w = chern_weil_c2_window(CohClass2([0, 0]), m, bounds)
         assert list(w) == [0, 1]
 
+    @given(
+        c1_sq=st.integers(-60, 60),
+        plus=st.fractions(0, 40, max_denominator=64),
+        minus=st.fractions(0, 40, max_denominator=64),
+        on_integer=st.tuples(st.booleans(), st.booleans()),
+    )
+    def test_integer_window_equals_the_fraction_formula(self, c1_sq, plus, minus, on_integer):
+        """The cleared-integer window is the Fraction formula, also where an end is an integer."""
+        half = Fraction(c1_sq, 2)
+        if on_integer[0]:
+            plus = half - math.floor(half - plus)  # <c1^2>/2 - plus is an integer, plus only grows
+        if on_integer[1]:
+            minus = math.ceil(half + minus) - half
+        want = range(math.ceil(half - plus), math.floor(half + minus) + 1)
+        assert reductions._c2_window(c1_sq, reductions._cleared_energies(plus, minus)) == want
+
 
 class TestCurvatureBoundsRounding:
     """The bounds round once; the census reads their exact radius and energies."""
