@@ -217,7 +217,7 @@ class TestPropernessClosedForm:
         assert properness_constant_closed_form(n, tau) == pytest.approx(estimate, rel=1e-12, abs=0.0)
 
     def test_attained_at_parallel_components(self):
-        a = np.array([0.6, 0.8j])  # a unit vector; (a, a/2)/|.| is a unit spinor with beta || alpha
+        a = np.array([0.6, 0.8j])  # a unit vector; (a, i a/2)/|.| is a unit spinor with beta || alpha
         psi = SpinorPair(a / 1.25**0.5, 0.5j * a / 1.25**0.5)
         for tau in (0.0, 0.5, 1.0):
             assert mu(tau, psi).norm() == pytest.approx(properness_constant_closed_form(2, tau), rel=1e-14)
