@@ -61,6 +61,7 @@ from .jsonio import (
     load_problem,
     parse_metric,
     problem_schema,
+    to_jsonable,
 )
 from .reductions import (
     MAX_STRATA_ROWS,
@@ -420,8 +421,8 @@ def _emit_certificate(args, argv, start_time, scale, estimate, extra=dict) -> in
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = estimate().as_dict()
-    result.update(n=args.n, tau=args.tau, **extra())
+        report = estimate()
+    result = {**to_jsonable(report), "n": args.n, "tau": args.tau, **extra()}
     try:
         _emit(_envelope(argv, result, [str(w.message) for w in caught]), args, start_time)
     except ValueError:
@@ -438,12 +439,7 @@ def _run_check(args, argv, start_time) -> int:
 
     run_suite = suites.mu_suite if args.command == "mu" else suites.kaehler_suite
     report = run_suite(suite=args.suite, samples=args.samples, seed=args.seed)
-    result = {
-        "suite": report.suite,
-        "seed": report.seed,
-        "all_passed": report.all_passed,
-        "checks": list(report.checks),
-    }
+    result = {**to_jsonable(report), "all_passed": report.all_passed}
     _emit(_envelope(argv, result, []), args, start_time)
     return EXIT_OK if report.all_passed else EXIT_PROPERTY_FAILURE
 
@@ -475,11 +471,7 @@ def _run_margin(args, argv, start_time) -> int:
 def _run_tau0(args, argv, start_time) -> int:
     problem = load_problem(args.input)
     verdict = generic_tau0_vanishing(problem.manifold)
-    result = {
-        "vanishes_generically": verdict.vanishes_generically,
-        "cokernel_dimension": verdict.cokernel_dimension,
-    }
-    _emit(_envelope(argv, result, _problem_warnings(problem), problem.raw), args, start_time)
+    _emit(_envelope(argv, verdict, _problem_warnings(problem), problem.raw), args, start_time)
     return EXIT_OK
 
 

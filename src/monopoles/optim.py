@@ -94,20 +94,6 @@ class OptimizationReport:
             success=(estimate > positivity_floor) if judged else None,
         )
 
-    def as_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "argmin": self.argmin,
-            "starts": self.starts,
-            "seed": self.seed,
-            "iterations_per_start": self.iterations_per_start,
-            "gradient_tolerance": self.gradient_tolerance,
-            "values_per_start": list(self.values_per_start),
-            "converged_per_start": list(self.converged_per_start),
-            "positivity_floor": self.positivity_floor,
-            "success": self.success,
-        }
-
 
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products ``sum_i a[..., i] b[..., i]`` over the last axis, one per row.

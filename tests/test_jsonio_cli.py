@@ -279,7 +279,6 @@ def _serializer_corpus(monkeypatch, census_file):
         "suite report": suite,
         "optimization report, one spinor pair": properness,
         "optimization report, a pair of them": zero_divisor,
-        "optimization report as_dict": zero_divisor.as_dict(),
         "numpy scalars": [
             np.bool_(False), np.int8(-3), np.int16(7), np.int32(-9), np.int64(2**40), np.uint8(200),
             np.uint64(2**63), np.float16(0.1), np.float32(0.1), np.float64(1e-300),
