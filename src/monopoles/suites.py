@@ -616,8 +616,10 @@ def _check_decoupling(rng, samples, seed):
 
         def part(start, a, b, taus):
             lhs, rhs = decoupling_bound_batch(a, b, taus)
-            scale = np.maximum(np.abs(rhs), 1e-30)
-            dev_pair = np.maximum(rhs - lhs, -rhs) / scale  # violations of lhs>=rhs>=0
+            # the matrix route rounds relative to |alpha|^2 |beta|^2, not to rhs, which
+            # is tau times that at n = 1 (where the inequality is an equality)
+            norms = np.einsum("mi,mi->m", a.conj(), a).real * np.einsum("mi,mi->m", b.conj(), b).real
+            dev_pair = np.maximum(rhs - lhs, -rhs) / np.maximum(norms, 1e-30)  # violations of lhs>=rhs>=0
             return dev_pair, lambda i: {"n": n, "tau": float(taus[i]), "alpha": a[i].tolist(),
                                         "beta": b[i].tolist()}
 

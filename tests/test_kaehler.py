@@ -22,6 +22,7 @@ from monopoles.kaehler import (
     batch_split_rhs,
     split_equation_rhs,
 )
+import monopoles.suites as suites
 from monopoles.suites import decoupling_bound_batch, kaehler_suite, make_satisfying_field
 
 from conftest import make_rng, schur_margin_oracle
@@ -412,6 +413,31 @@ def test_decoupling_bound_scalar_matches_batch_route():
             scale = np.linalg.norm(a[i]) ** 2 * np.linalg.norm(b[i]) ** 2
             assert abs(lhs[i] - want_lhs) <= 1e-14 * scale
             assert abs(rhs[i] - want_rhs) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("seed, samples", [(0, 4097), (3, 20_000), (5, 20_000)])
+def test_decoupling_check_scales_by_the_norms_not_the_rhs(seed, samples):
+    """At n = 1 the inequality is an equality whose rhs is tau |alpha|^2 |beta|^2.
+
+    These draws reach tau ~ 1e-5, where dividing by the rhs inflated the
+    matrix route's rounding past the 1e-12 tolerance (worst 1.5e-12 to 3.3e-12).
+    """
+    check = kaehler_suite("decoupling", samples=samples, seed=seed).checks[0]
+    assert check.passed and check.worst < 1e-14
+
+
+def test_decoupling_check_fails_when_the_brace_drops_its_one_over_n(monkeypatch):
+    """A trace term of (1 - tau) tr instead of (1 - tau) tr / n breaks the inequality for n >= 2."""
+
+    def without_one_over_n(alphas, betas, taus):
+        _, rhs = decoupling_bound_batch(alphas, betas, taus)
+        outers = betas[:, :, None] * alphas.conj()[:, None, :]
+        braced = outers - ((1.0 - taus) * np.einsum("mii->m", outers))[:, None, None] * np.eye(alphas.shape[1])
+        return np.einsum("mi,mij,mj->m", betas.conj(), braced, alphas).real, rhs
+
+    monkeypatch.setattr(suites, "decoupling_bound_batch", without_one_over_n)
+    check = kaehler_suite("decoupling", samples=200, seed=7).checks[0]
+    assert not check.passed and check.worst > 0.1 and check.counterexample["n"] >= 2
 
 
 def test_kaehler_suite_all_green_small():
