@@ -377,20 +377,32 @@ def _check_phase_invariance(rng, samples, seed):
 
 
 def _check_zero_divisor_identity(seed, index, samples):
+    """The traceless outer product's norm identity and its exact inequality, per n.
+
+    Each cell is drawn whole and evaluated through :func:`_sliced`; the
+    reducer is the check's own, because a violated inequality counts with
+    no slack and ends the loop.
+    """
     worst, bad, total = 0.0, None, 0
     tol = 1e-10
     rng = _rng(seed, index)
     for n in (2, 3, 4, 5, 6):
         a = _complex_rows(rng, samples, n)
         b = _complex_rows(rng, samples, n)
-        lhs, rhs_id, rhs_ineq = zero_divisor_identity_batch(a, b)
-        rel = np.abs(lhs - rhs_id) / np.maximum(np.abs(rhs_id), 1e-30)
+
+        def part(start, a, b):
+            lhs, rhs_id, rhs_ineq = zero_divisor_identity_batch(a, b)
+            rel = np.abs(lhs - rhs_id) / np.maximum(np.abs(rhs_id), 1e-30)
+            return np.stack([rel, lhs, rhs_ineq], axis=1), lambda i: {"n": n, "alpha": a[i].tolist(),
+                                                                     "beta": b[i].tolist()}
+
+        cols, counterexample = _sliced(part, a, b)
+        rel, lhs, rhs_ineq = cols.T
         violated = lhs < rhs_ineq  # inequality is exact; no tolerance slack
         dev = float(rel.max())
         worst, total = max(worst, dev), total + samples
         if bad is None and (dev > tol or violated.any()):
-            i = int(rel.argmax() if dev > tol else violated.argmax())
-            bad = {"n": n, "alpha": a[i].tolist(), "beta": b[i].tolist()}
+            bad = counterexample(int(rel.argmax() if dev > tol else violated.argmax()))
         if violated.any():
             worst = max(worst, float((rhs_ineq - lhs).max()))
             break

@@ -191,6 +191,7 @@ ORACLE_GRID_CHECKS = (
     ("kaehler", "clifford", 102, _oracle_clifford, lambda s: 4 * s, "clifford_traceless_su2_types", 1e-12),
 )
 SPLIT_INDEX = 105
+ZERO_DIVISOR_INDEX = 7
 ORACLE_SEEDS = (0, 7, 11)
 # --samples values per suite.  Below 2 500 samples both mu oracle checks run
 # their floor counts (25 and 3 rows per cell), so 1 stands for 3, 40 and 200.
@@ -215,6 +216,7 @@ def test_registry_indices_match_the_oracle_table():
         _, checks, first = SUITES[kind]
         assert first + [n for n, _ in checks].index(name) == index
     assert 100 + [n for n, _ in suites._KAEHLER_CHECKS].index("split") == SPLIT_INDEX
+    assert [n for n, _ in suites._MU_CHECKS].index("zero_divisor") == ZERO_DIVISOR_INDEX
 
 
 def _first_failing_cell_worst(oracle_samples, cell_size, tol):
@@ -302,8 +304,9 @@ def test_slice_budget_changes_nothing(monkeypatch):
     5x5 and one row of anything wider, so at 40 samples every cell (each has
     at least 3 rows, ``gradient_fd``'s) is split and some end in a shorter
     slice; a recorder on the slicing helper checks both.  The split check's
-    own chunk goes to 2 samples.  Checks whose worst is 0.0 cannot be forced
-    to fail.
+    own chunk goes to 2 samples, and the zero-divisor check, whose reducer is
+    its own, is sliced as the grid checks are.  Checks whose worst is 0.0
+    cannot be forced to fail.
     """
     seed, samples = 7, 40
 
@@ -316,7 +319,11 @@ def test_slice_budget_changes_nothing(monkeypatch):
                 out.append(_grid_check(name, out[-1].worst / 2, cells))
                 assert out[-1].passed is False and out[-1].counterexample is not None
         split = suites._check_curvature_split(seed, SPLIT_INDEX, samples)
-        return out + [split, suites._check_curvature_split(seed, SPLIT_INDEX, samples, tol=split.worst / 2)]
+        return out + [
+            split,
+            suites._check_curvature_split(seed, SPLIT_INDEX, samples, tol=split.worst / 2),
+            suites._check_zero_divisor_identity(seed, ZERO_DIVISOR_INDEX, samples),
+        ]
 
     default = reports()
     cells, sliced = [], suites._sliced
@@ -344,16 +351,19 @@ def test_slice_budget_changes_nothing(monkeypatch):
 
 @pytest.mark.parametrize("budget, samples", [(4096, 40), (None, 200)])
 def test_mu_grid_checks_build_at_most_the_slice_budget(monkeypatch, budget, samples):
-    """No mu matrix or projection call builds more than ``_SLICE_BYTES`` of matrices.
+    """No mu matrix, projection or zero-divisor call builds more than ``_SLICE_BYTES`` of matrices.
 
     ``_batch_mu_mats`` builds the ``(rows, 2n, 2n)`` complex outer products
-    first, and ``batch_project_P`` copies its input.  At the default budget
-    and 200 samples the cells of n = 6 take eight slices of 28 rows.
+    first, ``batch_project_P`` copies its input, and
+    ``zero_divisor_identity_batch`` builds ``(rows, n, n)`` outer products.
+    At the default budget and 200 samples the cells of n = 6 take eight
+    slices of 28 rows.
     """
     if budget is not None:
         monkeypatch.setattr(suites, "_SLICE_BYTES", budget)
     built = []
     batch_mu_mats, project_P = suites._batch_mu_mats, suites.batch_project_P
+    zero_divisor_batch = suites.zero_divisor_identity_batch
 
     def record_mu_mats(tau, v, w, n):
         built.append(len(v) * 16 * (2 * n) ** 2)
@@ -363,14 +373,34 @@ def test_mu_grid_checks_build_at_most_the_slice_budget(monkeypatch, budget, samp
         built.append(mats.nbytes)
         return project_P(mats, n)
 
+    def record_zero_divisor(a, b):
+        built.append(len(a) * 16 * a.shape[1] ** 2)
+        return zero_divisor_batch(a, b)
+
     monkeypatch.setattr(suites, "_batch_mu_mats", record_mu_mats)
     monkeypatch.setattr(suites, "batch_project_P", record_project_P)
+    monkeypatch.setattr(suites, "zero_divisor_identity_batch", record_zero_divisor)
     for name in ("quartic", "block_formula", "orthogonality", "hermiticity", "monotonicity", "equivariance",
-                 "phase", "diagonal"):
+                 "phase", "zero_divisor", "diagonal"):
         before = len(built)
         assert mu_suite(name, samples=samples, seed=3).all_passed
         assert len(built) > before, name
     assert suites._SLICE_BYTES / 2 < max(built) <= suites._SLICE_BYTES
+
+
+def test_zero_divisor_violation_ends_the_check_in_its_cell_whatever_the_slices(monkeypatch):
+    """A violated inequality in the n = 4 cell stops the check there, with the same report per slice size."""
+    batch = suites.zero_divisor_identity_batch
+
+    def halved_at_n4(a, b):
+        lhs, rhs_identity, rhs_inequality = batch(a, b)
+        return (lhs / 2 if a.shape[1] == 4 else lhs), rhs_identity, rhs_inequality
+
+    monkeypatch.setattr(suites, "zero_divisor_identity_batch", halved_at_n4)
+    report = suites._check_zero_divisor_identity(7, ZERO_DIVISOR_INDEX, 40)
+    assert not report.passed and report.samples == 3 * 40 and report.counterexample["n"] == 4
+    monkeypatch.setattr(suites, "_SLICE_BYTES", 1024)
+    _same(suites._check_zero_divisor_identity(7, ZERO_DIVISOR_INDEX, 40), report)
 
 
 def test_diagonal_check_fails_when_the_bilinear_route_drops_a_conjugate(monkeypatch):
