@@ -186,8 +186,12 @@ def _build_parser() -> argparse.ArgumentParser:
     enum_p = red_sub.add_parser("enumerate")
     add_common(enum_p, _run_reductions, input_file=True)
     enum_p.add_argument("--c-trace", type=_nonnegative_float, default=None)
-    enum_p.add_argument("--c-plus", type=_nonnegative_float, default=None)
-    enum_p.add_argument("--c-minus", type=_nonnegative_float, default=None)
+    # CurvatureBounds squares these: a square that overflows is refused here, at its flag
+    squarable = _flag_type(
+        float, lambda v: v >= 0.0 and math.isfinite(v * v), "a nonnegative number with a finite float square"
+    )
+    enum_p.add_argument("--c-plus", type=squarable, default=None)
+    enum_p.add_argument("--c-minus", type=squarable, default=None)
     enum_p.add_argument("--g", default=None, help='"identity" or a JSON file with a rational matrix')
     enum_p.add_argument("--kmax", type=_nonnegative_int, default=None)
     enum_p.add_argument("--dirac-multiplicity", type=int, choices=(1, 2), default=None)
@@ -343,11 +347,8 @@ def _run_reductions(args, argv, start_time) -> int:
     try:
         bounds = CurvatureBounds(c_trace, c_plus, c_minus, metric)
     except ValueError as exc:
-        # the problem's own bounds are validated already: a bound the message names came
-        # from its flag, and any other error is the --g metric's
-        name = str(exc).partition(" ")[0]
-        field = "--" + name.replace("_", "-") if name in ("c_trace", "c_plus", "c_minus") else "$.g"
-        raise ValidationError(field, str(exc)) from None
+        # the problem's bounds and the bound flags are validated already: the error is the --g metric's
+        raise ValidationError("$.g", str(exc)) from None
     try:
         report = enumerate_reductions(
             problem.manifold, problem.bundle, problem.spinc, bounds,
