@@ -185,11 +185,11 @@ def _build_parser() -> argparse.ArgumentParser:
     red_sub = red.add_subparsers(dest="red_kind", required=True)
     enum_p = red_sub.add_parser("enumerate")
     add_common(enum_p, _run_reductions, input_file=True)
-    enum_p.add_argument("--c-trace", type=_nonnegative_float, default=None)
     # CurvatureBounds squares these: a square that overflows is refused here, at its flag
     squarable = _flag_type(
         float, lambda v: v >= 0.0 and math.isfinite(v * v), "a nonnegative number with a finite float square"
     )
+    enum_p.add_argument("--c-trace", type=squarable, default=None)
     enum_p.add_argument("--c-plus", type=squarable, default=None)
     enum_p.add_argument("--c-minus", type=squarable, default=None)
     enum_p.add_argument("--g", default=None, help='"identity" or a JSON file with a rational matrix')
@@ -358,23 +358,7 @@ def _run_reductions(args, argv, start_time) -> int:
         raise ValidationError("$.bounds.c_trace" if args.c_trace is None else "--c-trace", str(exc)) from None
     notes = _problem_warnings(problem) + list(report.warnings)
     result = {
-        "candidates": [
-            {
-                "rank": c.F.rank,
-                "c1": list(c.F.c1.coeffs),
-                "c2": c.F.c2,
-                "complement_rank": c.Fperp.rank,
-                "complement_c1": list(c.Fperp.c1.coeffs),
-                "complement_c2": c.Fperp.c2,
-                "tau": c.tau,
-                "dim_un_part": c.dim_un_part,
-                "dim_asd_part": c.dim_asd_part,
-                "total_dim": c.total_dim,
-                "stratum_k": c.stratum_k,
-                "c1_norm": c.c1_norm,
-            }
-            for c in report.candidates
-        ],
+        "candidates": report.candidates,
         "count": len(report.candidates),
         "pruned_inconsistent": report.pruned_inconsistent,
         "lattice_points": report.lattice_points,

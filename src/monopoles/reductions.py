@@ -19,11 +19,13 @@ the ball alike, that ``G`` is positive definite.
 Each ball point ``v = c1(F)`` is paired through one exact product ``Q v``,
 whose dot products with ``v``, ``c1(s)`` and ``c1(E)`` give every pairing of
 ``c1(F)`` and ``c1(Fperp)``, so the window and the counts cost no object.
-Only a point that keeps a candidate builds ``c1(F)``, ``c1(Fperp)`` and its
-norm (``v . G v`` over the metric's common denominator, cleared once), which
-all its candidates share.  A candidate then differs from its neighbours only
-in ``<c2>``, so its dimensions are integer arithmetic in the private index
-functions of :mod:`cohomology`, with no pairing.
+Only a point that keeps a candidate computes ``c1(Fperp) = c1(E) - v`` and
+its norm (``v . G v`` over the metric's common denominator, cleared once),
+which all its candidates share.  A candidate then differs from its
+neighbours only in ``<c2>``, so its dimensions are integer arithmetic in the
+private index functions of :mod:`cohomology`, with no pairing, and it is
+built as its report row: integers, coordinate tuples, ``tau`` and the norm,
+with no class or bundle object.
 
 What one rank keeps on one class is stated once, in ``_cells``: the
 ``(stratum, <c2(F)>)`` cells it keeps, and how many it keeps and prunes, by
@@ -90,11 +92,11 @@ __all__ = [
 
 
 # A census and its report hold every candidate at once.  Through the CLI one
-# candidate costs about 2.3 KB of peak memory at b2 = 22 (the objects plus
-# the report text; measured between 5.1*10^4 and 1.29*10^5 candidates, at
-# 169 and 345 MB).  The cap was set at 8 KB each, a 1 GiB budget, when the
+# candidate costs about 1.1 KB of peak memory at b2 = 22 (its row plus the
+# report text; measured between 5.0*10^4 and 1.18*10^5 candidates, at 114
+# and 189 MB).  The cap was set at 8 KB each, a 1 GiB budget, when the
 # report went through the stdlib's indented encoder; at today's cost its
-# 131 072 candidates take about 0.3 GiB.  A census counted above the cap is
+# 131 072 candidates take about 0.15 GiB.  A census counted above the cap is
 # refused before any candidate is built.
 MAX_CENSUS_CANDIDATES = 2**30 // 8192
 
@@ -181,7 +183,7 @@ class CurvatureBounds:
         for name, c in (("c_trace", c_trace), ("c_plus", c_plus), ("c_minus", c_minus)):
             if not (math.isfinite(c) and c >= 0.0):
                 raise ValueError(f"{name} must be a finite nonnegative real")
-            if name != "c_trace" and math.isinf(c * c):
+            if math.isinf(c * c):
                 raise ValueError(f"{name} = {c!r} is too large: its square overflows a float")
         g = _symmetric_matrix(metric, _as_fraction, "harmonic metric")
         if _positive_ldl(g) is None:
@@ -269,15 +271,8 @@ def whitney_complement(
     if k < 0:
         raise ValueError("stratum index must be nonnegative")
     c1_perp = bundle.c1 - sub.c1
-    return _forced_complement(bundle, sub, k, c1_perp, cup(sub.c1, c1_perp, manifold))
-
-
-def _forced_complement(
-    bundle: BundleData, sub: BundleData, k: int, c1_perp: CohClass2, pairing: int
-) -> BundleData:
-    """:func:`whitney_complement` given ``c1(Fperp)`` and ``pairing = <c1(F) . c1(Fperp)>``."""
     rank_perp = bundle.rank - sub.rank
-    c2_perp = (bundle.c2 - k) - sub.c2 - pairing
+    c2_perp = (bundle.c2 - k) - sub.c2 - cup(sub.c1, c1_perp, manifold)
     if rank_perp == 1 and c2_perp != 0:
         raise InconsistentCandidateError(
             f"rank-1 complement forced to <c2> = {c2_perp}; no such line bundle"
@@ -354,14 +349,23 @@ def _width(r: range) -> int:
 class ReductionCandidate:
     """A fixed-point component label: subbundle, forced complement, invariants.
 
+    Its fields are the ``reductions enumerate`` report's row, written as they
+    are: the subbundle ``F`` and its forced complement ``Fperp`` as rank,
+    ``c1`` coordinate tuple and ``<c2>``, which :attr:`F` and :attr:`Fperp`
+    build as :class:`BundleData`.
+
     The unitary factor of a candidate carries the interpolation parameter
     ``tau = 1 - n/N``; the perturbation it inherits is the determinant-line
     curvature scaled by 1/N, which is analytic data with no topological
     proxy, so only ``tau`` is recorded here.
     """
 
-    F: BundleData
-    Fperp: BundleData
+    rank: int
+    c1: tuple[int, ...]
+    c2: int
+    complement_rank: int
+    complement_c1: tuple[int, ...]
+    complement_c2: int
     tau: Fraction
     dim_un_part: int
     dim_asd_part: int
@@ -369,8 +373,16 @@ class ReductionCandidate:
     stratum_k: int
     c1_norm: float
 
+    @property
+    def F(self) -> BundleData:
+        return BundleData(self.rank, self.c1, self.c2)
+
+    @property
+    def Fperp(self) -> BundleData:
+        return BundleData(self.complement_rank, self.complement_c1, self.complement_c2)
+
     def sort_key(self):
-        return (self.F.rank, self.stratum_k, self.F.c1.coeffs, self.F.c2)
+        return (self.rank, self.stratum_k, self.c1, self.c2)
 
 
 @dataclass(frozen=True)
@@ -386,8 +398,8 @@ class EnumerationReport:
 class _BallClass(NamedTuple):
     """What the census reads of a ball point ``c1(F)`` that keeps a candidate: its candidates share these."""
 
-    c1f: CohClass2
-    c1_perp: CohClass2
+    c1f: tuple[int, ...]
+    c1_perp: tuple[int, ...]
     window: range  # the Chern-Weil window of <c2(F)>
     f_sq: int  # <c1F^2>
     f_s: int  # <c1F . c1(s)>
@@ -475,9 +487,9 @@ def enumerate_reductions(
         size += kept
         pruned += sum(n_pruned for _, n_pruned in counts)
         if kept:
-            c1f = CohClass2(v)
             norm = math.sqrt(sum(x * y for x, y in zip(v, _times(g, v))) / den)
-            classes.append(_BallClass(c1f, bundle.c1 - c1f, window, f_sq, f_s, pairing, e_sq - 2 * f_e + f_sq, norm))
+            c1_perp = tuple(e - x for e, x in zip(c1e, v))
+            classes.append(_BallClass(v, c1_perp, window, f_sq, f_s, pairing, e_sq - 2 * f_e + f_sq, norm))
     if size > MAX_CENSUS_CANDIDATES:
         raise ValueError(
             f"census too large: the energy bounds c_plus = {bounds.c_plus!r} and c_minus = "
@@ -492,25 +504,16 @@ def enumerate_reductions(
         rank_perp = big_n - n
         for c in classes:
             c1f, c1_perp, window, f_sq, f_s, pairing, perp_sq, c1_norm = c
+            # _cells keeps a rank-1 complement only where its forced c2 is 0
             for k, c2f in _cells(window, pairing, n, big_n, k_max, bundle.c2)[2]:
-                sub = BundleData(n, c1f, c2f)
-                perp = _forced_complement(bundle, sub, k, c1_perp, pairing)
+                c2_perp = bundle.c2 - k - c2f - pairing
                 dim_un = _monopole_dim(n * n, n, f_sq, f_s, c2f, ssq_minus_sig, chi, dirac_multiplicity)
                 dim_asd = 0 if rank_perp == 1 else _asd_dim(
-                    rank_perp * rank_perp - 1, rank_perp, perp_sq, perp.c2, chi
+                    rank_perp * rank_perp - 1, rank_perp, perp_sq, c2_perp, chi
                 )
-                candidates.append(
-                    ReductionCandidate(
-                        F=sub,
-                        Fperp=perp,
-                        tau=tau,
-                        dim_un_part=dim_un,
-                        dim_asd_part=dim_asd,
-                        total_dim=dim_un + dim_asd,
-                        stratum_k=k,
-                        c1_norm=c1_norm,
-                    )
-                )
+                candidates.append(ReductionCandidate(
+                    n, c1f, c2f, rank_perp, c1_perp, c2_perp, tau, dim_un, dim_asd, dim_un + dim_asd, k, c1_norm
+                ))
     candidates.sort(key=ReductionCandidate.sort_key)
     return EnumerationReport(
         candidates=tuple(candidates),

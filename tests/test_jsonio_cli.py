@@ -25,7 +25,7 @@ from monopoles import cli
 from monopoles.cli import main
 from monopoles.cohomology import CohClass2
 from monopoles.mu_kernel import SpinorPair, properness_constant_estimate, zero_divisor_margin
-from monopoles.reductions import MAX_BALL_POINTS, MAX_STRATA_ROWS, enumerate_reductions
+from monopoles.reductions import MAX_BALL_POINTS, MAX_STRATA_ROWS, ReductionCandidate, enumerate_reductions
 from monopoles.suites import _KAEHLER_CHECKS, _MU_CHECKS, CheckResult, SuiteReport
 from monopoles.jsonio import (
     ValidationError,
@@ -628,6 +628,17 @@ class TestCli:
         taus = {json.dumps(c["tau"], sort_keys=True) for c in report["result"]["candidates"]}
         assert taus == {json.dumps({"num": 1, "den": 2}, sort_keys=True)}
 
+    def test_reductions_enumerate_rows_are_the_candidate_fields(self, tmp_path, capsys):
+        """The encoder writes each candidate as it is: a row's keys are the fields of ReductionCandidate."""
+        doc = problem_doc()
+        doc["bundle"]["rank"] = 3
+        path = tmp_path / "census.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli(["reductions", "enumerate", "--input", str(path), "--c-trace", "9", "--kmax", "1"], capsys)
+        rows = json.loads(out)["result"]["candidates"]
+        assert code == 0 and {row["complement_rank"] for row in rows} == {1, 2}
+        assert all(sorted(row) == sorted(f.name for f in dataclasses.fields(ReductionCandidate)) for row in rows)
+
     def test_reductions_enumerate_states_each_warning_once(self, tmp_path, capsys):
         """The problem's warnings, then the census's own b1 note, each once."""
         doc = problem_doc()
@@ -771,16 +782,41 @@ class TestCli:
         assert code == 2
         assert err.startswith("error: $.g: ") and "positive definite" in err
 
+    @pytest.mark.parametrize("name, value", [("c_plus", 1e200), ("c_trace", 1e308)])
     @pytest.mark.parametrize("command", [["reductions", "enumerate"], ["dim", "pun"], ["strata"], ["tau0"]])
-    def test_bounds_block_whose_square_overflows_exits_2_naming_the_block(self, command, tmp_path, capsys):
+    def test_bounds_block_whose_square_overflows_exits_2_naming_the_block(
+        self, command, name, value, tmp_path, capsys
+    ):
         doc = problem_doc()
-        doc["bounds"] = {"c_trace": 6.2832, "c_plus": 1e200, "c_minus": 0.0}
+        doc["bounds"] = {"c_trace": 6.2832, "c_plus": 0.0, "c_minus": 0.0, name: value}
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(doc))
         code = main(command + ["--input", str(path)])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert captured.err.count("\n") == 1 and captured.err.startswith("error: $.bounds: c_plus ")
+        assert captured.err.count("\n") == 1 and captured.err.startswith(f"error: $.bounds: {name} ")
+
+    @pytest.mark.parametrize("by_flags", [True, False])
+    def test_metric_whose_norms_leave_the_float_range_exits_2_naming_the_bound(self, by_flags, tmp_path, capsys):
+        """A ball of G = [[10^600]] whose kept classes' norms exceed the float range is refused at its bound."""
+        doc = problem_doc(manifold={"name": "CP2", "b1": 0, "intersection_form": [[1]]})
+        doc["spinc"], doc["bundle"] = {"c1": [1]}, {"rank": 3, "c1": [0], "c2": 0}
+        bounds = {"c_trace": 1e305, "c_plus": 1e100, "c_minus": 1e100}
+        argv = ["reductions", "enumerate", "--input", str(tmp_path / "p.json")]
+        if by_flags:
+            (tmp_path / "g.json").write_text(f"[[{10**600}]]")
+            argv += ["--g", str(tmp_path / "g.json")]
+            argv += [x for name, c in bounds.items() for x in ("--" + name.replace("_", "-"), repr(c))]
+        else:
+            doc["bounds"] = {**bounds, "g": [[10**600]]}
+        (tmp_path / "p.json").write_text(json.dumps(doc))
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # a flag is refused by the argument parser
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and captured.err.count("\n") == 1
+        assert ("argument --c-trace: " if by_flags else "error: $.bounds: c_trace ") in captured.err
 
     def test_census_with_a_half_integral_dirac_index_exits_2(self, tmp_path, capsys):
         # c1(s) = 0 is not characteristic for diag(1, -1); the first candidate in
@@ -923,6 +959,7 @@ class TestCli:
             (["mu", "check", "--samples", "0"], "--samples"),
             (["kaehler", "check", "--samples", "-1"], "--samples"),
             (["reductions", "enumerate", "--input", "p.json", "--c-trace", "inf"], "--c-trace"),
+            (["reductions", "enumerate", "--input", "p.json", "--c-trace", "1e155"], "--c-trace"),  # square overflows
             (["reductions", "enumerate", "--input", "p.json", "--c-plus", "nan"], "--c-plus"),
             (["reductions", "enumerate", "--input", "p.json", "--c-minus", "-1"], "--c-minus"),
             (["reductions", "enumerate", "--input", "p.json", "--c-plus", "1e200"], "--c-plus"),  # square overflows
