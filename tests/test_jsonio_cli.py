@@ -801,14 +801,12 @@ class TestCli:
         """A ball of G = [[10^600]] whose kept classes' norms exceed the float range is refused at its bound."""
         doc = problem_doc(manifold={"name": "CP2", "b1": 0, "intersection_form": [[1]]})
         doc["spinc"], doc["bundle"] = {"c1": [1]}, {"rank": 3, "c1": [0], "c2": 0}
-        bounds = {"c_trace": 1e305, "c_plus": 1e100, "c_minus": 1e100}
         argv = ["reductions", "enumerate", "--input", str(tmp_path / "p.json")]
         if by_flags:
             (tmp_path / "g.json").write_text(f"[[{10**600}]]")
-            argv += ["--g", str(tmp_path / "g.json")]
-            argv += [x for name, c in bounds.items() for x in ("--" + name.replace("_", "-"), repr(c))]
+            argv += ["--g", str(tmp_path / "g.json"), "--c-trace", "1e305", "--c-plus", "1e100", "--c-minus", "1e100"]
         else:
-            doc["bounds"] = {**bounds, "g": [[10**600]]}
+            doc["bounds"] = {"c_trace": 1e305, "c_plus": 1e100, "c_minus": 1e100, "g": [[10**600]]}
         (tmp_path / "p.json").write_text(json.dumps(doc))
         try:
             code = main(argv)
@@ -959,7 +957,6 @@ class TestCli:
             (["mu", "check", "--samples", "0"], "--samples"),
             (["kaehler", "check", "--samples", "-1"], "--samples"),
             (["reductions", "enumerate", "--input", "p.json", "--c-trace", "inf"], "--c-trace"),
-            (["reductions", "enumerate", "--input", "p.json", "--c-trace", "1e155"], "--c-trace"),  # square overflows
             (["reductions", "enumerate", "--input", "p.json", "--c-plus", "nan"], "--c-plus"),
             (["reductions", "enumerate", "--input", "p.json", "--c-minus", "-1"], "--c-minus"),
             (["reductions", "enumerate", "--input", "p.json", "--c-plus", "1e200"], "--c-plus"),  # square overflows
@@ -978,6 +975,7 @@ class TestCli:
             (["mu", "properness", "--n", "2", "--tau", "0.5", "--tol", "-1"], "--tol"),
             (["mu", "check", "--suite", "bogus"], "--suite"),
             (["kaehler", "check", "--suite", "nope"], "--suite"),
+            (["reductions", "enumerate", "--input", "p.json", "--c-trace", "1e155"], "--c-trace"),  # square overflows
         ],
     )
     def test_bad_numeric_flag_exits_2_naming_the_flag(self, argv, flag, capsys):
