@@ -17,11 +17,12 @@ One executable, subcommands per computation:
 Reports go to stdout as canonical JSON (``--format table`` prints the
 leaves of that same document as aligned rows).  Exit codes: 0 success, 1 a
 checked property failed (the counterexample is serialized in the report), 2
-invalid input, 141 (128 + SIGPIPE) stdout was closed before the report was
-written, which prints nothing.  Reports are byte-identical given the same
-input, seed and package version; wall-clock timing is only attached on request
-(``--timing``, which every command takes), since it would break that
-reproducibility.  The environment variable ``MONOPOLES_THREADS`` is
+invalid input, 3 an internal error (one line on stderr, ``error: internal:
+<Type>: <message>``, and nothing on stdout), 141 (128 + SIGPIPE) stdout was
+closed before the report was written, which prints nothing.  Reports are
+byte-identical given the same input, seed and package version; wall-clock
+timing is only attached on request (``--timing``, which every command
+takes), since it would break that reproducibility.  The environment variable ``MONOPOLES_THREADS`` is
 ignored: nothing reads it, so it cannot affect results.
 
 The exact commands (``dim``, ``reductions``, ``strata``, ``tau0``,
@@ -76,6 +77,7 @@ from .reductions import (
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
 EXIT_INVALID_INPUT = 2
+EXIT_INTERNAL_ERROR = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, the status of a writer killed by a closed pipe
 
 
@@ -328,9 +330,11 @@ def _run_dim(args, argv, start_time) -> int:
     return EXIT_OK
 
 
-def _run_reductions(args, argv, start_time) -> int:
-    problem = _projective(load_problem(args.input))
+def _census_bounds(args, problem: Problem) -> CurvatureBounds:
+    """The problem's bounds block, each field overridden by its flag; the block itself when no flag is given."""
     base = problem.bounds
+    if base is not None and all(flag is None for flag in (args.c_trace, args.c_plus, args.c_minus, args.g)):
+        return base
     c_trace = args.c_trace if args.c_trace is not None else (base.c_trace if base else None)
     c_plus = args.c_plus if args.c_plus is not None else (base.c_plus if base else 0.0)
     c_minus = args.c_minus if args.c_minus is not None else (base.c_minus if base else 0.0)
@@ -345,10 +349,15 @@ def _run_reductions(args, argv, start_time) -> int:
     else:
         metric = identity_metric(problem.manifold.b2)
     try:
-        bounds = CurvatureBounds(c_trace, c_plus, c_minus, metric)
+        return CurvatureBounds(c_trace, c_plus, c_minus, metric)
     except ValueError as exc:
         # the problem's bounds and the bound flags are validated already: the error is the --g metric's
         raise ValidationError("$.g", str(exc)) from None
+
+
+def _run_reductions(args, argv, start_time) -> int:
+    problem = _projective(load_problem(args.input))
+    bounds = _census_bounds(args, problem)
     try:
         report = enumerate_reductions(
             problem.manifold, problem.bundle, problem.spinc, bounds,
@@ -484,6 +493,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:  # a ValidationError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
+    except Exception as exc:  # a bug, not a verdict: never exit 1, never a traceback
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

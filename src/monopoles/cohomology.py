@@ -58,6 +58,8 @@ class InconsistentTopologyError(ValueError):
 
 
 def _as_int(x, what: str) -> int:
+    if type(x) is int:
+        return x
     if isinstance(x, bool) or not isinstance(x, (int,)):
         # numpy integers land here; accept anything that round-trips exactly
         try:
@@ -72,7 +74,8 @@ def _as_int(x, what: str) -> int:
 
 def _symmetric_matrix(rows: Sequence[Sequence], convert, what: str) -> tuple[tuple, ...]:
     """Validate a symmetric matrix, entries by ``convert(x, what)``; 0 x 0 is allowed (b2 = 0)."""
-    mat = tuple(tuple(convert(x, f"{what} entry") for x in row) for row in rows)
+    entry = f"{what} entry"
+    mat = tuple(tuple(convert(x, entry) for x in row) for row in rows)
     m = len(mat)
     if any(len(row) != m for row in mat):
         raise ValueError(f"{what} must be square")
@@ -81,6 +84,9 @@ def _symmetric_matrix(rows: Sequence[Sequence], convert, what: str) -> tuple[tup
             if mat[i][j] != mat[j][i]:
                 raise ValueError(f"{what} is not symmetric at ({i},{j})")
     return mat
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)  # shared entries of L: a Fraction is immutable
 
 
 def ldl(mat: Sequence[Sequence]) -> tuple[list[list[Fraction]] | None, list[Fraction]]:
@@ -99,8 +105,12 @@ def ldl(mat: Sequence[Sequence]) -> tuple[list[list[Fraction]] | None, list[Frac
     inertia by sign (Sylvester), their count is the rank and, when that is
     full, their product is ``det(mat)``.  A positive-definite matrix never
     needs a swap or a repair, so its ``L`` is always returned.
+
+    An integer entry stays an integer until elimination updates it, and a
+    zero below a pivot costs no division; every entry of ``L`` and every
+    pivot is returned as a :class:`~fractions.Fraction`.
     """
-    a = [[Fraction(x) for x in row] for row in mat]
+    a = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in mat]
     m = len(a)
     pivots = []
     plain = True
@@ -123,21 +133,21 @@ def ldl(mat: Sequence[Sequence]) -> tuple[list[list[Fraction]] | None, list[Frac
             for row in a:
                 row[k], row[piv] = row[piv], row[k]
             plain = False
-        d = a[k][k]
+        d = Fraction(a[k][k])
         pivots.append(d)
-        # Schur complement of the pivot, over the nonzero entries of its row;
+        # Schur complement of the pivot, over the nonzero entries of its row and column;
         # column k keeps the multipliers, which are the k-th column of L
         row_k = [(t, x) for t, x in enumerate(a[k][k + 1:], k + 1) if x]
         for i in range(k + 1, m):
-            f = a[i][k] / d
-            a[i][k] = f
-            if f:
+            if a[i][k]:
+                f = a[i][k] = a[i][k] / d
                 for t, x in row_k:
                     a[i][t] -= f * x
         k += 1
     if not plain:
         return None, pivots
-    return [[a[i][j] if j < i else Fraction(int(i == j)) for j in range(m)] for i in range(m)], pivots
+    # below the diagonal: the multipliers, and zeros, which may still be integers
+    return [[(a[i][j] or _ZERO) if j < i else (_ONE if i == j else _ZERO) for j in range(m)] for i in range(m)], pivots
 
 
 @dataclass(frozen=True)

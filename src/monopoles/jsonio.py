@@ -19,13 +19,14 @@ their fields, and writes every value below them (a candidate, a check, a
 stratum) on one line through the stdlib's C encoder, with
 :func:`to_jsonable` as its ``default`` hook.  :func:`input_sha256` hashes
 the input document's fully indented canonical text, which the layout does
-not change.
+not change, with CPython's built-in SHA-256: :mod:`hashlib` would load
+OpenSSL's libcrypto into every exact command for one digest.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
+import functools
 import json
 import math
 import sys
@@ -104,6 +105,10 @@ def _token(value) -> str:
     return text if len(text) <= _TOKEN_CHARS else text[: _TOKEN_CHARS - 3] + "..."
 
 
+# an array of these items is accepted in one pass when every item is an int
+_INTEGER = {"type": "integer"}
+
+
 def _validate(schema: dict, value, path: str) -> None:
     """Raise :class:`ValidationError` at the JSON path where ``value`` first breaks ``schema``.
 
@@ -124,8 +129,8 @@ def _validate(schema: dict, value, path: str) -> None:
         raise ValidationError(path, f"expected {_describe(schema)}, got {_token(value)}")
     if "minimum" in schema and value < schema["minimum"]:
         raise ValidationError(path, f"must be >= {schema['minimum']}, got {_token(value)}")
-    if "items" in schema:
-        for i, item in enumerate(value):
+    if "items" in schema and not (schema["items"] == _INTEGER and all(type(x) is int for x in value)):
+        for i, item in enumerate(value):  # also the walk that names the first bad item
             _validate(schema["items"], item, f"{path}[{i}]")
     known = schema.get("properties")
     if known is not None:
@@ -320,7 +325,7 @@ def to_jsonable(obj: Any) -> Any:
     encodes what it returns, recursing into it: the hook never recurses.
     Dict keys never reach the hook, so reports key their dicts by strings.
     """
-    if isinstance(obj, Fraction):
+    if type(obj) is Fraction or isinstance(obj, Fraction):  # the exact type skips the ABC check
         if obj.denominator == 1:
             return int(obj)
         return {"num": obj.numerator, "den": obj.denominator}
@@ -333,8 +338,14 @@ def to_jsonable(obj: Any) -> Any:
     if isinstance(obj, CohClass2):
         return obj.coeffs
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.name != "raw"}
+        return {name: getattr(obj, name) for name in _field_names(type(obj))}
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    """The fields :func:`to_jsonable` writes of a dataclass type, in order: all but ``raw``."""
+    return tuple(f.name for f in dataclasses.fields(cls) if f.name != "raw")
 
 
 # the stdlib's C encoder, compact: every row of a report, and every scalar
@@ -345,8 +356,8 @@ _ROW_DEPTH = 3
 _JSON_NATIVE = (str, int, float, list, tuple, dict)
 
 
-def _layout(obj, nl: str, depth: int) -> str:
-    """The canonical text of ``obj``; ``nl`` is the newline and indent of the line it starts on."""
+def _layout(obj, nl: str, depth: int, out: list[str]) -> None:
+    """Append the canonical text of ``obj`` to ``out``; ``nl`` is the newline and indent of the line it starts on."""
     if depth < _ROW_DEPTH:
         hooked = []  # what the hook converted here, kept alive so that ``is`` finds a cycle through it
         while not (obj is None or isinstance(obj, _JSON_NATIVE) or any(obj is h for h in hooked)):
@@ -354,11 +365,22 @@ def _layout(obj, nl: str, depth: int) -> str:
             obj = to_jsonable(obj)
         inner = nl + "  "
         if isinstance(obj, (list, tuple)) and obj:
-            return "[" + inner + ("," + inner).join([_layout(x, inner, depth + 1) for x in obj]) + nl + "]"
+            sep, comma = "[" + inner, "," + inner
+            for x in obj:
+                out.append(sep)
+                _layout(x, inner, depth + 1, out)
+                sep = comma
+            out.append(nl + "]")
+            return
         if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
-            body = [_ROW(k) + ": " + _layout(v, inner, depth + 1) for k, v in sorted(obj.items())]
-            return "{" + inner + ("," + inner).join(body) + nl + "}"
-    return _ROW(obj)
+            sep, comma = "{" + inner, "," + inner
+            for k, v in sorted(obj.items()):
+                out.append(sep + _ROW(k) + ": ")
+                _layout(v, inner, depth + 1, out)
+                sep = comma
+            out.append(nl + "}")
+            return
+    out.append(_ROW(obj))
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -372,11 +394,25 @@ def canonical_dumps(obj: Any) -> str:
     as a space and drop the other breaks and indents, and the text is the
     C encoder's for the whole ``obj``; so are its errors, among them the
     ``ValueError`` for a non-finite float or a circular structure.
+
+    The pieces (the rows and the indents between them) go into one list,
+    joined once at the end, so the text is copied once whatever its depth.
     """
-    return _layout(obj, "\n", 0)
+    out: list[str] = []
+    _layout(obj, "\n", 0, out)
+    return "".join(out)
+
+
+try:
+    from _sha2 import sha256 as _sha256  # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 
 def input_sha256(doc: Any) -> str:
     """SHA-256 of the input document's fully indented canonical text, whatever the report layout."""
     text = json.dumps(doc, sort_keys=True, indent=2, separators=(",", ": "), allow_nan=False, default=to_jsonable)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return _sha256(text.encode("utf-8")).hexdigest()

@@ -92,11 +92,11 @@ __all__ = [
 
 
 # A census and its report hold every candidate at once.  Through the CLI one
-# candidate costs about 1.2 KB of peak memory at b2 = 22 (its row plus the
-# report text; measured between 5.0*10^4 and 1.18*10^5 candidates, at 113
-# and 190 MB).  The cap was set at 8 KB each, a 1 GiB budget, when the
+# candidate costs about 1.1 KB of peak memory at b2 = 22 (its row plus the
+# report text; measured between 5.0*10^4 and 1.18*10^5 candidates, at 73
+# and 142 MB).  The cap was set at 8 KB each, a 1 GiB budget, when the
 # report went through the stdlib's indented encoder; at today's cost its
-# 131 072 candidates take about 0.15 GiB.  A census counted above the cap is
+# 131 072 candidates take about 0.13 GiB.  A census counted above the cap is
 # refused before any candidate is built.
 MAX_CENSUS_CANDIDATES = 2**30 // 8192
 
@@ -345,7 +345,7 @@ def _width(r: range) -> int:
     return max(0, r.stop - r.start)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReductionCandidate:
     """A fixed-point component label: subbundle, forced complement, invariants.
 

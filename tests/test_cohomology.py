@@ -149,6 +149,46 @@ def rebuild(low, pivots, m):
     return [[sum(low[i][t] * d[t] * low[j][t] for t in range(m)) for j in range(m)] for i in range(m)]
 
 
+def _ldl_oracle(mat):
+    """``ldl`` as it was before it kept integer entries: every entry a Fraction first, every multiplier divided."""
+    a = [[Fraction(x) for x in row] for row in mat]
+    m = len(a)
+    pivots = []
+    plain = True
+    k = 0
+    while k < m:
+        piv = next((i for i in range(k, m) if a[i][i]), None)
+        if piv is None:
+            hit = next(((i, j) for i in range(k, m) for j in range(i + 1, m) if a[i][j]), None)
+            if hit is None:
+                break
+            i, j = hit
+            for t in range(k, m):
+                a[i][t] += a[j][t]
+            for t in range(k, m):
+                a[t][i] += a[t][j]
+            plain = False
+            continue
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            for row in a:
+                row[k], row[piv] = row[piv], row[k]
+            plain = False
+        d = a[k][k]
+        pivots.append(d)
+        row_k = [(t, x) for t, x in enumerate(a[k][k + 1:], k + 1) if x]
+        for i in range(k + 1, m):
+            f = a[i][k] / d
+            a[i][k] = f
+            if f:
+                for t, x in row_k:
+                    a[i][t] -= f * x
+        k += 1
+    if not plain:
+        return None, pivots
+    return [[a[i][j] if j < i else Fraction(int(i == j)) for j in range(m)] for i in range(m)], pivots
+
+
 class TestLdl:
     """The one exact elimination against routes written here: Laplace minors and Descartes."""
 
@@ -221,6 +261,22 @@ class TestLdl:
 
     def test_empty_form(self):
         assert ldl([]) == ([], [])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), m=st.integers(0, 6), rational=st.booleans(), zero_diagonal=st.booleans())
+    def test_equals_the_elimination_that_converts_every_entry_first(self, data, m, rational, zero_diagonal):
+        """``ldl`` converts an entry only where elimination touches it, and skips zeros below a pivot;
+        ``(L, pivots)`` equal the plain algorithm's, held here as the oracle, and are all Fractions."""
+        entry = st.integers(-3, 3)
+        if rational:
+            entry = st.one_of(entry, st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)))
+        a = [[0] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i, m):
+                a[i][j] = a[j][i] = 0 if i == j and zero_diagonal else data.draw(entry)
+        low, pivots = ldl(a)
+        assert (low, pivots) == _ldl_oracle(a)
+        assert all(type(x) is Fraction for x in pivots + [x for row in low or [] for x in row])
 
     @pytest.mark.parametrize(
         "form, det", [([[2]], 2), ([[2, 1], [1, -3]], 7), (direct_sum(E8, [[-3]]), 3)]

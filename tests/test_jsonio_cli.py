@@ -12,6 +12,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,8 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from monopoles import cli
+from monopoles import cli, reductions
 from monopoles.cli import main
+from monopoles import cohomology
 from monopoles.cohomology import CohClass2
 from monopoles.mu_kernel import SpinorPair, properness_constant_estimate, zero_divisor_margin
 from monopoles.reductions import MAX_BALL_POINTS, MAX_STRATA_ROWS, ReductionCandidate, enumerate_reductions
@@ -87,6 +89,15 @@ class TestValidation:
         doc["bundle"]["c2"] = True
         with pytest.raises(ValidationError, match=r"\$\.bundle\.c2"):
             parse_problem(doc)
+
+    @pytest.mark.parametrize("bad, token", [(True, "true"), (1.0, "1.0"), ("1", '"1"'), ([1], "[1]"), (None, "null")])
+    def test_integer_array_names_its_first_bad_item(self, bad, token):
+        """An all-int array passes in one check; any other falls back to the walk, which names the item."""
+        doc = problem_doc()
+        doc["manifold"]["intersection_form"] = [[0, 1], [bad, 0]]
+        with pytest.raises(ValidationError) as exc:
+            parse_problem(doc)
+        assert str(exc.value) == f"$.manifold.intersection_form[1][0]: expected an integer, got {token}"
 
     def test_class_length_mismatch_named(self):
         doc = problem_doc()
@@ -527,6 +538,42 @@ class TestEncoderOracle:
                 canonical_dumps(obj)
             assert outcome(c_dumps, obj) == (ValueError, "Circular reference detected")
 
+    def test_a_census_report_is_copied_once(self, tmp_path, monkeypatch, capsys):
+        """The peak memory of laying out a report is its pieces and one joined text: at most 2.6x the text.
+
+        The census is the benchmark's N4-b8-id problem (1 174 candidates).  Joining
+        each nesting level into a new string, as the layout once did, peaked at 3.5x.
+        """
+        diag = [1, 1] + [-1] * 6
+        energy = math.sqrt(1.25 * 8 * math.pi**2)
+        doc = {
+            "manifold": {"name": "N4-b8-id", "b1": 0,
+                         "intersection_form": [[d if i == j else 0 for j in range(8)] for i, d in enumerate(diag)]},
+            "spinc": {"c1": [1] * 8},
+            "bundle": {"rank": 4, "c1": [1, 0, 0, 0, 0, 0, 0, 1], "c2": 2},
+            "bounds": {"c_trace": 3 * math.pi, "c_plus": energy, "c_minus": energy, "g": "identity"},
+        }
+        path = tmp_path / "n4.json"
+        path.write_text(json.dumps(doc))
+        peaks = []
+
+        def traced(obj):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                text = canonical_dumps(obj)
+                peaks.append((tracemalloc.get_traced_memory()[1] - before, len(text)))
+            finally:
+                tracemalloc.stop()
+            return text
+
+        monkeypatch.setattr(cli, "canonical_dumps", traced)
+        code, out = run_cli(["reductions", "enumerate", "--input", str(path), "--kmax", "1"], capsys)
+        assert code == 0 and json.loads(out)["result"]["count"] == 1174
+        (peak, chars), = peaks
+        assert out.isascii()  # so a character of the text takes one byte
+        assert peak <= 2.6 * chars, peak / chars
+
     def test_deep_structure_that_is_no_cycle_is_encoded(self):
         deep = {"leaf": [1, 2]}
         for _ in range(400):
@@ -739,6 +786,22 @@ class TestCli:
         assert code == cli.EXIT_BROKEN_PIPE == 141
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize(
+        "exc", [RuntimeError("a bug"), OverflowError("int too large to convert to float")], ids=lambda e: type(e).__name__
+    )
+    def test_internal_error_exits_3_with_one_line(self, exc, monkeypatch, capsys):
+        """A bug is no verdict and no bad input: exit 3, one line naming the exception, nothing on stdout."""
+
+        def fail():
+            raise exc
+
+        monkeypatch.setattr(cli, "problem_schema", fail)
+        code = main(["schema"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INTERNAL_ERROR == 3
+        assert captured.out == ""
+        assert captured.err == f"error: internal: {type(exc).__name__}: {exc}\n"
+
     def test_report_carries_hash_and_version(self, k3_file, capsys):
         _, out = run_cli(["dim", "pun", "--input", k3_file], capsys)
         report = json.loads(out)
@@ -761,6 +824,27 @@ class TestCli:
         code, out = run_cli(["reductions", "enumerate", "--input", str(path)], capsys)
         assert code == 0
         assert json.loads(out)["result"]["count"] == 5
+
+    @pytest.mark.parametrize(
+        "flags, factorizations, same_bounds",
+        [([], 2, True), (["--kmax", "1"], 2, False), (["--c-plus", "0"], 3, True), (["--g", "identity"], 3, False)],
+    )
+    def test_census_reuses_the_bounds_block_unless_a_flag_overrides_it(
+        self, flags, factorizations, same_bounds, tmp_path, monkeypatch, capsys
+    ):
+        """The block's metric is factored when the problem is parsed and when its ball is walked; a bound flag adds one."""
+        doc = problem_doc()
+        doc["bounds"] = {"c_trace": 9.0, "c_plus": 0.0, "c_minus": 3.0, "g": [[2, 1], [1, 1]]}
+        path = tmp_path / "census.json"
+        path.write_text(json.dumps(doc))
+        argv = ["reductions", "enumerate", "--input", str(path)]
+        _, plain = run_cli(argv, capsys)
+        calls = []
+        monkeypatch.setattr(reductions, "ldl", lambda g: calls.append(g) or cohomology.ldl(g))
+        code, out = run_cli(argv + flags, capsys)
+        assert code == 0 and len(calls) == factorizations
+        if same_bounds:  # by the block, or by a flag of the block's value
+            assert json.loads(out)["result"] == json.loads(plain)["result"]
 
     def test_metric_file_of_wrong_size_names_the_field(self, hyperbolic_file, tmp_path, capsys):
         g = tmp_path / "g.json"
