@@ -25,6 +25,10 @@ timing is only attached on request (``--timing``, which every command
 takes), since it would break that reproducibility.  The environment variable ``MONOPOLES_THREADS`` is
 ignored: nothing reads it, so it cannot affect results.
 
+Each ``_run_*`` handler returns ``(report, exit code)`` and writes nothing:
+:func:`main` is the one writer, which adds ``timing_seconds`` under
+``--timing`` and prints the report once.
+
 The exact commands (``dim``, ``reductions``, ``strata``, ``tau0``,
 ``schema``) run without numpy.  The numeric layers behind ``mu`` and
 ``kaehler`` (``mu_kernel``, ``kaehler``, ``suites``) are imported by their
@@ -166,82 +170,67 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"monopoles {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flags several commands take, each declared once
+    shared = {
+        "--dirac-multiplicity": dict(type=int, choices=(1, 2), default=None),
+        "--kmax": dict(type=_nonnegative_int, default=None),
+        "--seed": dict(type=_nonnegative_int, default=0),
+        "--starts": dict(type=_positive_int, default=64),
+        "--samples": dict(type=_positive_int, default=200),
+    }
 
-    def add_common(p, run, input_file=False):
-        """The options every command takes, and ``run``, the handler ``main`` calls."""
+    def group(name: str, dest: str, help: str):
+        return sub.add_parser(name, help=help).add_subparsers(dest=dest, required=True)
+
+    def command(parent, name: str, run, *flags, input_file=False, **kwargs) -> None:
+        """Subcommand ``name`` bound to its handler ``run``: ``--format``, ``--timing``, ``--input``
+        if it reads a problem file, then ``flags``, each a name in ``shared`` or an ``(option, spec)`` pair."""
+        p = parent.add_parser(name, **kwargs)
         p.set_defaults(run=run)
         p.add_argument("--format", choices=("json", "table"), default="json")
         p.add_argument("--timing", action="store_true", help="attach wall-clock timing")
         if input_file:
             p.add_argument("--input", required=True, help="problem JSON file")
+        for flag in flags:
+            option, spec = (flag, shared[flag]) if isinstance(flag, str) else flag
+            p.add_argument(option, **spec)
 
-    dim = sub.add_parser("dim", help="expected dimension formulas")
-    dim_sub = dim.add_subparsers(dest="dim_kind", required=True)
+    dim = group("dim", "dim_kind", "expected dimension formulas")
     for kind in ("pun", "un", "asd"):
-        p = dim_sub.add_parser(kind)
-        add_common(p, _run_dim, input_file=True)
-        if kind != "asd":
-            p.add_argument("--dirac-multiplicity", type=int, choices=(1, 2), default=None)
+        command(dim, kind, _run_dim, *(() if kind == "asd" else ("--dirac-multiplicity",)), input_file=True)
 
-    red = sub.add_parser("reductions", help="fixed-point candidate census")
-    red_sub = red.add_subparsers(dest="red_kind", required=True)
-    enum_p = red_sub.add_parser("enumerate")
-    add_common(enum_p, _run_reductions, input_file=True)
     # CurvatureBounds squares these: a square that overflows is refused here, at its flag
-    squarable = _flag_type(
+    squarable = dict(default=None, type=_flag_type(
         float, lambda v: v >= 0.0 and math.isfinite(v * v), "a nonnegative number with a finite float square"
+    ))
+    command(
+        group("reductions", "red_kind", "fixed-point candidate census"), "enumerate", _run_reductions,
+        ("--c-trace", squarable), ("--c-plus", squarable), ("--c-minus", squarable),
+        ("--g", dict(default=None, help='"identity" or a JSON file with a rational matrix')),
+        "--kmax", "--dirac-multiplicity", input_file=True,
     )
-    enum_p.add_argument("--c-trace", type=squarable, default=None)
-    enum_p.add_argument("--c-plus", type=squarable, default=None)
-    enum_p.add_argument("--c-minus", type=squarable, default=None)
-    enum_p.add_argument("--g", default=None, help='"identity" or a JSON file with a rational matrix')
-    enum_p.add_argument("--kmax", type=_nonnegative_int, default=None)
-    enum_p.add_argument("--dirac-multiplicity", type=int, choices=(1, 2), default=None)
+    command(sub, "strata", _run_strata, "--kmax", "--dirac-multiplicity", input_file=True,
+            help="Uhlenbeck strata bookkeeping")
 
-    strata = sub.add_parser("strata", help="Uhlenbeck strata bookkeeping")
-    add_common(strata, _run_strata, input_file=True)
-    strata.add_argument("--kmax", type=_nonnegative_int, default=None)
-    strata.add_argument("--dirac-multiplicity", type=int, choices=(1, 2), default=None)
-
-    mu_p = sub.add_parser("mu", help="spinor-map certificates")
-    mu_sub = mu_p.add_subparsers(dest="mu_kind", required=True)
-    prop = mu_sub.add_parser("properness")
-    add_common(prop, _run_properness)
-    prop.add_argument("--n", type=_positive_int, required=True)
-    prop.add_argument("--tau", type=_finite_float, required=True)
-    prop.add_argument("--starts", type=_positive_int, default=64)
-    prop.add_argument("--seed", type=_nonnegative_int, default=0)
-    prop.add_argument("--tol", type=_nonnegative_float, default=1e-8)
-    check = mu_sub.add_parser("check")
-    add_common(check, _run_check)
-    check.add_argument("--suite", type=_suite_flag("mu"), default="all")
-    check.add_argument("--samples", type=_positive_int, default=200)
-    check.add_argument("--seed", type=_nonnegative_int, default=0)
-
-    ka = sub.add_parser("kaehler", help="Kahler fiber algebra")
-    ka_sub = ka.add_subparsers(dest="ka_kind", required=True)
-    kcheck = ka_sub.add_parser("check")
-    add_common(kcheck, _run_check)
-    kcheck.add_argument("--suite", type=_suite_flag("kaehler"), default="all")
-    kcheck.add_argument("--samples", type=_positive_int, default=200)
-    kcheck.add_argument("--seed", type=_nonnegative_int, default=0)
-    margin = ka_sub.add_parser("margin")
-    add_common(margin, _run_margin)
-    margin.add_argument(
-        "--n", type=_flag_type(int, lambda v: v >= 2, "an integer >= 2"), required=True
+    mu = group("mu", "mu_kind", "spinor-map certificates")
+    command(
+        mu, "properness", _run_properness,
+        ("--n", dict(type=_positive_int, required=True)), ("--tau", dict(type=_finite_float, required=True)),
+        "--starts", "--seed", ("--tol", dict(type=_nonnegative_float, default=1e-8)),
     )
-    margin.add_argument(
-        "--tau", type=_flag_type(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]"), required=True
+    ka = group("kaehler", "ka_kind", "Kahler fiber algebra")
+    for kind, checks in (("mu", mu), ("kaehler", ka)):
+        command(checks, "check", _run_check, ("--suite", dict(type=_suite_flag(kind), default="all")),
+                "--samples", "--seed")
+    command(
+        ka, "margin", _run_margin,
+        ("--n", dict(type=_flag_type(int, lambda v: v >= 2, "an integer >= 2"), required=True)),
+        ("--tau", dict(type=_flag_type(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]"), required=True)),
+        ("--lambda", dict(dest="lam", type=_finite_complex, required=True)), "--starts", "--seed",
     )
-    margin.add_argument("--lambda", dest="lam", type=_finite_complex, required=True)
-    margin.add_argument("--starts", type=_positive_int, default=64)
-    margin.add_argument("--seed", type=_nonnegative_int, default=0)
 
-    tau0 = sub.add_parser("tau0", help="generic vanishing of the tau=0 trace equation")
-    add_common(tau0, _run_tau0, input_file=True)
-
-    schema = sub.add_parser("schema", help="print the problem-file JSON schema")
-    add_common(schema, _run_schema)
+    command(sub, "tau0", _run_tau0, input_file=True, help="generic vanishing of the tau=0 trace equation")
+    command(sub, "schema", _run_schema, help="print the problem-file JSON schema")
     return parser
 
 
@@ -283,12 +272,6 @@ def _render(report: dict, fmt: str) -> str:
     return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows)
 
 
-def _emit(report: dict, args, start_time: float) -> None:
-    if args.timing:
-        report["timing_seconds"] = time.monotonic() - start_time
-    print(_render(report, args.format))
-
-
 def _envelope(argv, result, warnings_list, input_doc=None) -> dict:
     report = {
         "command": list(argv),
@@ -315,7 +298,7 @@ def _option(args, problem: Problem, name: str):
     return getattr(problem.options, name) if flag is None else flag
 
 
-def _run_dim(args, argv, start_time) -> int:
+def _run_dim(args, argv) -> tuple[dict, int]:
     problem = load_problem(args.input)
     if args.dim_kind != "un":
         _projective(problem)
@@ -326,8 +309,7 @@ def _run_dim(args, argv, start_time) -> int:
         result = un_dimension_report(problem.bundle, problem.spinc, problem.manifold, mult)
     else:
         result = asd_dimension_report(problem.bundle, problem.manifold)
-    _emit(_envelope(argv, result, _problem_warnings(problem), problem.raw), args, start_time)
-    return EXIT_OK
+    return _envelope(argv, result, _problem_warnings(problem), problem.raw), EXIT_OK
 
 
 def _census_bounds(args, problem: Problem) -> CurvatureBounds:
@@ -355,7 +337,7 @@ def _census_bounds(args, problem: Problem) -> CurvatureBounds:
         raise ValidationError("$.g", str(exc)) from None
 
 
-def _run_reductions(args, argv, start_time) -> int:
+def _run_reductions(args, argv) -> tuple[dict, int]:
     problem = _projective(load_problem(args.input))
     bounds = _census_bounds(args, problem)
     try:
@@ -372,11 +354,10 @@ def _run_reductions(args, argv, start_time) -> int:
         "pruned_inconsistent": report.pruned_inconsistent,
         "lattice_points": report.lattice_points,
     }
-    _emit(_envelope(argv, result, notes, problem.raw), args, start_time)
-    return EXIT_OK
+    return _envelope(argv, result, notes, problem.raw), EXIT_OK
 
 
-def _run_strata(args, argv, start_time) -> int:
+def _run_strata(args, argv) -> tuple[dict, int]:
     problem = _projective(load_problem(args.input))
     k_max = _option(args, problem, "kmax")
     try:
@@ -388,25 +369,16 @@ def _run_strata(args, argv, start_time) -> int:
             raise
         # the row cap, checked first: name the field k_max came from
         raise ValidationError("$.options.kmax" if args.kmax is None else "--kmax", str(exc)) from None
-    result = {
-        "strata": [
-            {
-                "k": r.k,
-                "c1": list(r.bundle.c1.coeffs),
-                "c2": r.bundle.c2,
-                "expected_dim": r.expected_dim,
-                "instanton_part": r.instanton_part,
-                "dirac_index": r.dirac_index,
-            }
-            for r in rows
-        ]
-    }
-    _emit(_envelope(argv, result, _problem_warnings(problem), problem.raw), args, start_time)
-    return EXIT_OK
+    result = {"strata": [
+        {"k": r.k, "c1": list(r.bundle.c1.coeffs), "c2": r.bundle.c2, "expected_dim": r.expected_dim,
+         "instanton_part": r.instanton_part, "dirac_index": r.dirac_index}
+        for r in rows
+    ]}
+    return _envelope(argv, result, _problem_warnings(problem), problem.raw), EXIT_OK
 
 
-def _emit_certificate(args, argv, start_time, scale, estimate, extra=dict) -> int:
-    """Report ``estimate()`` at ``--n``/``--tau`` with the warnings it raised.
+def _certificate(args, argv, scale, estimate, extra=dict) -> tuple[dict, int]:
+    """The report of ``estimate()`` at ``--n``/``--tau``, with the warnings it raised.
 
     ``extra()`` adds fields; it runs after the estimate has checked its input.
     ``scale`` is the ``(flag, value)`` that sizes the estimate: a result that
@@ -418,42 +390,41 @@ def _emit_certificate(args, argv, start_time, scale, estimate, extra=dict) -> in
         report = estimate()
     result = {**to_jsonable(report), "n": args.n, "tau": args.tau, **extra()}
     try:
-        _emit(_envelope(argv, result, [str(w.message) for w in caught]), args, start_time)
+        canonical_dumps(result)
     except ValueError:
         flag, value = scale
         raise ValueError(
             f"argument {flag}: {value} overflows the estimate; expected a smaller magnitude"
         ) from None
-    return EXIT_OK
+    return _envelope(argv, result, [str(w.message) for w in caught]), EXIT_OK
 
 
-def _run_check(args, argv, start_time) -> int:
+def _run_check(args, argv) -> tuple[dict, int]:
     """``mu check`` or ``kaehler check``: exit 1 when a property fails."""
     from . import suites
 
     run_suite = suites.mu_suite if args.command == "mu" else suites.kaehler_suite
     report = run_suite(suite=args.suite, samples=args.samples, seed=args.seed)
     result = {**to_jsonable(report), "all_passed": report.all_passed}
-    _emit(_envelope(argv, result, []), args, start_time)
-    return EXIT_OK if report.all_passed else EXIT_PROPERTY_FAILURE
+    return _envelope(argv, result, []), EXIT_OK if report.all_passed else EXIT_PROPERTY_FAILURE
 
 
-def _run_properness(args, argv, start_time) -> int:
+def _run_properness(args, argv) -> tuple[dict, int]:
     from .mu_kernel import properness_constant_estimate
 
-    return _emit_certificate(
-        args, argv, start_time, ("--tau", args.tau),
+    return _certificate(
+        args, argv, ("--tau", args.tau),
         lambda: properness_constant_estimate(
             args.n, args.tau, starts=args.starts, seed=args.seed, tol=args.tol
         ),
     )
 
 
-def _run_margin(args, argv, start_time) -> int:
+def _run_margin(args, argv) -> tuple[dict, int]:
     from .kaehler import impossibility_margin, impossibility_margin_closed_form
 
-    return _emit_certificate(
-        args, argv, start_time, ("--lambda", args.lam),
+    return _certificate(
+        args, argv, ("--lambda", args.lam),
         lambda: impossibility_margin(args.n, args.tau, args.lam, starts=args.starts, seed=args.seed),
         lambda: {
             "lambda": args.lam,
@@ -462,25 +433,25 @@ def _run_margin(args, argv, start_time) -> int:
     )
 
 
-def _run_tau0(args, argv, start_time) -> int:
+def _run_tau0(args, argv) -> tuple[dict, int]:
     problem = load_problem(args.input)
     verdict = generic_tau0_vanishing(problem.manifold)
-    _emit(_envelope(argv, verdict, _problem_warnings(problem), problem.raw), args, start_time)
-    return EXIT_OK
+    return _envelope(argv, verdict, _problem_warnings(problem), problem.raw), EXIT_OK
 
 
-def _run_schema(args, argv, start_time) -> int:
-    _emit(problem_schema(), args, start_time)
-    return EXIT_OK
+def _run_schema(args, argv) -> tuple[dict, int]:
+    return problem_schema(), EXIT_OK
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    args = parser.parse_args(_attach_negative_values(argv))
+    args = _build_parser().parse_args(_attach_negative_values(argv))
     start_time = time.monotonic()
     try:
-        code = args.run(args, argv, start_time)
+        report, code = args.run(args, argv)
+        if args.timing:
+            report["timing_seconds"] = time.monotonic() - start_time
+        print(_render(report, args.format))
         sys.stdout.flush()
         return code
     except BrokenPipeError:
