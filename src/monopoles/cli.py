@@ -292,6 +292,14 @@ def _projective(problem: Problem) -> Problem:
     return problem
 
 
+def _reading(flag: str, read, path: str, *rest):
+    """``read(path, *rest)``: a file that cannot be opened is refused at ``flag``, naming its path."""
+    try:
+        return read(path, *rest)
+    except OSError as exc:
+        raise ValidationError(flag, str(exc)) from None
+
+
 def _option(args, problem: Problem, name: str):
     """The flag ``--<name>`` if given, else the problem file's option ``name``."""
     flag = getattr(args, name, None)
@@ -299,7 +307,7 @@ def _option(args, problem: Problem, name: str):
 
 
 def _run_dim(args, argv) -> tuple[dict, int]:
-    problem = load_problem(args.input)
+    problem = _reading("--input", load_problem, args.input)
     if args.dim_kind != "un":
         _projective(problem)
     mult = _option(args, problem, "dirac_multiplicity")
@@ -325,7 +333,7 @@ def _census_bounds(args, problem: Problem) -> CurvatureBounds:
             "$.bounds.c_trace", "required (give --c-trace or a bounds block in the input)"
         )
     if args.g not in (None, "identity"):
-        metric = parse_metric(_read_json(args.g, "$.g"), problem.manifold.b2, "$.g")
+        metric = parse_metric(_reading("--g", _read_json, args.g, "$.g"), problem.manifold.b2, "$.g")
     elif args.g is None and base is not None:
         metric = base.metric
     else:
@@ -338,7 +346,7 @@ def _census_bounds(args, problem: Problem) -> CurvatureBounds:
 
 
 def _run_reductions(args, argv) -> tuple[dict, int]:
-    problem = _projective(load_problem(args.input))
+    problem = _projective(_reading("--input", load_problem, args.input))
     bounds = _census_bounds(args, problem)
     try:
         report = enumerate_reductions(
@@ -358,7 +366,7 @@ def _run_reductions(args, argv) -> tuple[dict, int]:
 
 
 def _run_strata(args, argv) -> tuple[dict, int]:
-    problem = _projective(load_problem(args.input))
+    problem = _projective(_reading("--input", load_problem, args.input))
     k_max = _option(args, problem, "kmax")
     try:
         rows = uhlenbeck_strata(
@@ -434,7 +442,7 @@ def _run_margin(args, argv) -> tuple[dict, int]:
 
 
 def _run_tau0(args, argv) -> tuple[dict, int]:
-    problem = load_problem(args.input)
+    problem = _reading("--input", load_problem, args.input)
     verdict = generic_tau0_vanishing(problem.manifold)
     return _envelope(argv, verdict, _problem_warnings(problem), problem.raw), EXIT_OK
 

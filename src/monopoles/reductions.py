@@ -493,7 +493,7 @@ def enumerate_reductions(
     if size > MAX_CENSUS_CANDIDATES:
         raise ValueError(
             f"census too large: the energy bounds c_plus = {bounds.c_plus!r} and c_minus = "
-            f"{bounds.c_minus!r} admit {size} candidates, more than {MAX_CENSUS_CANDIDATES}"
+            f"{bounds.c_minus!r} with k_max = {k_max} admit {size} candidates, more than {MAX_CENSUS_CANDIDATES}"
         )
     # the constants of every candidate's index formulas
     ssq_minus_sig = cup(s.c1s, s.c1s, manifold) - manifold.signature

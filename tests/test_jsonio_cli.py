@@ -638,6 +638,28 @@ class TestCli:
         assert captured.err.startswith(f"error: {field}: malformed JSON: {detail}")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "command, flag, target",
+        [
+            (["dim", "pun"], "--input", "missing.json"),
+            (["strata"], "--input", "missing.json"),
+            (["tau0"], "--input", "a_directory"),
+            (["reductions", "enumerate", "--c-trace", "6.2832"], "--input", "a_directory"),
+            (["reductions", "enumerate", "--c-trace", "6.2832"], "--g", "missing.json"),
+        ],
+    )
+    def test_a_file_that_cannot_be_opened_names_its_flag(
+        self, command, flag, target, hyperbolic_file, tmp_path, capsys
+    ):
+        (tmp_path / "a_directory").mkdir()
+        path = str(tmp_path / target)
+        files = {"--input": hyperbolic_file, flag: path}
+        code = main(command + [token for item in files.items() for token in item])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: {flag}: ") and path in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         doc = problem_doc(surprise=1)
         path = tmp_path / "p.json"
@@ -928,6 +950,22 @@ class TestCli:
         assert captured.err.startswith("error: census too large: the energy bounds c_plus = 0.0 and c_minus = 1000000.0 ")
         assert elapsed < 1.0
 
+    def test_census_made_large_by_kmax_is_refused_naming_k_max(self, tmp_path, capsys):
+        doc = problem_doc()
+        doc["bundle"]["rank"] = 3
+        path = tmp_path / "rank3.json"
+        path.write_text(json.dumps(doc))
+        argv = ["reductions", "enumerate", "--input", str(path), "--c-trace", "7", "--c-plus", "3", "--c-minus", "9"]
+        assert main(argv + ["--kmax", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["count"] == 25
+        start = time.perf_counter()
+        code = main(argv + ["--kmax", "100000000"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1 and "k_max = 100000000" in captured.err
+        assert elapsed < 1.0
+
     @pytest.mark.parametrize(
         "flag, options, field",
         [(["--kmax", "200000"], {}, "--kmax"), ([], {"kmax": 10**400}, "$.options.kmax")],
@@ -1120,12 +1158,30 @@ class TestCli:
         schema = json.loads(out)
         assert schema["required"] == ["manifold", "spinc", "bundle"]
 
-    def test_timing_is_opt_in(self, k3_file, capsys):
-        for command in (["tau0", "--input", k3_file], ["schema"]):
+    def test_timing_is_opt_in(self, k3_file, hyperbolic_file, capsys):
+        """Every command: ``--timing`` adds ``timing_seconds`` to the report and changes nothing else."""
+        for command in (
+            ["dim", "pun", "--input", k3_file],
+            ["dim", "un", "--input", k3_file],
+            ["dim", "asd", "--input", k3_file],
+            ["strata", "--input", hyperbolic_file, "--kmax", "2"],
+            ["reductions", "enumerate", "--input", hyperbolic_file, "--c-trace", "6.2832", "--c-minus", "8.89"],
+            ["tau0", "--input", k3_file],
+            ["schema"],
+            ["mu", "properness", "--n", "2", "--tau", "0.5", "--starts", "1"],
+            ["mu", "check", "--suite", "quartic", "--samples", "1"],
+            ["kaehler", "check", "--suite", "brace", "--samples", "1"],
+            ["kaehler", "margin", "--n", "2", "--tau", "0.5", "--lambda", "1+0i", "--starts", "1"],
+        ):
             _, out = run_cli(command, capsys)
-            assert "timing_seconds" not in json.loads(out)
+            untimed = json.loads(out)
+            assert "timing_seconds" not in untimed
             _, out = run_cli(command + ["--timing"], capsys)
-            assert json.loads(out)["timing_seconds"] >= 0.0
+            timed = json.loads(out)
+            assert timed.pop("timing_seconds") >= 0.0
+            if "command" in untimed:  # the envelope echoes the arguments
+                untimed["command"].append("--timing")
+            assert timed == untimed, command
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
