@@ -403,6 +403,30 @@ _MAX_ITER = 2000
 _GRADIENT_TOL = 1e-8
 
 
+def _sphere_descent(value_and_grad, blocks, starts, seed, tol, argmin, judge=True):
+    """Seeded multistart descent of a squared norm on a product of unit spheres.
+
+    ``blocks`` are the real dimensions of the spheres.  Each of the
+    ``starts`` standard normal points takes at most ``_MAX_ITER`` (2000)
+    steps and stops once its tangent gradient is below ``tol``, or at its
+    last point once no strict decrease is representable at machine
+    precision (the floor rule of :func:`monopoles.optim._descend`); only a
+    start that ran out of steps reads ``False`` in ``converged_per_start``.
+    The report holds square roots, the minimizer ``argmin(best point)`` and,
+    where ``judge`` holds, whether the estimate clears the positivity floor
+    :data:`DEFAULT_POSITIVITY_FLOOR` (1e-3).
+    """
+    project, tangent = sphere_blocks_projector(blocks)
+    x_best, values_sq, flags = multistart_minimize(
+        value_and_grad, lambda rng: rng.standard_normal(sum(blocks)), starts=starts, seed=seed,
+        gradient_tolerance=tol, max_iter=_MAX_ITER, project=project, tangent=tangent,
+    )
+    return OptimizationReport.from_squares(
+        values_sq, flags, argmin(x_best), seed=seed, max_iter=_MAX_ITER, tol=tol,
+        positivity_floor=DEFAULT_POSITIVITY_FLOOR, judge=judge,
+    )
+
+
 def properness_constant_closed_form(n: int, tau: float) -> float:
     """The properness constant min_{|Psi|=1} |mu(tau, Psi, Psi)|, exactly.
 
@@ -436,35 +460,17 @@ def properness_constant_estimate(
 ) -> OptimizationReport:
     """Estimate the properness constant min_{|Psi|=1} |mu(tau, Psi, Psi)|.
 
-    Multistart projected gradient descent on the unit sphere of C^{2n}; the
-    reported estimate is the square root of the best objective value found,
-    hence always an upper bound for the true constant.  Each start takes at
-    most 2000 steps and stops once the tangent gradient is below ``tol``
-    (1e-8 unless given), or at its last point once no strict decrease is
-    representable at machine precision (the floor rule of
-    :func:`monopoles.optim._descend`); its ``converged_per_start`` flag is
-    ``False`` only if it ran out of steps.  For ``n > 1`` the report's
-    ``success`` flag records whether the estimate clears the positivity
-    floor :data:`DEFAULT_POSITIVITY_FLOOR` (1e-3).
+    :func:`_sphere_descent` on the unit sphere of C^{2n} at gradient
+    tolerance ``tol``, so the estimate is an upper bound for the true
+    constant; ``success`` judges it against the floor only for ``n > 1``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0.0 <= tau <= 1.0:
         warnings.warn(f"tau={tau} lies outside [0, 1]", stacklevel=2)
-    project, tangent = sphere_blocks_projector([4 * n])
-    x_best, values_sq, flags = multistart_minimize(
-        properness_value_grad(n, tau),
-        lambda rng: rng.standard_normal(4 * n),
-        starts=starts,
-        seed=seed,
-        gradient_tolerance=tol,
-        max_iter=_MAX_ITER,
-        project=project,
-        tangent=tangent,
-    )
-    return OptimizationReport.from_squares(
-        values_sq, flags, SpinorPair.from_vector(_unpack(x_best)), seed=seed,
-        max_iter=_MAX_ITER, tol=tol, positivity_floor=DEFAULT_POSITIVITY_FLOOR, judge=n > 1,
+    return _sphere_descent(
+        properness_value_grad(n, tau), [4 * n], starts, seed, tol,
+        lambda x: SpinorPair.from_vector(_unpack(x)), judge=n > 1,
     )
 
 
@@ -501,12 +507,8 @@ def zero_divisor_margin(
     Requires ``n >= 2 or tau != 0``: in the excluded case ``n = 1, tau = 0``
     the map is identically zero and the zero-divisor property fails, so the
     input is rejected by name.  A margin above the positivity floor
-    :data:`DEFAULT_POSITIVITY_FLOOR` (1e-3) certifies (numerically) that the
-    bilinear map has no zero divisors.  The descent budget and stopping
-    rule are those of :func:`properness_constant_estimate`: at most 2000
-    steps per start, gradient tolerance 1e-8, and a stop at the last point
-    once no strict decrease is representable; only a start that ran out of
-    steps reads ``False`` in ``converged_per_start``.
+    :data:`DEFAULT_POSITIVITY_FLOOR` certifies (numerically) that the
+    bilinear map has no zero divisors; :func:`_sphere_descent` finds it.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -517,23 +519,7 @@ def zero_divisor_margin(
         )
     if not 0.0 <= tau <= 1.0:
         warnings.warn(f"tau={tau} lies outside [0, 1]", stacklevel=2)
-    project, tangent = sphere_blocks_projector([4 * n, 4 * n])
-    x_best, values_sq, flags = multistart_minimize(
-        _zero_divisor_value_grad(n, tau),
-        lambda rng: rng.standard_normal(8 * n),
-        starts=starts,
-        seed=seed,
-        gradient_tolerance=_GRADIENT_TOL,
-        max_iter=_MAX_ITER,
-        project=project,
-        tangent=tangent,
-    )
-    half = x_best.size // 2
-    argmin = (
-        SpinorPair.from_vector(_unpack(x_best[:half])),
-        SpinorPair.from_vector(_unpack(x_best[half:])),
-    )
-    return OptimizationReport.from_squares(
-        values_sq, flags, argmin, seed=seed, max_iter=_MAX_ITER, tol=_GRADIENT_TOL,
-        positivity_floor=DEFAULT_POSITIVITY_FLOOR,
+    return _sphere_descent(
+        _zero_divisor_value_grad(n, tau), [4 * n, 4 * n], starts, seed, _GRADIENT_TOL,
+        lambda x: tuple(SpinorPair.from_vector(_unpack(h)) for h in np.split(x, 2)),
     )

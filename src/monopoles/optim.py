@@ -95,6 +95,11 @@ class OptimizationReport:
         )
 
 
+def _rng(seed: int, index: int) -> np.random.Generator:
+    """The Philox stream spawned from ``(seed, index)``: one per start, and one per suite check."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(index,))))
+
+
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products ``sum_i a[..., i] b[..., i]`` over the last axis, one per row.
 
@@ -224,8 +229,8 @@ def multistart_minimize(
     *,
     starts: int,
     seed: int,
-    gradient_tolerance: float = 1e-8,
-    max_iter: int = 2000,
+    gradient_tolerance: float,
+    max_iter: int,
     project=None,
     tangent=None,
     fixed_starts: Sequence[np.ndarray] = (),
@@ -243,11 +248,7 @@ def multistart_minimize(
     if starts < 1:
         raise ValueError("starts must be >= 1")
     points = [np.asarray(x0, dtype=float) for x0 in fixed_starts]
-    for i in range(starts):
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        )
-        points.append(sample_start(rng))
+    points += [sample_start(_rng(seed, i)) for i in range(starts)]
     x, f, converged = _descend(
         value_and_grad,
         np.stack(points),

@@ -36,6 +36,7 @@ from .kaehler import (
     impossibility_margin_closed_form,
 )
 from .mu_kernel import (
+    _GRADIENT_TOL,
     SpinorPair,
     batch_matvec,
     batch_outer,
@@ -48,7 +49,7 @@ from .mu_kernel import (
     properness_value_grad,
     quartic_form,
 )
-from .optim import row_dots
+from .optim import _rng, row_dots
 
 __all__ = [
     "CheckResult",
@@ -82,12 +83,6 @@ class SuiteReport:
 
     def failures(self) -> tuple[CheckResult, ...]:
         return tuple(c for c in self.checks if not c.passed)
-
-
-def _rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-    )
 
 
 def _complex_rows(rng, *shape: int) -> np.ndarray:
@@ -412,14 +407,14 @@ def _check_zero_divisor_identity(seed, index, samples):
 
 @_grid("properness_inequality", 0.0)
 def _check_properness_inequality(rng, samples, seed):
-    """quartic_form(tau, psi) >= (c - 1e-8)^2 |psi|^4, c the closed-form properness constant.
+    """quartic_form(tau, psi) >= (c - tol)^2 |psi|^4, c the closed-form properness constant.
 
-    The 1e-8 slack is the gradient tolerance of ``properness_constant_estimate``,
-    the optimizer cross-check of ``c``.
+    The slack ``tol`` is ``_GRADIENT_TOL``, the default gradient tolerance of
+    ``properness_constant_estimate``, the optimizer cross-check of ``c``.
     """
     for n in (2, 3, 4):
         for tau in (0.0, 0.5, 1.0):
-            floor = max(properness_constant_closed_form(n, tau) - 1e-8, 0.0) ** 2
+            floor = max(properness_constant_closed_form(n, tau) - _GRADIENT_TOL, 0.0) ** 2
             a = _complex_rows(rng, samples, n)
             b = _complex_rows(rng, samples, n)
 
