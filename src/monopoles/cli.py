@@ -52,6 +52,7 @@ import warnings
 
 from . import __version__
 from .cohomology import (
+    InconsistentTopologyError,
     asd_dimension_report,
     characteristic_defects,
     pun_dimension_report,
@@ -264,12 +265,12 @@ def _render(report: dict, fmt: str) -> str:
 
     A string leaf is printed bare, any other leaf as its JSON token.
     """
-    text = canonical_dumps(report)
     if fmt == "json":
-        return text
-    rows = [(k, v if isinstance(v, str) else json.dumps(v)) for k, v in _flatten(json.loads(text))]
-    width = max((len(k) for k, _ in rows), default=0)
-    return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows)
+        return canonical_dumps(report)
+    doc = json.loads(canonical_dumps(report))  # the text goes once it is parsed
+    width = max((len(k) for k, _ in _flatten(doc)), default=0)  # two walks of the leaves, no row list
+    lines = (f"{k.ljust(width)}  {v if isinstance(v, str) else json.dumps(v)}" for k, v in _flatten(doc))
+    return "\n".join(lines)
 
 
 def _envelope(argv, result, warnings_list, input_doc=None) -> dict:
@@ -469,6 +470,9 @@ def main(argv=None) -> int:
         with contextlib.suppress(io.UnsupportedOperation):  # a stream with no descriptor
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
+    except InconsistentTopologyError as exc:  # the index is integral for every characteristic c1(s)
+        print(f"error: $.spinc.c1: {exc}", file=sys.stderr)
+        return EXIT_INVALID_INPUT
     except (OSError, ValueError) as exc:  # a ValidationError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT

@@ -60,16 +60,13 @@ class InconsistentTopologyError(ValueError):
 def _as_int(x, what: str) -> int:
     if type(x) is int:
         return x
-    if isinstance(x, bool) or not isinstance(x, (int,)):
-        # numpy integers land here; accept anything that round-trips exactly
-        try:
-            xi = int(x)
-        except (TypeError, ValueError):
-            raise ValueError(f"{what} must be an integer, got {x!r}") from None
-        if xi != x or isinstance(x, (float, complex)):
-            raise ValueError(f"{what} must be an integer, got {x!r}")
-        return xi
-    return int(x)
+    # numpy integers land here; a boolean is no integer, nor is a float of integral value
+    try:
+        if not isinstance(x, (bool, float, complex)) and int(x) == x:
+            return int(x)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{what} must be an integer, got {x!r}")
 
 
 def _symmetric_matrix(rows: Sequence[Sequence], convert, what: str) -> tuple[tuple, ...]:

@@ -114,6 +114,26 @@ class TestManifoldValidation:
         with pytest.raises(ValueError, match="positive index"):
             FourManifold("bad", 0, [[0, 1], [1, 0]], b2plus=2)
 
+    @pytest.mark.parametrize("value", [True, False, 2.0, 2.5, "2"])
+    def test_an_entry_that_is_no_integer_is_refused(self, value):
+        """A boolean is no integer, as in the problem schema; nor is a float or a numeral string."""
+        with pytest.raises(ValueError) as refused:
+            BundleData(2, [0, 0], value)
+        assert str(refused.value) == f"c2 must be an integer, got {value!r}"
+
+    def test_a_boolean_rank_b1_or_form_entry_is_refused(self):
+        with pytest.raises(ValueError, match=r"^rank must be an integer, got True$"):
+            BundleData(True, [0], 0)
+        with pytest.raises(ValueError, match=r"^b1 must be an integer, got False$"):
+            FourManifold("m", False, [[True]])
+        with pytest.raises(ValueError, match=r"^intersection form entry must be an integer, got True$"):
+            FourManifold("m", 0, [[True]])
+
+    def test_a_numpy_integer_is_read_as_an_int(self):
+        e = BundleData(np.int64(2), [np.int64(1), 0], np.int64(3))
+        assert (e.rank, e.c1.coeffs, e.c2) == (2, (1, 0), 3)
+        assert {type(x) for x in (e.rank, *e.c1.coeffs, e.c2)} == {int}
+
     def test_non_unimodular_warns_not_errors(self):
         m = FourManifold("Z2", 0, [[2]])
         assert any("unimodular" in w for w in m.warnings)

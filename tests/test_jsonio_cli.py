@@ -538,11 +538,14 @@ class TestEncoderOracle:
                 canonical_dumps(obj)
             assert outcome(c_dumps, obj) == (ValueError, "Circular reference detected")
 
-    def test_a_census_report_is_copied_once(self, tmp_path, monkeypatch, capsys):
-        """The peak memory of laying out a report is its pieces and one joined text: at most 2.6x the text.
+    @pytest.mark.parametrize("fmt, bound", [("json", 2.6), ("table", 5.0)])
+    def test_a_census_report_is_copied_once(self, fmt, bound, tmp_path, monkeypatch, capsys):
+        """The peak memory of laying out a report is its pieces and one joined text.
 
-        The census is the benchmark's N4-b8-id problem (1 174 candidates).  Joining
-        each nesting level into a new string, as the layout once did, peaked at 3.5x.
+        The census is the benchmark's N4-b8-id problem (1 174 candidates).  The JSON
+        text peaks at most 2.6x its length: joining each nesting level into a new
+        string, as the layout once did, peaked at 3.5x.  The table peaks at most 5x
+        its length: a list of one (path, token) row per leaf, as it once held, peaked at 8.1x.
         """
         diag = [1, 1] + [-1] * 6
         energy = math.sqrt(1.25 * 8 * math.pi**2)
@@ -557,22 +560,29 @@ class TestEncoderOracle:
         path.write_text(json.dumps(doc))
         peaks = []
 
-        def traced(obj):
+        render = cli._render
+
+        def traced(report, fmt):
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
-                text = canonical_dumps(obj)
+                text = render(report, fmt)
                 peaks.append((tracemalloc.get_traced_memory()[1] - before, len(text)))
             finally:
                 tracemalloc.stop()
             return text
 
-        monkeypatch.setattr(cli, "canonical_dumps", traced)
-        code, out = run_cli(["reductions", "enumerate", "--input", str(path), "--kmax", "1"], capsys)
-        assert code == 0 and json.loads(out)["result"]["count"] == 1174
+        monkeypatch.setattr(cli, "_render", traced)
+        argv = ["reductions", "enumerate", "--input", str(path), "--kmax", "1", "--format", fmt]
+        code, out = run_cli(argv, capsys)
+        if fmt == "json":
+            count = json.loads(out)["result"]["count"]
+        else:
+            count = int(re.search(r"^result\.count +(\d+)$", out, re.M)[1])
+        assert code == 0 and count == 1174
         (peak, chars), = peaks
         assert out.isascii()  # so a character of the text takes one byte
-        assert peak <= 2.6 * chars, peak / chars
+        assert peak <= bound * chars, peak / chars
 
     def test_deep_structure_that_is_no_cycle_is_encoded(self):
         deep = {"leaf": [1, 2]}
@@ -933,7 +943,28 @@ class TestCli:
         code = main(["reductions", "enumerate", "--input", str(path), "--c-trace", "6.2832", "--c-minus", "10"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert captured.err == "error: inconsistent topological input: twisted Dirac index -1/2 is not an integer\n"
+        assert captured.err == "error: $.spinc.c1: inconsistent topological input: twisted Dirac index -1/2 is not an integer\n"
+
+    @pytest.mark.parametrize(
+        "command, index",
+        [(["dim", "pun"], "-1/4"), (["dim", "un"], "-1/4"), (["strata", "--kmax", "2"], "-1/4"),
+         (["reductions", "enumerate", "--c-trace", "3"], "1/4")],
+    )
+    def test_a_non_integral_dirac_index_names_the_spinc_class(self, command, index, tmp_path, capsys):
+        """c1(s) = (1, 1) is not characteristic for the S^2 x S^2 form, so the index is not integral.
+
+        For a characteristic c1(s) on a unimodular form it always is: c1 . c1(s) = c1^2
+        mod 2, and c1(s)^2 = sigma mod 8 (van der Blij).
+        """
+        doc = problem_doc(spinc={"c1": [1, 1]}, bundle={"rank": 3, "c1": [0, 0], "c2": 1})
+        path = tmp_path / "s2xs2.json"
+        path.write_text(json.dumps(doc))
+        code = main([*command, "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            f"error: $.spinc.c1: inconsistent topological input: twisted Dirac index {index} is not an integer\n"
+        )
 
     def test_census_too_large_is_refused_before_it_is_built(self, tmp_path, capsys):
         doc = problem_doc()

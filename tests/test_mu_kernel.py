@@ -386,6 +386,14 @@ class TestZeroDivisorMargin:
         with pytest.raises(ValueError, match="n >= 2 or tau != 0"):
             zero_divisor_margin(1, 0.0)
 
+    def test_rejects_n0(self):
+        with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+            zero_divisor_margin(0, 0.5)
+
+    def test_tau_out_of_range_warns(self):
+        with pytest.warns(UserWarning, match=r"^tau=1\.5 lies outside \[0, 1\]$"):
+            zero_divisor_margin(2, 1.5, starts=1)
+
     def test_n2_tau0_positive(self):
         rep = zero_divisor_margin(2, 0.0, starts=24, seed=7)
         assert rep.estimate > rep.positivity_floor

@@ -237,6 +237,16 @@ class TestLatticeEnumeration:
         # boundary point: v = (1, -1) has v^T G v = 1 - 1 + 2/3 = 2/3 <= 5/2
         assert (1, -1) in got
 
+    def test_a_float_metric_entry_is_taken_exactly(self):
+        # 0.1 as a float is 0.1000000000000000055...: v = 1 lies outside the ball of radius^2 1/10
+        assert lattice_points_in_ball(((0.1,),), Fraction(1, 10)) == [(0,)]
+        assert lattice_points_in_ball(((Fraction(1, 10),),), Fraction(1, 10)) == [(-1,), (0,), (1,)]
+
+    @pytest.mark.parametrize("entry", [True, "1"])
+    def test_a_boolean_or_string_metric_entry_is_refused(self, entry):
+        with pytest.raises(ValueError, match=r"^metric entry must be a rational number"):
+            lattice_points_in_ball(((entry,),), 1)
+
     def test_matches_brute_force_on_sheared_rational_metrics(self):
         """G = S^T D S with non-integer shears and diagonal, radius^2 on the boundary."""
         rng = make_rng(2024)

@@ -416,6 +416,12 @@ def test_diagonal_check_fails_when_the_bilinear_route_drops_a_conjugate(monkeypa
     assert set(report.counterexample) == {"n", "tau", "psi", "phi"}
 
 
+@pytest.mark.parametrize("run, kind", [(mu_suite, "mu"), (kaehler_suite, "kaehler")])
+def test_an_unknown_suite_is_refused_by_name(run, kind):
+    with pytest.raises(ValueError, match=rf"^unknown {kind} suite 'nope'; choose from \['all', '"):
+        run("nope")
+
+
 @pytest.mark.parametrize("samples", [0, -1])
 def test_every_check_rejects_samples_below_one(samples):
     names = [(run, name) for run, checks, _ in SUITES.values() for name, _ in checks]
