@@ -60,9 +60,10 @@ class InconsistentTopologyError(ValueError):
 def _as_int(x, what: str) -> int:
     if type(x) is int:
         return x
-    # numpy integers land here; a boolean is no integer, nor is a float of integral value
+    # numpy integers land here; a boolean (numpy's too) is no integer, nor is a float of integral value
+    boolean = isinstance(x, bool) or getattr(getattr(x, "dtype", None), "kind", "") == "b"
     try:
-        if not isinstance(x, (bool, float, complex)) and int(x) == x:
+        if not (boolean or isinstance(x, (float, complex))) and int(x) == x:
             return int(x)
     except (TypeError, ValueError):
         pass

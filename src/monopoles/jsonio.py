@@ -17,7 +17,8 @@ Reports are strict JSON: ``NaN`` and infinities are refused on input and
 output alike.  :func:`canonical_dumps` indents the envelope, its blocks and
 their fields, and writes every value below them (a candidate, a check, a
 stratum) on one line through the stdlib's C encoder, with
-:func:`to_jsonable` as its ``default`` hook.  :func:`input_sha256` hashes
+:func:`to_jsonable` as its ``default`` hook; a census candidate's line comes
+from one format string that writes the encoder's text.  :func:`input_sha256` hashes
 the input document's fully indented canonical text, which the layout does
 not change, with CPython's built-in SHA-256: :mod:`hashlib` would load
 OpenSSL's libcrypto into every exact command for one digest.
@@ -29,13 +30,14 @@ import dataclasses
 import functools
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
 from .cohomology import BundleData, CohClass2, FourManifold, SpincStructure
-from .reductions import CurvatureBounds, identity_metric
+from .reductions import CurvatureBounds, ReductionCandidate, identity_metric
 
 __all__ = [
     "ValidationError",
@@ -356,6 +358,74 @@ _ROW_DEPTH = 3
 _JSON_NATIVE = (str, int, float, list, tuple, dict)
 
 
+def _field_text(value) -> str | bool:
+    """``_ROW(value)`` for a tuple of exact ``int``s, a finite ``float`` or a ``Fraction``; ``False`` for any other value.
+
+    Such a value holds nothing but numbers, so its text is the same wherever
+    it stands in a row.  ``False`` also stands for
+    a value the encoder refuses (an integer past the digit limit), whose
+    error the whole row states.
+    """
+    kind = type(value)
+    try:
+        if kind is tuple and set(map(type, value)) <= {int}:
+            return repr(list(value))  # a list of exact ints prints as its JSON text
+        if kind is float and math.isfinite(value):
+            return repr(value)
+        if kind is Fraction:
+            return _ROW(value)
+    except ValueError:
+        pass
+    return False
+
+
+# a census candidate's fields in the encoder's (sorted) key order
+_CANDIDATE_FIELDS = operator.attrgetter(*sorted(_field_names(ReductionCandidate)))
+
+
+def _candidate_rows(candidates):
+    """``_ROW(c)`` for each census candidate ``c`` in turn, most of them from one f-string.
+
+    A candidate whose eight scalar fields are exact ``int``s, whose classes
+    are tuples of exact ``int``s, whose ``c1_norm`` is a finite ``float``
+    and whose ``tau`` is a ``Fraction`` is written by one f-string in the
+    encoder's key order.  Each class, norm and tau object is formatted once
+    per call, by :func:`_field_text`, and its text memoized by ``id()``: the
+    census shares one class tuple and one norm per ball point and one
+    ``tau`` per rank, and ``candidates`` keeps every one alive for the whole
+    call.  A key by value would be wrong, since ``(1, 0) == (True, 0)`` and
+    ``0.0 == -0.0`` are written differently.  Any other candidate is
+    ``_ROW(c)`` itself, text and error alike.
+    """
+    memo: dict[int, str | bool] = {}
+    get = memo.get
+
+    def text(value):
+        memo[id(value)] = field = _field_text(value)
+        return field
+
+    for c in candidates:
+        c1, norm, c2, perp, perp_c2, perp_rank, asd, un, rank, k, tau, total = _CANDIDATE_FIELDS(c)
+        c1_text = get(id(c1)) or text(c1)
+        norm_text = get(id(norm)) or text(norm)
+        perp_text = get(id(perp)) or text(perp)
+        tau_text = get(id(tau)) or text(tau)
+        if (
+            c1_text and norm_text and perp_text and tau_text
+            and tuple is type(c1) is type(perp) and float is type(norm) and Fraction is type(tau)
+            and int is type(c2) is type(perp_c2) is type(perp_rank) is type(asd) is type(un)
+            is type(rank) is type(k) is type(total)
+        ):
+            # the encoder's key order, so an integer past the digit limit raises where the encoder's would
+            yield (
+                f'{{"c1": {c1_text}, "c1_norm": {norm_text}, "c2": {c2}, "complement_c1": {perp_text}, '
+                f'"complement_c2": {perp_c2}, "complement_rank": {perp_rank}, "dim_asd_part": {asd}, '
+                f'"dim_un_part": {un}, "rank": {rank}, "stratum_k": {k}, "tau": {tau_text}, "total_dim": {total}}}'
+            )
+        else:
+            yield _ROW(c)
+
+
 def _layout(obj, nl: str, depth: int, out: list[str]) -> None:
     """Append the canonical text of ``obj`` to ``out``; ``nl`` is the newline and indent of the line it starts on."""
     if depth < _ROW_DEPTH:
@@ -366,10 +436,16 @@ def _layout(obj, nl: str, depth: int, out: list[str]) -> None:
         inner = nl + "  "
         if isinstance(obj, (list, tuple)) and obj:
             sep, comma = "[" + inner, "," + inner
-            for x in obj:
-                out.append(sep)
-                _layout(x, inner, depth + 1, out)
-                sep = comma
+            if depth == _ROW_DEPTH - 1 and all(type(x) is ReductionCandidate for x in obj):
+                for row in _candidate_rows(obj):  # appended in turn: the block is never joined on its own
+                    out.append(sep)
+                    out.append(row)
+                    sep = comma
+            else:
+                for x in obj:
+                    out.append(sep)
+                    _layout(x, inner, depth + 1, out)
+                    sep = comma
             out.append(nl + "]")
             return
         if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
@@ -394,6 +470,12 @@ def canonical_dumps(obj: Any) -> str:
     as a space and drop the other breaks and indents, and the text is the
     C encoder's for the whole ``obj``; so are its errors, among them the
     ``ValueError`` for a non-finite float or a circular structure.
+
+    A census's rows, a list of :class:`ReductionCandidate` one level above
+    the rows, come from :func:`_candidate_rows`: one format string per row,
+    with each class, norm and tau formatted once per report, and the same
+    text as the C encoder's; a candidate of other field types is a
+    ``_ROW`` line as above.
 
     The pieces (the rows and the indents between them) go into one list,
     joined once at the end, so the text is copied once whatever its depth.

@@ -49,6 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from operator import attrgetter, mul, sub
 from typing import NamedTuple, Sequence
 
 from .cohomology import (
@@ -382,7 +383,11 @@ class ReductionCandidate:
         return BundleData(self.complement_rank, self.complement_c1, self.complement_c2)
 
     def sort_key(self):
-        return (self.rank, self.stratum_k, self.c1, self.c2)
+        return _SORT_KEY(self)
+
+
+# the census order, (rank, stratum, c1, c2), read in C
+_SORT_KEY = attrgetter("rank", "stratum_k", "c1", "c2")
 
 
 @dataclass(frozen=True)
@@ -480,15 +485,14 @@ def enumerate_reductions(
     classes = []
     for v in points:
         qv = _times(q, v)
-        f_sq, f_s, f_e = (sum(x * y for x, y in zip(u, qv)) for u in (v, c1s, c1e))
+        f_sq, f_s, f_e = sum(map(mul, v, qv)), sum(map(mul, c1s, qv)), sum(map(mul, c1e, qv))
         window, pairing = _c2_window(f_sq, energies), f_e - f_sq
-        counts = [_cells(window, pairing, n, big_n, k_max, bundle.c2)[:2] for n in ranks]
-        kept = sum(n_kept for n_kept, _ in counts)
+        kept, dropped = map(sum, zip(*(_cells(window, pairing, n, big_n, k_max, bundle.c2)[:2] for n in ranks)))
         size += kept
-        pruned += sum(n_pruned for _, n_pruned in counts)
+        pruned += dropped
         if kept:
-            norm = math.sqrt(sum(x * y for x, y in zip(v, _times(g, v))) / den)
-            c1_perp = tuple(e - x for e, x in zip(c1e, v))
+            norm = math.sqrt(sum(map(mul, v, _times(g, v))) / den)
+            c1_perp = tuple(map(sub, c1e, v))
             classes.append(_BallClass(v, c1_perp, window, f_sq, f_s, pairing, e_sq - 2 * f_e + f_sq, norm))
     if size > MAX_CENSUS_CANDIDATES:
         raise ValueError(
@@ -514,7 +518,7 @@ def enumerate_reductions(
                 candidates.append(ReductionCandidate(
                     n, c1f, c2f, rank_perp, c1_perp, c2_perp, tau, dim_un, dim_asd, dim_un + dim_asd, k, c1_norm
                 ))
-    candidates.sort(key=ReductionCandidate.sort_key)
+    candidates.sort(key=_SORT_KEY)
     return EnumerationReport(
         candidates=tuple(candidates),
         pruned_inconsistent=pruned,

@@ -134,6 +134,19 @@ class TestManifoldValidation:
         assert (e.rank, e.c1.coeffs, e.c2) == (2, (1, 0), 3)
         assert {type(x) for x in (e.rank, *e.c1.coeffs, e.c2)} == {int}
 
+    @pytest.mark.parametrize("value", [np.True_, np.False_, np.array(True)])
+    def test_a_numpy_boolean_is_refused(self, value):
+        """numpy's boolean is no integer either, though ``int(np.True_) == np.True_``."""
+        for build, what in (
+            (lambda: BundleData(value, [0], 0), "rank"),
+            (lambda: BundleData(2, [value], 0), "class coordinate"),
+            (lambda: FourManifold("m", 0, [[value]]), "intersection form entry"),
+        ):
+            with pytest.raises(ValueError) as refused:
+                build()
+            assert str(refused.value) == f"{what} must be an integer, got {value!r}"
+        assert BundleData(np.int64(3), [Fraction(4)], 0).rank == 3
+
     def test_non_unimodular_warns_not_errors(self):
         m = FourManifold("Z2", 0, [[2]])
         assert any("unimodular" in w for w in m.warnings)

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from monopoles import cli, reductions
+from monopoles import cli, jsonio, reductions
 from monopoles.cli import main
 from monopoles import cohomology
 from monopoles.cohomology import CohClass2
@@ -30,7 +30,9 @@ from monopoles.mu_kernel import SpinorPair, properness_constant_estimate, zero_d
 from monopoles.reductions import MAX_BALL_POINTS, MAX_STRATA_ROWS, ReductionCandidate, enumerate_reductions
 from monopoles.suites import _KAEHLER_CHECKS, _MU_CHECKS, CheckResult, SuiteReport
 from monopoles.jsonio import (
+    _ROW,
     ValidationError,
+    _candidate_rows,
     canonical_dumps,
     input_sha256,
     load_problem,
@@ -592,6 +594,215 @@ class TestEncoderOracle:
         assert flattened(text) == c_dumps(deep)
         assert json.loads(text) == json.loads(stdlib_dumps(deep))
         assert deepest_indent(text) == 6  # the row at depth 3
+
+
+# --- census rows from one format string, against the encoder ---
+
+_BIG_INTS = st.sampled_from([2**64, -(2**64) - 1, 10**30, 10**4300])  # the last is past the digit limit
+# what a census field may be instead of its census type: each candidate has at most two such fields
+_ODD_SCALARS = st.one_of(st.booleans(), st.builds(_Int, st.integers(-5, 5)), _BIG_INTS, st.builds(np.int64, st.integers(-5, 5)))
+_ODD_CLASSES = st.one_of(
+    st.sampled_from([(True, 0), (1, False), [1, 0], (1.0, 0), (_Int(1), 0), (2**70, -1), (-(10**4400),), 0.5]),
+    st.builds(CohClass2, st.lists(st.integers(-3, 3), max_size=3)),
+)
+_ODD_NORMS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 2, True, Fraction(3, 2), (1, 0)]),
+    st.builds(_Float, _FINITE),
+    st.builds(np.float64, _FINITE),
+)
+_ODD_TAUS = st.one_of(
+    st.sampled_from([Fraction(10**4300, 3), 0.5, 1, math.nan, None, (1, 2)]),
+    st.builds(lambda q: type("_Fraction", (Fraction,), {})(q), st.fractions()),
+)
+# the fields of ReductionCandidate in order, and what each is when the census types it
+_CENSUS_FIELDS = (
+    ("rank", st.integers(1, 5)),
+    ("c1", st.lists(st.integers(-3, 3), max_size=3).map(tuple)),
+    ("c2", st.integers(-50, 50)),
+    ("complement_rank", st.integers(1, 5)),
+    ("complement_c1", st.lists(st.integers(-3, 3), max_size=3).map(tuple)),
+    ("complement_c2", st.integers(-50, 50)),
+    ("tau", st.integers(1, 5).map(lambda n: 1 - Fraction(n, 6)) | st.fractions()),
+    ("dim_asd_part", st.integers(-50, 50)),
+    ("dim_un_part", st.integers(-50, 50)),
+    ("total_dim", st.integers(-50, 50)),
+    ("stratum_k", st.integers(0, 3)),
+    ("c1_norm", st.floats(0, 20) | st.sampled_from([0.0, -0.0, 5e-324, 1e300])),
+)
+_ODD = {"c1": _ODD_CLASSES, "complement_c1": _ODD_CLASSES, "tau": _ODD_TAUS, "c1_norm": _ODD_NORMS}
+
+
+@st.composite
+def _candidate_lists(draw):
+    """Candidates that share their field objects, as a census does: each field is drawn from a small pool.
+
+    The class pools hold both ``(1, 0)`` and ``(True, 0)``, and the norm pool both ``0.0`` and ``-0.0``.
+    A candidate has no odd field, one or two.
+    """
+    pools = {name: draw(st.lists(census, min_size=1, max_size=3)) for name, census in _CENSUS_FIELDS}
+    for name in ("c1", "complement_c1"):
+        pools[name] += [(1, 0), (True, 0)]
+    pools["c1_norm"] += [0.0, -0.0]
+
+    def candidate():
+        odd = draw(st.just(()) | st.lists(st.sampled_from([name for name, _ in _CENSUS_FIELDS]), max_size=2))
+        return ReductionCandidate(*(
+            draw(_ODD.get(name, _ODD_SCALARS)) if name in odd else draw(st.sampled_from(pools[name]))
+            for name, _ in _CENSUS_FIELDS
+        ))
+
+    return [candidate() for _ in range(draw(st.integers(1, 8)))]
+
+
+def _census_typed(c) -> bool:
+    """Whether ``c`` has the field types a census gives it."""
+    ints = (c.rank, c.c2, c.complement_rank, c.complement_c2, c.dim_asd_part, c.dim_un_part, c.total_dim, c.stratum_k)
+    classes = (c.c1, c.complement_c1)
+    return (
+        all(type(x) is int for x in ints)
+        and all(type(v) is tuple and all(type(x) is int for x in v) for v in classes)
+        and type(c.c1_norm) is float and math.isfinite(c.c1_norm)
+        and type(c.tau) is Fraction
+    )
+
+
+def _census_argvs(tmp_path):
+    """The two censuses tests/test_pinned_reports.py pins (39 and 31 candidates), and a larger one (339)."""
+    from test_pinned_reports import BOUNDED_PROBLEM, COMMANDS, PROBLEM, SHEARED_METRIC
+
+    for name, doc in (("problem.json", PROBLEM), ("g.json", SHEARED_METRIC), ("bounded.json", BOUNDED_PROBLEM)):
+        (tmp_path / name).write_text(json.dumps(doc))
+    argvs = [
+        [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+        for label, argv in COMMANDS.items() if label.startswith("reductions")
+    ]
+    return argvs + [argvs[0] + ["--c-trace", "20", "--kmax", "7"]]  # the last value of a flag counts
+
+
+class TestCandidateRows:
+    """``jsonio._candidate_rows`` writes each census row as ``_ROW`` does, text for text and error for error."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(candidates=_candidate_lists())
+    def test_rows_equal_the_encoder_row_by_row(self, candidates):
+        expected = outcome(lambda cs: [_ROW(c) for c in cs], candidates)
+        handed = []
+
+        def recording(obj, encode=_ROW):
+            handed.append(obj)
+            return encode(obj)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(jsonio, "_ROW", recording)
+            assert outcome(lambda cs: list(_candidate_rows(cs)), candidates) == expected
+        if isinstance(expected, list):  # a candidate the census did not type goes to the encoder whole, and only such a one
+            assert [c for c in handed if type(c) is ReductionCandidate] == [c for c in candidates if not _census_typed(c)]
+
+    @pytest.mark.parametrize(
+        "odd",
+        [
+            {"rank": True}, {"dim_un_part": _Int(3)}, {"stratum_k": np.int64(0)}, {"c2": 2.0},
+            {"c1": (True, 0)}, {"complement_c1": [0, 1]}, {"c1": CohClass2([1, 0])}, {"complement_c1": (0, 1.0)},
+            {"c1_norm": _Float(0.5)}, {"c1_norm": Fraction(1, 2)}, {"c1_norm": 2}, {"c1_norm": (1, 0)},
+            {"tau": 0.5}, {"tau": type("_Fraction", (Fraction,), {})(1, 3)}, {"tau": (1, 3)},
+        ],
+    )
+    def test_a_candidate_the_census_did_not_type_goes_to_the_encoder_whole(self, odd):
+        base = ReductionCandidate(2, (1, 0), 1, 1, (0, 1), 0, Fraction(1, 3), 4, 0, 4, 0, 1.0)
+        candidate = dataclasses.replace(base, **odd)
+        handed = []
+
+        def recording(obj, encode=_ROW):
+            handed.append(obj)
+            return encode(obj)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(jsonio, "_ROW", recording)
+            rows = list(_candidate_rows([base, candidate, base]))
+        assert rows == [_ROW(base), _ROW(candidate), _ROW(base)]
+        assert [c for c in handed if type(c) is ReductionCandidate] == [candidate]
+
+    def test_a_subclass_of_the_candidate_is_laid_out_by_the_encoder(self):
+        @dataclasses.dataclass(frozen=True, slots=True)
+        class Labelled(ReductionCandidate):
+            label: str = "x"
+
+        row = Labelled(2, (1, 0), 1, 1, (0, 1), 0, Fraction(1, 3), 4, 0, 4, 0, 1.0)
+        report = {"result": {"candidates": [row, row]}}
+        assert flat_dumps(report) == c_dumps(report)
+        assert '"label": "x"' in canonical_dumps(report)
+
+    @pytest.mark.parametrize(
+        "odd",
+        [
+            {"c1_norm": math.nan}, {"c1_norm": -math.inf}, {"c2": 10**4300}, {"c1": (10**4300,)},
+            {"tau": Fraction(10**4300, 7)},
+            {"c1_norm": math.nan, "complement_c1": (10**4300,)},
+            {"c1": (1, math.inf), "c1_norm": (10**4300,)},
+            {"c2": 10**4300, "tau": Fraction(1, 10**4400)},
+            {"complement_c2": -(10**4300), "tau": math.nan},
+            {"c1_norm": -math.inf, "tau": Fraction(10**4300)},
+            {"total_dim": 10**4300, "c1_norm": _Float(0.5)},
+        ],
+    )
+    def test_a_row_fails_as_the_encoder_does_whichever_field_fails(self, odd):
+        """One faulty field or two: the error is the one the encoder meets first in key order."""
+        base = ReductionCandidate(2, (1, 0), 1, 1, (0, 1), 0, Fraction(1, 3), 4, 0, 4, 0, 1.0)
+        candidate = dataclasses.replace(base, **odd)
+        expected = outcome(_ROW, candidate)
+        assert isinstance(expected, tuple)
+        assert outcome(lambda c: list(_candidate_rows([base, c])), candidate) == expected
+
+    def test_equal_classes_of_other_types_are_written_apart(self):
+        one, other = (1, 0), (True, 0)
+        candidates = [
+            ReductionCandidate(1, c1, 0, 1, perp, 0, Fraction(1, 2), 0, 0, 0, 0, norm)
+            for c1, perp, norm in ((one, other, 0.0), (other, one, -0.0), (one, one, 0.0))
+        ]
+        rows = list(_candidate_rows(candidates))
+        assert rows == [_ROW(c) for c in candidates]
+        assert [json.loads(r)["c1_norm"] for r in rows] == [0.0, -0.0, 0.0]
+        assert '"c1": [true, 0]' in rows[1] and '"complement_c1": [true, 0]' in rows[0]
+
+    def test_every_pinned_census_row_comes_from_the_format_string(self, tmp_path, monkeypatch):
+        """Each row equals ``_ROW(c)``, and ``_ROW`` itself writes only the census's taus, once each."""
+        for argv in _census_argvs(tmp_path):
+            candidates = _cli_report_object(monkeypatch, argv)["result"]["candidates"]
+            assert len(candidates) > 10
+            expected = [_ROW(c) for c in candidates]
+            calls = []
+
+            def counting(obj, encode=_ROW):
+                calls.append(obj)
+                return encode(obj)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(jsonio, "_ROW", counting)
+                assert list(_candidate_rows(candidates)) == expected
+            assert all(type(x) is Fraction for x in calls)
+            assert len(calls) == len({id(c.tau) for c in candidates}) < len(candidates)
+
+    def test_a_census_report_makes_no_hook_call_per_candidate(self, tmp_path, monkeypatch):
+        """The hook calls of a ``reductions enumerate`` report do not grow with its candidate count."""
+        argvs = _census_argvs(tmp_path)
+        counts = []
+        for argv in (argvs[0], argvs[2]):
+            calls = [0]
+            hook = jsonio.to_jsonable
+
+            def counting(obj):
+                calls[0] += 1
+                return hook(obj)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(jsonio, "to_jsonable", counting)
+                patch.setattr(jsonio, "_ROW", json.JSONEncoder(
+                    sort_keys=True, separators=(", ", ": "), allow_nan=False, default=counting).encode)
+                report = _cli_report_object(monkeypatch, argv)
+            counts.append((len(report["result"]["candidates"]), calls[0]))
+        (few, few_calls), (many, many_calls) = counts
+        assert (few, many) == (39, 339)
+        assert many_calls == few_calls
 
 
 class TestCli:
