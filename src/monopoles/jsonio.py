@@ -362,9 +362,9 @@ def _field_text(value) -> str | bool:
     """``_ROW(value)`` for a tuple of exact ``int``s, a finite ``float`` or a ``Fraction``; ``False`` for any other value.
 
     Such a value holds nothing but numbers, so its text is the same wherever
-    it stands in a row.  ``False`` also stands for
-    a value the encoder refuses (an integer past the digit limit), whose
-    error the whole row states.
+    it stands in a row.  ``False`` also stands for a value the encoder
+    refuses (an integer past the digit limit), whose error the whole row
+    states.
     """
     kind = type(value)
     try:
