@@ -359,7 +359,7 @@ _JSON_NATIVE = (str, int, float, list, tuple, dict)
 
 
 def _field_text(value) -> str | bool:
-    """``_ROW(value)`` for a tuple of exact ``int``s, a finite ``float`` or a ``Fraction``; ``False`` for any other value.
+    """``_ROW(value)`` for a tuple of exact ``int``s, a finite ``float`` or a ``Fraction``; else ``False``.
 
     Such a value holds nothing but numbers, so its text is the same wherever
     it stands in a row.  ``False`` also stands for a value the encoder

@@ -600,7 +600,9 @@ class TestEncoderOracle:
 
 _BIG_INTS = st.sampled_from([2**64, -(2**64) - 1, 10**30, 10**4300])  # the last is past the digit limit
 # what a census field may be instead of its census type: each candidate has at most two such fields
-_ODD_SCALARS = st.one_of(st.booleans(), st.builds(_Int, st.integers(-5, 5)), _BIG_INTS, st.builds(np.int64, st.integers(-5, 5)))
+_ODD_SCALARS = st.one_of(
+    st.booleans(), st.builds(_Int, st.integers(-5, 5)), _BIG_INTS, st.builds(np.int64, st.integers(-5, 5))
+)
 _ODD_CLASSES = st.one_of(
     st.sampled_from([(True, 0), (1, False), [1, 0], (1.0, 0), (_Int(1), 0), (2**70, -1), (-(10**4400),), 0.5]),
     st.builds(CohClass2, st.lists(st.integers(-3, 3), max_size=3)),
@@ -622,7 +624,9 @@ _CENSUS_FIELDS = (
     ("complement_rank", st.integers(1, 5)),
     ("complement_c1", st.lists(st.integers(-3, 3), max_size=3).map(tuple)),
     ("complement_c2", st.integers(-50, 50)),
-    ("tau", st.integers(1, 5).map(lambda n: 1 - Fraction(n, 6)) | st.fractions()),
+    ("tau", st.one_of(
+        st.integers(1, 5).map(lambda n: 1 - Fraction(n, 6)), st.sampled_from([Fraction(1), Fraction(-2)]), st.fractions(),
+    )),
     ("dim_asd_part", st.integers(-50, 50)),
     ("dim_un_part", st.integers(-50, 50)),
     ("total_dim", st.integers(-50, 50)),
@@ -636,13 +640,14 @@ _ODD = {"c1": _ODD_CLASSES, "complement_c1": _ODD_CLASSES, "tau": _ODD_TAUS, "c1
 def _candidate_lists(draw):
     """Candidates that share their field objects, as a census does: each field is drawn from a small pool.
 
-    The class pools hold both ``(1, 0)`` and ``(True, 0)``, and the norm pool both ``0.0`` and ``-0.0``.
+    The class pools hold ``(1, 0)`` twice, as two objects, and ``(True, 0)``; the norm pool holds ``0.0``
+    twice and ``-0.0``; a tau may be an integral ``Fraction``.
     A candidate has no odd field, one or two.
     """
     pools = {name: draw(st.lists(census, min_size=1, max_size=3)) for name, census in _CENSUS_FIELDS}
     for name in ("c1", "complement_c1"):
-        pools[name] += [(1, 0), (True, 0)]
-    pools["c1_norm"] += [0.0, -0.0]
+        pools[name] += [(1, 0), tuple([1, 0]), (True, 0)]
+    pools["c1_norm"] += [0.0, float("0"), -0.0]
 
     def candidate():
         odd = draw(st.just(()) | st.lists(st.sampled_from([name for name, _ in _CENSUS_FIELDS]), max_size=2))
@@ -695,8 +700,10 @@ class TestCandidateRows:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(jsonio, "_ROW", recording)
             assert outcome(lambda cs: list(_candidate_rows(cs)), candidates) == expected
-        if isinstance(expected, list):  # a candidate the census did not type goes to the encoder whole, and only such a one
-            assert [c for c in handed if type(c) is ReductionCandidate] == [c for c in candidates if not _census_typed(c)]
+        if isinstance(expected, list):
+            # a candidate the census did not type goes to the encoder whole, and only such a one
+            odd = [c for c in candidates if not _census_typed(c)]
+            assert [c for c in handed if type(c) is ReductionCandidate] == odd
 
     @pytest.mark.parametrize(
         "odd",
