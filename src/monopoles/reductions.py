@@ -33,9 +33,11 @@ range arithmetic.  A line bundle has ``c2 = 0``, so a rank-1 subbundle is
 eligible only at ``<c2(F)> = 0``.  For rank ``N-1`` the line-bundle
 complement forces ``c2(F) = c2(E) - k - <c1(F) c1(Fperp)>``, so only the
 strata where that value lies in the window keep it, and every other eligible
-window entry is counted as pruned, unwalked.  The census is counted first,
-and one larger than :data:`MAX_CENSUS_CANDIDATES` is refused before any
-candidate is built.
+window entry is counted as pruned, unwalked.  The census is one pass over
+the ball: ``_cells`` runs once per point and rank, and the point's
+candidates are built at once while the running count stays within
+:data:`MAX_CENSUS_CANDIDATES`.  Past the cap nothing more is built, but the
+census is counted to its end, and refused with its full size.
 
 All filtering is exact: ``G`` is a rational positive-definite matrix, the
 ball test clears denominators and compares integers, and window endpoints
@@ -50,7 +52,7 @@ import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from operator import attrgetter, mul, sub
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .cohomology import (
     BundleData,
@@ -400,19 +402,6 @@ class EnumerationReport:
     warnings: tuple[str, ...] = ()
 
 
-class _BallClass(NamedTuple):
-    """What the census reads of a ball point ``c1(F)`` that keeps a candidate: its candidates share these."""
-
-    c1f: tuple[int, ...]
-    c1_perp: tuple[int, ...]
-    window: range  # the Chern-Weil window of <c2(F)>
-    f_sq: int  # <c1F^2>
-    f_s: int  # <c1F . c1(s)>
-    pairing: int  # <c1F . c1Fperp>
-    perp_sq: int  # <c1Fperp^2>
-    c1_norm: float
-
-
 def _cells(window: range, pairing: int, n: int, big_n: int, k_max: int, c2: int):
     """What rank ``n`` keeps on a class in the strata ``0..k_max``: ``(kept, pruned, cells)``.
 
@@ -452,6 +441,11 @@ def enumerate_reductions(
     counted.  The census is finite for any positive-definite metric and
     finite bounds, and is returned sorted by (rank, stratum, c1, c2).
     Everything here is exact: the bounds were rounded once, in :class:`CurvatureBounds`.
+
+    Candidates are built in (c1, rank, stratum, c2) order, so a non-integral
+    twisted Dirac index is reported for the first faulty candidate in that
+    order; one among the candidates built within the cap is reported before
+    a refusal of the census's size.
     """
     if bounds.b2 != manifold.b2:
         raise ValueError("harmonic metric size does not match b2")
@@ -480,44 +474,43 @@ def enumerate_reductions(
     den = math.lcm(*(x.denominator for row in bounds.metric for x in row))
     g = [[int(x * den) for x in row] for row in bounds.metric]
     big_n = bundle.rank
-    ranks = range(1, big_n)
+    # the constants of every candidate's index formulas
+    ssq_minus_sig = cup(s.c1s, s.c1s, manifold) - manifold.signature
+    chi = _chi(manifold)
+    # one list per rank, so that the sort below gets each rank's candidates in ball order
+    ranks = [(n, tau_parameter(n, big_n), big_n - n, []) for n in range(1, big_n)]
     size = pruned = 0
-    classes = []
     for v in points:
         qv = _times(q, v)
         f_sq, f_s, f_e = sum(map(mul, v, qv)), sum(map(mul, c1s, qv)), sum(map(mul, c1e, qv))
         window, pairing = _c2_window(f_sq, energies), f_e - f_sq
-        kept, dropped = map(sum, zip(*(_cells(window, pairing, n, big_n, k_max, bundle.c2)[:2] for n in ranks)))
-        size += kept
-        pruned += dropped
-        if kept:
-            norm = math.sqrt(sum(map(mul, v, _times(g, v))) / den)
-            c1_perp = tuple(map(sub, c1e, v))
-            classes.append(_BallClass(v, c1_perp, window, f_sq, f_s, pairing, e_sq - 2 * f_e + f_sq, norm))
-    if size > MAX_CENSUS_CANDIDATES:
-        raise ValueError(
-            f"census too large: the energy bounds c_plus = {bounds.c_plus!r} and c_minus = "
-            f"{bounds.c_minus!r} with k_max = {k_max} admit {size} candidates, more than {MAX_CENSUS_CANDIDATES}"
-        )
-    # the constants of every candidate's index formulas
-    ssq_minus_sig = cup(s.c1s, s.c1s, manifold) - manifold.signature
-    chi = _chi(manifold)
-    candidates = []
-    for n in ranks:
-        tau = tau_parameter(n, big_n)
-        rank_perp = big_n - n
-        for c in classes:
-            c1f, c1_perp, window, f_sq, f_s, pairing, perp_sq, c1_norm = c
+        c1_perp = None
+        for n, tau, rank_perp, built in ranks:
+            kept, dropped, cells = _cells(window, pairing, n, big_n, k_max, bundle.c2)
+            size += kept
+            pruned += dropped
+            if not kept or size > MAX_CENSUS_CANDIDATES:
+                continue  # past the cap the census is only counted, for the refusal below
+            if c1_perp is None:  # what every candidate of this point shares
+                c1_perp = tuple(map(sub, c1e, v))
+                perp_sq = e_sq - 2 * f_e + f_sq
+                norm = math.sqrt(sum(map(mul, v, _times(g, v))) / den)
             # _cells keeps a rank-1 complement only where its forced c2 is 0
-            for k, c2f in _cells(window, pairing, n, big_n, k_max, bundle.c2)[2]:
+            for k, c2f in cells:
                 c2_perp = bundle.c2 - k - c2f - pairing
                 dim_un = _monopole_dim(n * n, n, f_sq, f_s, c2f, ssq_minus_sig, chi, dirac_multiplicity)
                 dim_asd = 0 if rank_perp == 1 else _asd_dim(
                     rank_perp * rank_perp - 1, rank_perp, perp_sq, c2_perp, chi
                 )
-                candidates.append(ReductionCandidate(
-                    n, c1f, c2f, rank_perp, c1_perp, c2_perp, tau, dim_un, dim_asd, dim_un + dim_asd, k, c1_norm
+                built.append(ReductionCandidate(
+                    n, v, c2f, rank_perp, c1_perp, c2_perp, tau, dim_un, dim_asd, dim_un + dim_asd, k, norm
                 ))
+    if size > MAX_CENSUS_CANDIDATES:
+        raise ValueError(
+            f"census too large: the energy bounds c_plus = {bounds.c_plus!r} and c_minus = "
+            f"{bounds.c_minus!r} with k_max = {k_max} admit {size} candidates, more than {MAX_CENSUS_CANDIDATES}"
+        )
+    candidates = [c for *_, built in ranks for c in built]
     candidates.sort(key=_SORT_KEY)
     return EnumerationReport(
         candidates=tuple(candidates),
