@@ -1152,8 +1152,9 @@ class TestCli:
 
     def test_census_with_a_half_integral_dirac_index_exits_2(self, tmp_path, capsys):
         # c1(s) = 0 is not characteristic for diag(1, -1); the first candidate in
-        # (rank, stratum, c1, c2) order is the line subbundle c1(F) = (0, -1), c2 = 0,
-        # whose twisted Dirac index is <c1(F)^2>/2 = -1/2
+        # (c1, rank, stratum, c2) build order is the line subbundle c1(F) = (0, -1), c2 = 0
+        # (the ball's first point, (-1, 0), keeps none), whose twisted Dirac index is
+        # <c1(F)^2>/2 = -1/2
         doc = problem_doc(manifold={"name": "diag", "b1": 0, "intersection_form": [[1, 0], [0, -1]]})
         doc["bundle"] = {"rank": 3, "c1": [0, 0], "c2": 1}
         path = tmp_path / "odd.json"

@@ -71,6 +71,26 @@ def test_every_private_top_level_name_is_used():
     assert not unused, unused
 
 
+# imported for the benchmark tracer alone, which wraps them under these names
+_TRACER_IMPORTS = {("reductions.py", "p1_su"), ("suites.py", "properness_constant_estimate")}
+
+
+def test_every_imported_name_is_used():
+    """A name a module imports but never uses outside its imports is a leftover."""
+    unused = set()
+    for path in sorted(Path(monopoles.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                # "import a.b" binds "a"
+                bound = (alias.asname or alias.name.partition(".")[0] for alias in node.names)
+                unused.update((path.name, name) for name in bound if name not in used)
+    assert unused == _TRACER_IMPORTS, sorted(unused ^ _TRACER_IMPORTS)
+
+
 # Runs in a fresh interpreter: this test process has numpy loaded already.
 _BOUNDARY_SCRIPT = """
 import contextlib, io, json, sys

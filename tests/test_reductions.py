@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import math
 import sys
 from fractions import Fraction
@@ -28,7 +29,8 @@ from monopoles import (
     whitney_complement,
 )
 from monopoles import reductions
-from monopoles.reductions import BallTooLargeError, identity_metric, lattice_points_in_ball
+from monopoles.cli import main
+from monopoles.reductions import BallTooLargeError, ReductionCandidate, identity_metric, lattice_points_in_ball
 
 from conftest import (
     brute_force_ball,
@@ -43,6 +45,7 @@ from conftest import (
     s4_like,
     unimodular_manifold,
 )
+from test_pinned_reports import BOUNDED_PROBLEM
 
 
 class TestWhitneyComplement:
@@ -512,8 +515,11 @@ class TestEnumerateReductions:
             ):
                 enumerate_reductions(m, BundleData(2, c1e, 0), SpincStructure(c1s), bounds)
 
-    def test_census_is_counted_exactly_before_it_is_built(self, monkeypatch):
-        """A cap equal to the census size admits it; one less refuses it, naming the energy bounds."""
+    def test_census_is_counted_exactly_and_built_up_to_the_cap(self, monkeypatch):
+        """A cap equal to the census size admits it; one less refuses it, naming the energy bounds.
+
+        The refused census is counted to its end but builds no candidate past the cap.
+        """
         rng = make_rng(5)
         walked = 0
         for _ in range(12):
@@ -528,6 +534,35 @@ class TestEnumerateReductions:
                 enumerate_reductions(m, e, s, bounds, k_max=2)
             monkeypatch.undo()
         assert walked > 0  # some instance kept a rank 2 <= n < N-1, whose window is walked
+        # a census that passes the cap after several points builds no candidate past it
+        m = k3_surface()
+        e, s = BundleData(3, m.zero_class(), 0), SpincStructure(m.zero_class())
+        bounds = CurvatureBounds(2 * math.pi * math.sqrt(2.5), 0.0, 0.0, identity_metric(22))
+        size = len(enumerate_reductions(m, e, s, bounds, k_max=1).candidates)
+        made = []
+        monkeypatch.setattr(reductions, "MAX_CENSUS_CANDIDATES", size // 2)
+        monkeypatch.setattr(reductions, "ReductionCandidate", lambda *a: made.append(a) or ReductionCandidate(*a))
+        with pytest.raises(ValueError, match=rf"^census too large: .* admit {size} candidates, more than {size // 2}$"):
+            enumerate_reductions(m, e, s, bounds, k_max=1)
+        assert len({a[1] for a in made}) > 1 and len(made) <= size // 2
+
+    def test_cells_runs_once_per_ball_point_and_rank(self, monkeypatch, tmp_path, capsys):
+        """The census is one pass over the ball: each point asks ``_cells`` once for each rank 1..N-1."""
+        calls = []
+        cells = reductions._cells
+        monkeypatch.setattr(reductions, "_cells", lambda *a: calls.append(a) or cells(*a))
+        path = tmp_path / "bounded.json"
+        path.write_text(json.dumps(BOUNDED_PROBLEM))
+        assert main(["reductions", "enumerate", "--input", str(path)]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["count"] > 0
+        assert len(calls) == result["lattice_points"] * (BOUNDED_PROBLEM["bundle"]["rank"] - 1)
+        calls.clear()
+        m = k3_surface()
+        bounds = CurvatureBounds(2 * math.pi * math.sqrt(2.5), 8.0, 8.0, identity_metric(22))
+        rep = enumerate_reductions(m, BundleData(4, m.zero_class(), 2), SpincStructure(m.zero_class()), bounds, k_max=1)
+        assert rep.candidates
+        assert len(calls) == rep.lattice_points * 3
 
     def test_half_integral_dirac_index_is_refused(self):
         """c1(s) = 0 is not characteristic for diag(1, -1): the first candidate's index is -1/2."""
@@ -538,6 +573,22 @@ class TestEnumerateReductions:
             match=r"^inconsistent topological input: twisted Dirac index -1/2 is not an integer$",
         ):
             enumerate_reductions(m, BundleData(3, [0, 0], 1), SpincStructure([0, 0]), bounds)
+
+    def test_a_non_integral_dirac_index_is_reported_in_build_order(self):
+        """Candidates are built in (c1, rank, stratum, c2) order, and the first faulty one is reported.
+
+        c1(s) = 0 is not characteristic for [[1]].  The ball's first point c1(F) = -1 keeps
+        no line subbundle (its window [1, 11] misses 0) but keeps rank 2 at the forced
+        <c2(F)> = 4, whose index is -15/4.  In (rank, c1) order the line subbundle
+        c1(F) = 0, index -1/8, would come first.
+        """
+        m = FourManifold("one", 0, [[1]])
+        bounds = CurvatureBounds(6.3, 5.0, 30.0, identity_metric(1))
+        with pytest.raises(
+            InconsistentTopologyError,
+            match=r"^inconsistent topological input: twisted Dirac index -15/4 is not an integer$",
+        ):
+            enumerate_reductions(m, BundleData(3, [0], 3), SpincStructure([0]), bounds)
 
     def test_unimodular_basis_change_permutes_census(self, rng):
         m, s, e, bounds = _basic_census()
