@@ -95,12 +95,14 @@ __all__ = [
 
 
 # A census and its report hold every candidate at once.  Through the CLI one
-# candidate costs about 1.1 KB of peak memory at b2 = 22 (its row plus the
-# report text; measured between 5.0*10^4 and 1.18*10^5 candidates, at 73
-# and 142 MB).  The cap was set at 8 KB each, a 1 GiB budget, when the
+# candidate costs about 1.03 KB of peak memory at b2 = 22 (its row plus the
+# report text; measured between 5.0*10^4 and 1.18*10^5 candidates, at 78
+# and 147 MB).  The cap was set at 8 KB each, a 1 GiB budget, when the
 # report went through the stdlib's indented encoder; at today's cost its
-# 131 072 candidates take about 0.13 GiB.  A census counted above the cap is
-# refused before any candidate is built.
+# 131 072 candidates take about 0.13 GiB.  Candidates are built only while
+# the running count is within the cap; past it the census is counted to its
+# end and refused, so a refused census holds at most the cap's rows and no
+# report text (a K3 census of 131 599 candidates is refused at 53 MB).
 MAX_CENSUS_CANDIDATES = 2**30 // 8192
 
 # A strata table holds one row per stratum 0..k_max.  Through the CLI one row
@@ -111,12 +113,15 @@ MAX_CENSUS_CANDIDATES = 2**30 // 8192
 MAX_STRATA_ROWS = 2**27 // 1536
 
 
-# The census holds every point of the trace bound's ball at once, and the
-# classes of each point that keeps a candidate.  Through the CLI a point costs
-# about 0.24 KB of peak memory at b2 = 22 if it keeps none (measured between
-# 1.3*10^4 and 1.3*10^5 points) and at most about 1.2 KB if it keeps one.  At
-# 1.25 KB each, a 256 MiB budget, a quarter of the census's, holds 209 715
-# points; the enumeration stops with an error before it holds more.
+# The census holds every point of the trace bound's ball at once.  Through
+# the CLI a point costs about 0.24 KB of peak memory at b2 = 22 if it keeps
+# no candidate and about 1.9 KB if it keeps one: its complement class and
+# norm, the candidate, its report row and the row writer's texts for the
+# point (each measured between 1.3*10^4 and 1.3*10^5 points).  At 1.25 KB
+# each, a 256 MiB budget, a quarter of the census's, holds 209 715 points;
+# the enumeration stops with an error before it holds more.  At most
+# MAX_CENSUS_CANDIDATES of them keep a built candidate, so a full ball
+# costs at most about 263 MiB.
 MAX_BALL_POINTS = 2**28 // 1280
 
 
@@ -442,9 +447,8 @@ def enumerate_reductions(
     finite bounds, and is returned sorted by (rank, stratum, c1, c2).
     Everything here is exact: the bounds were rounded once, in :class:`CurvatureBounds`.
 
-    Candidates are built in (c1, rank, stratum, c2) order, so a non-integral
-    twisted Dirac index is reported for the first faulty candidate in that
-    order; one among the candidates built within the cap is reported before
+    Candidates are built in (c1, rank, stratum, c2) order: a non-integral
+    twisted Dirac index is reported for the first faulty one built, before
     a refusal of the census's size.
     """
     if bounds.b2 != manifold.b2:
@@ -484,16 +488,15 @@ def enumerate_reductions(
         qv = _times(q, v)
         f_sq, f_s, f_e = sum(map(mul, v, qv)), sum(map(mul, c1s, qv)), sum(map(mul, c1e, qv))
         window, pairing = _c2_window(f_sq, energies), f_e - f_sq
-        c1_perp = None
+        norm = None
         for n, tau, rank_perp, built in ranks:
             kept, dropped, cells = _cells(window, pairing, n, big_n, k_max, bundle.c2)
             size += kept
             pruned += dropped
             if not kept or size > MAX_CENSUS_CANDIDATES:
                 continue  # past the cap the census is only counted, for the refusal below
-            if c1_perp is None:  # what every candidate of this point shares
-                c1_perp = tuple(map(sub, c1e, v))
-                perp_sq = e_sq - 2 * f_e + f_sq
+            if norm is None:  # what every candidate of this point shares
+                c1_perp, perp_sq = tuple(map(sub, c1e, v)), e_sq - 2 * f_e + f_sq
                 norm = math.sqrt(sum(map(mul, v, _times(g, v))) / den)
             # _cells keeps a rank-1 complement only where its forced c2 is 0
             for k, c2f in cells:
