@@ -8,8 +8,9 @@ its rank, ``b2+``, the signature and ``|det Q|``.  The index formulas read a
 bundle only through four integers, its rank, ``<c1^2>``, ``<c1 . c1(s)>`` and
 ``<c2>``, plus the constants ``<c1(s)^2>``, the signature, ``b2+`` and ``b1``;
 private integer functions of those numbers hold each formula once, and the
-public functions pair the classes and call them.  The twisted Dirac index is
-an integer numerator over 8, checked divisible by 8 before it is returned.
+public functions pair each class once and call them.  A dimension report's
+``expected_dim`` is the sum of its terms; ``expected_dim_*`` read it.  The
+twisted Dirac index is an integer numerator over 8, checked divisible by 8.
 
 Derived conventions, fixed once for the whole package:
 
@@ -391,6 +392,30 @@ def dirac_index(bundle: BundleData, s: SpincStructure, manifold: FourManifold) -
     return _dirac_index(*_dirac_args(bundle, s, manifold))
 
 
+def _monopole_report(bundle, s, manifold, dirac_multiplicity, projective: bool) -> dict:
+    """The terms of a PU(N) (``projective``) or U(N) monopole dimension, and ``expected_dim``, their sum."""
+    n = bundle.rank
+    if projective and n < 2:
+        raise ValueError("projective monopole dimension needs rank >= 2")
+    _check_multiplicity(dirac_multiplicity)
+    args = _dirac_args(bundle, s, manifold)
+    rank, c1_sq, _, c2, _ = args
+    term_name, group_dim = ("instanton_term", n * n - 1) if projective else ("curvature_term", n * n)
+    term, dirac = _asd_dim(group_dim, rank, c1_sq, c2, _chi(manifold)), _dirac_index(*args)
+    return {
+        "p1_su": _p1_su(rank, c1_sq, c2),
+        "dirac_index": dirac,
+        "dirac_multiplicity": dirac_multiplicity,
+        "b2plus": manifold.b2plus,
+        "b1": manifold.b1,
+        "signature": manifold.signature,
+        "euler": manifold.euler,
+        term_name: term,
+        "dirac_term": dirac_multiplicity * dirac,
+        "expected_dim": term + dirac_multiplicity * dirac,
+    }
+
+
 def expected_dim_pun(
     bundle: BundleData,
     s: SpincStructure,
@@ -403,11 +428,7 @@ def expected_dim_pun(
     multiplicity ``m`` defaulting to 2 (the convention that reduces to the
     classical rank-1 dimension; ``m=1`` remains selectable).
     """
-    n = bundle.rank
-    if n < 2:
-        raise ValueError("projective monopole dimension needs rank >= 2")
-    _check_multiplicity(dirac_multiplicity)
-    return _monopole_dim(n * n - 1, *_dirac_args(bundle, s, manifold), _chi(manifold), dirac_multiplicity)
+    return _monopole_report(bundle, s, manifold, dirac_multiplicity, True)["expected_dim"]
 
 
 def expected_dim_un(
@@ -422,11 +443,7 @@ def expected_dim_un(
     ``N^2 - 1``; defined for every rank >= 1.  At rank 1 with multiplicity 2
     this reproduces the classical abelian monopole dimension.
     """
-    n = bundle.rank
-    if n < 1:
-        raise ValueError("rank must be >= 1")
-    _check_multiplicity(dirac_multiplicity)
-    return _monopole_dim(n * n, *_dirac_args(bundle, s, manifold), _chi(manifold), dirac_multiplicity)
+    return _monopole_report(bundle, s, manifold, dirac_multiplicity, False)["expected_dim"]
 
 
 def expected_dim_asd(bundle: BundleData, manifold: FourManifold) -> int:
@@ -436,64 +453,35 @@ def expected_dim_asd(bundle: BundleData, manifold: FourManifold) -> int:
     projective connection space of a line bundle is a single point and
     callers should use dimension 0 directly.
     """
-    if bundle.rank < 2:
+    return asd_dimension_report(bundle, manifold)["expected_dim"]
+
+
+def pun_dimension_report(
+    bundle: BundleData, s: SpincStructure, manifold: FourManifold, dirac_multiplicity: int = 2
+) -> dict:
+    """Full term-by-term breakdown of :func:`expected_dim_pun`: ``instanton_term + dirac_term``."""
+    return _monopole_report(bundle, s, manifold, dirac_multiplicity, True)
+
+
+def un_dimension_report(
+    bundle: BundleData, s: SpincStructure, manifold: FourManifold, dirac_multiplicity: int = 2
+) -> dict:
+    """Full term-by-term breakdown of :func:`expected_dim_un`: ``curvature_term + dirac_term``."""
+    return _monopole_report(bundle, s, manifold, dirac_multiplicity, False)
+
+
+def asd_dimension_report(bundle: BundleData, manifold: FourManifold) -> dict:
+    """Term breakdown of :func:`expected_dim_asd`, pairing ``<c1^2>`` once."""
+    m = bundle.rank
+    if m < 2:
         raise ValueError(
             "instanton dimension needs rank >= 2; a rank-1 projective "
             "connection space is a point (dimension 0)"
         )
-    m = bundle.rank
-    return _asd_dim(m * m - 1, m, cup(bundle.c1, bundle.c1, manifold), bundle.c2, _chi(manifold))
-
-
-def _index_terms(bundle, s, manifold, dirac_multiplicity, group_dim, term_name) -> dict:
-    """The terms of a monopole dimension whose connections have a structure group of ``group_dim``."""
-    args = _dirac_args(bundle, s, manifold)
-    rank, c1_sq, _, c2, _ = args
-    terms = {
-        "p1_su": _p1_su(rank, c1_sq, c2),
-        "dirac_index": _dirac_index(*args),
-        "dirac_multiplicity": dirac_multiplicity,
-        "b2plus": manifold.b2plus,
-        "b1": manifold.b1,
-        "signature": manifold.signature,
-        "euler": manifold.euler,
-    }
-    terms[term_name] = _asd_dim(group_dim, rank, c1_sq, c2, _chi(manifold))
-    terms["dirac_term"] = dirac_multiplicity * terms["dirac_index"]
-    return terms
-
-
-def pun_dimension_report(
-    bundle: BundleData,
-    s: SpincStructure,
-    manifold: FourManifold,
-    dirac_multiplicity: int = 2,
-) -> dict:
-    """Full term-by-term breakdown of :func:`expected_dim_pun`."""
-    n = bundle.rank
-    terms = _index_terms(bundle, s, manifold, dirac_multiplicity, n * n - 1, "instanton_term")
-    terms["expected_dim"] = expected_dim_pun(bundle, s, manifold, dirac_multiplicity)
-    return terms
-
-
-def un_dimension_report(
-    bundle: BundleData,
-    s: SpincStructure,
-    manifold: FourManifold,
-    dirac_multiplicity: int = 2,
-) -> dict:
-    """Full term-by-term breakdown of :func:`expected_dim_un`."""
-    n = bundle.rank
-    terms = _index_terms(bundle, s, manifold, dirac_multiplicity, n * n, "curvature_term")
-    terms["expected_dim"] = expected_dim_un(bundle, s, manifold, dirac_multiplicity)
-    return terms
-
-
-def asd_dimension_report(bundle: BundleData, manifold: FourManifold) -> dict:
-    """Term breakdown of :func:`expected_dim_asd`."""
+    c1_sq = cup(bundle.c1, bundle.c1, manifold)
     return {
-        "p1_su": p1_su(bundle, manifold),
+        "p1_su": _p1_su(m, c1_sq, bundle.c2),
         "b2plus": manifold.b2plus,
         "b1": manifold.b1,
-        "expected_dim": expected_dim_asd(bundle, manifold),
+        "expected_dim": _asd_dim(m * m - 1, m, c1_sq, bundle.c2, _chi(manifold)),
     }

@@ -1,11 +1,15 @@
 """Exact cohomology arithmetic: pinned values, identities, invariances."""
 
+import contextlib
+import io
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from monopoles import (
@@ -21,7 +25,15 @@ from monopoles import (
     expected_dim_un,
     p1_su,
 )
-from monopoles.cohomology import characteristic_defects, ldl, pun_dimension_report, un_dimension_report
+import monopoles.cohomology as cohomology
+from monopoles.cohomology import (
+    asd_dimension_report,
+    characteristic_defects,
+    ldl,
+    pun_dimension_report,
+    un_dimension_report,
+)
+from monopoles.cli import main
 
 from conftest import (
     characteristic_class,
@@ -38,6 +50,7 @@ from conftest import (
     sw_dimension_oracle,
     unimodular_manifold,
 )
+from test_pinned_reports import PROBLEM
 
 
 class TestCup:
@@ -474,6 +487,89 @@ class TestExpectedDimensions:
         rep = pun_dimension_report(BundleData(2, m.zero_class(), 1), s, m)
         assert rep["instanton_term"] + rep["dirac_term"] == rep["expected_dim"]
         assert rep["expected_dim"] == 2
+
+
+@st.composite
+def monopole_inputs(draw):
+    """A nondegenerate form of b2 <= 4 with b1 <= 2, a bundle of rank <= 4 and a Spin^c class, not always characteristic."""
+    b2 = draw(st.integers(0, 4))
+    entries = {(i, j): draw(st.integers(-3, 3)) for i in range(b2) for j in range(i, b2)}
+    form = [[entries[min(i, j), max(i, j)] for j in range(b2)] for i in range(b2)]
+    try:
+        m = FourManifold("drawn", draw(st.integers(0, 2)), form)
+    except ValueError:  # degenerate over Q
+        assume(False)
+    classes = st.lists(st.integers(-3, 3), min_size=b2, max_size=b2)
+    rank = draw(st.integers(1, 4))
+    e = BundleData(rank, draw(classes), draw(st.integers(-4, 4)) if rank > 1 else 0)
+    return m, e, SpincStructure(draw(classes)), draw(st.sampled_from([1, 2]))
+
+
+class TestReportsSumTheirTerms:
+    @settings(max_examples=150, deadline=None)
+    @given(monopole_inputs())
+    def test_expected_dim_is_the_sum_of_the_report_terms(self, inputs):
+        """pun: instanton_term + dirac_term; un: curvature_term + dirac_term; and expected_dim_* read the same."""
+        m, e, s, mult = inputs
+        chi = m.b2plus - m.b1 + 1
+        for report, expected_dim, term, group_dim in (
+            (pun_dimension_report, expected_dim_pun, "instanton_term", e.rank ** 2 - 1),
+            (un_dimension_report, expected_dim_un, "curvature_term", e.rank ** 2),
+        ):
+            if report is pun_dimension_report and e.rank < 2:
+                for call in (report, expected_dim):
+                    with pytest.raises(ValueError, match="^projective monopole dimension needs rank >= 2$"):
+                        call(e, s, m, mult)
+                continue
+            try:
+                index = dirac_index(e, s, m)
+            except InconsistentTopologyError as exc:
+                for call in (report, expected_dim):
+                    with pytest.raises(InconsistentTopologyError, match=f"^{re.escape(str(exc))}$"):
+                        call(e, s, m, mult)
+                continue
+            rep = report(e, s, m, mult)
+            assert rep[term] == -2 * p1_su(e, m) - group_dim * chi
+            assert rep["dirac_term"] == mult * index
+            assert rep["expected_dim"] == rep[term] + rep["dirac_term"] == expected_dim(e, s, m, mult)
+        if e.rank >= 2:
+            rep = asd_dimension_report(e, m)
+            assert rep["expected_dim"] == -2 * rep["p1_su"] - (e.rank ** 2 - 1) * chi == expected_dim_asd(e, m)
+
+    def test_each_report_pairs_each_class_once(self, monkeypatch, tmp_path):
+        """3 ``cup`` calls for a monopole report (<c1^2>, <c1 . c1(s)>, <c1(s)^2>), 1 for the ASD report.
+
+        In process, and for ``dim pun``/``dim un``/``dim asd`` on the pinned problem.
+        """
+        m = k3_like()
+        s = SpincStructure(m.zero_class())
+        e = BundleData(2, m.zero_class(), 1)
+        calls = []
+        cup_once = cohomology.cup
+
+        def counting(*args):
+            calls.append(args)
+            return cup_once(*args)
+
+        monkeypatch.setattr(cohomology, "cup", counting)
+        for call, want in (
+            (lambda: pun_dimension_report(e, s, m), 3),
+            (lambda: un_dimension_report(e, s, m), 3),
+            (lambda: asd_dimension_report(e, m), 1),
+            (lambda: expected_dim_pun(e, s, m), 3),
+            (lambda: expected_dim_un(e, s, m), 3),
+            (lambda: expected_dim_asd(e, m), 1),
+        ):
+            calls.clear()
+            call()
+            assert len(calls) == want
+        (tmp_path / "problem.json").write_text(json.dumps(PROBLEM))
+        monkeypatch.chdir(tmp_path)
+        for command, want in (("pun", 3), ("un", 3), ("asd", 1)):
+            calls.clear()
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["dim", command, "--input", "problem.json"]) == 0
+            assert len(calls) == want
 
 
 class TestStructuralIdentities:
