@@ -5,9 +5,9 @@ On a Kahler surface the positive spinor bundle splits as
 ``E``-valued coefficients, and the curvature equation becomes matrix algebra
 in a fixed fiber.  Everything in this module is pointwise linear algebra:
 no differential operator is discretized.  The fiber algebra (brace, the
-brace-block quadratic map, the Clifford action, the split residuals) takes
-leading batch axes, and each slice of a stack is computed bit for bit as
-the slice alone would be.
+brace-block quadratic map, the Clifford action, the split residuals, the
+decoupling bound) takes leading batch axes, and each slice of a stack is
+computed bit for bit as the slice alone would be.
 
 Fiberwise trivialization, fixed once: unit-norm generators of the (2,0) and
 (0,2) form lines are chosen with their wedge pairing normalized to 1, and
@@ -275,15 +275,18 @@ def _field_stack(alphas, betas, f02, lambda_f, eta02, eta_lambda, tau):
             raise ValueError(f"{name} must have shape {want} to match alpha, got {m.shape}")
         mats.append(m)
     for name, v in (("eta02", eta02), ("eta_lambda", eta_lambda), ("tau", tau)):
-        try:
-            fits = np.ndim(v) == 0 or np.broadcast_shapes(np.shape(v), lead) == lead
-        except ValueError:
-            fits = False
-        if not fits:
-            raise ValueError(
-                f"{name} of shape {np.shape(v)} does not broadcast over the leading axes {lead}"
-            )
+        _check_leading(name, v, lead)
     return a, b, mats[0], mats[1]
+
+
+def _check_leading(name: str, v, lead: tuple) -> None:
+    """Refuse ``v``, naming it, unless it is a scalar or broadcasts over the leading axes ``lead``."""
+    try:
+        fits = np.ndim(v) == 0 or np.broadcast_shapes(np.shape(v), lead) == lead
+    except ValueError:
+        fits = False
+    if not fits:
+        raise ValueError(f"{name} of shape {np.shape(v)} does not broadcast over the leading axes {lead}")
 
 
 def batch_split_rhs(alphas, betas, eta02, eta_lambda, tau) -> tuple[np.ndarray, np.ndarray]:
@@ -354,7 +357,7 @@ def verify_curvature_split(field: PointwiseField, tol: float = 1e-9) -> Curvatur
     )
 
 
-def decoupling_bound(alpha, beta, tau: float) -> tuple[float, float]:
+def decoupling_bound(alpha, beta, tau):
     """The pointwise inequality driving the vortex decoupling argument.
 
     Returns ``(lhs, rhs)`` with
@@ -363,17 +366,22 @@ def decoupling_bound(alpha, beta, tau: float) -> tuple[float, float]:
         rhs = (1 - (1-tau)/n) |alpha|^2 |beta|^2
 
     and contract ``lhs >= rhs >= 0`` for ``tau`` in [0, 1] (Cauchy-Schwarz
-    on the trace term).
+    on the trace term).  ``alpha``/``beta`` have shape ``(..., n)``; ``tau``, each value
+    in [0, 1], is a scalar or broadcasts over the leading axes.  A single pair gives floats.
     """
-    if not 0.0 <= tau <= 1.0:
+    a, b = _spinor_rows(alpha, beta)
+    _check_leading("tau", tau, a.shape[:-1])
+    t = np.asarray(tau, dtype=float)
+    if not np.all((0.0 <= t) & (t <= 1.0)):
         raise ValueError("decoupling bound requires tau in [0, 1]")
-    a, b = _spinor_rows(_vec(alpha, "alpha"), _vec(beta, "beta"))
-    n = a.size
-    lhs = float(np.real(np.vdot(b, brace(np.outer(b, a.conj()), tau) @ a)))
-    na2 = float(np.real(np.vdot(a, a)))
-    nb2 = float(np.real(np.vdot(b, b)))
-    rhs = (1.0 - (1.0 - tau) / n) * na2 * nb2
-    return lhs, rhs
+    n = a.shape[-1]
+    outers = batch_outer(b, a)
+    braced = outers - (((1.0 - t) / n) * np.einsum("...ii->...", outers))[..., None, None] * np.eye(n)
+    lhs = np.einsum("...i,...i->...", b.conj(), np.einsum("...ij,...j->...i", braced, a)).real
+    na2 = np.einsum("...i,...i->...", a.conj(), a).real
+    nb2 = np.einsum("...i,...i->...", b.conj(), b).real
+    rhs = (1.0 - (1.0 - t) / n) * na2 * nb2
+    return (float(lhs), float(rhs)) if a.ndim == 1 else (lhs, rhs)
 
 
 def holomorphic_pairing_term(eta20_class, bundle, manifold) -> complex:

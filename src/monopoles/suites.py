@@ -14,8 +14,9 @@ changes no report.  The ``mu`` checks evaluate the batch projections
 API to them with spot checks.  The routes kept independent of the code they
 check are the closed-form scalar invariants of ``mu_norm_batch``, the brace
 route ``batch_mu_kaehler``, the explicit four-block formula of
-``projection_matches_block_formula``, ``zero_divisor_identity_batch`` and
-``decoupling_bound_batch``.
+``projection_matches_block_formula`` and ``zero_divisor_identity_batch``.
+The decoupling check tests ``kaehler.decoupling_bound`` itself against its
+inequality.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .kaehler import (
     batch_split_rhs,
     brace,
     clifford_sd,
+    decoupling_bound,
     impossibility_margin,
     impossibility_margin_closed_form,
 )
@@ -56,7 +58,6 @@ __all__ = [
     "SuiteReport",
     "mu_suite",
     "kaehler_suite",
-    "decoupling_bound_batch",
     "zero_divisor_identity_batch",
 ]
 
@@ -105,21 +106,31 @@ def _grid_check(
     ``cells`` yields ``(deviations, counterexample)`` pairs, one per grid
     cell: an array (or scalar) of per-sample deviations and a builder of the
     report entry for the sample at a flat index.  The counterexample comes
-    from the first cell whose maximum raises the running worst above
-    ``tol``, at that maximum.  The builder is called before ``cells``
-    advances, so it may read the generator's current locals.
+    from the first cell that has a NaN deviation, at its first NaN, or whose
+    maximum raises the running worst above ``tol``, at that maximum.  A NaN
+    fails the check; ``worst`` is the largest deviation that is a number.
+    The builder is called before ``cells`` advances, so it may read the
+    generator's current locals.
     """
-    worst, bad, total = 0.0, None, 0
+    worst, bad, total, nan_seen = 0.0, None, 0, False
     for devs, counterexample in cells:
         devs = np.asarray(devs)
-        dev = float(devs.max())
-        total += devs.size
+        nan = np.isnan(devs)
+        total, nan_seen = total + devs.size, nan_seen or bool(nan.any())
+        if bad is None and nan.any():
+            bad = _strict(counterexample(int(nan.argmax())))
+        dev = float(np.fmax.reduce(devs, axis=None))
         if dev > worst:
             worst = dev
             if dev > tol and bad is None:
-                bad = counterexample(int(devs.argmax()))
+                bad = _strict(counterexample(int(devs.argmax())))
         del devs, counterexample  # drop the cell before the next one is drawn
-    return CheckResult(name, worst <= tol, total, worst, tol, bad)
+    return CheckResult(name, worst <= tol and not nan_seen, total, worst, tol, bad)
+
+
+def _strict(entry: dict) -> dict:
+    """``entry`` with each float value that is no finite number as ``None``: a report is strict JSON."""
+    return {k: None if isinstance(v, float) and not np.isfinite(v) else v for k, v in entry.items()}
 
 
 def _grid(name: str, tol: float):
@@ -165,7 +176,7 @@ def _sliced(part: Callable, *draws: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# batch evaluation routes, built without the projections or the brace
+# a batch evaluation route, built without the projections or the brace
 # ---------------------------------------------------------------------------
 
 def zero_divisor_identity_batch(alphas: np.ndarray, betas: np.ndarray):
@@ -185,20 +196,6 @@ def zero_divisor_identity_batch(alphas: np.ndarray, betas: np.ndarray):
     rhs_identity = na2 * nb2 - np.abs(tr) ** 2 / n
     rhs_inequality = (1.0 - 1.0 / n) * na2 * nb2
     return lhs, rhs_identity, rhs_inequality
-
-
-def decoupling_bound_batch(alphas: np.ndarray, betas: np.ndarray, taus: np.ndarray):
-    """Batched (lhs, rhs) of the decoupling inequality via the matrix route."""
-    n = alphas.shape[1]
-    outers = betas[:, :, None] * alphas.conj()[:, None, :]
-    tr = np.einsum("mii->m", outers)
-    braced = outers - (((1.0 - taus) / n) * tr)[:, None, None] * np.eye(n)
-    va = np.einsum("mij,mj->mi", braced, alphas)
-    lhs = np.einsum("mi,mi->m", betas.conj(), va).real
-    na2 = np.einsum("mi,mi->m", alphas.conj(), alphas).real
-    nb2 = np.einsum("mi,mi->m", betas.conj(), betas).real
-    rhs = (1.0 - (1.0 - taus) / n) * na2 * nb2
-    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +375,7 @@ def _check_zero_divisor_identity(seed, index, samples):
     reducer is the check's own, because a violated inequality counts with
     no slack and ends the loop.
     """
-    worst, bad, total = 0.0, None, 0
+    worst, bad, total, nan_seen = 0.0, None, 0, False
     tol = 1e-10
     rng = _rng(seed, index)
     for n in (2, 3, 4, 5, 6):
@@ -394,14 +391,16 @@ def _check_zero_divisor_identity(seed, index, samples):
         cols, counterexample = _sliced(part, a, b)
         rel, lhs, rhs_ineq = cols.T
         violated = lhs < rhs_ineq  # inequality is exact; no tolerance slack
-        dev = float(rel.max())
+        nan = np.isnan(cols).any(axis=1)  # a NaN fails the check, and worst skips it
+        nan_seen = nan_seen or bool(nan.any())
+        dev = float(np.fmax.reduce(rel))
         worst, total = max(worst, dev), total + samples
-        if bad is None and (dev > tol or violated.any()):
-            bad = counterexample(int(rel.argmax() if dev > tol else violated.argmax()))
+        if bad is None and (nan.any() or dev > tol or violated.any()):
+            bad = counterexample(int(nan.argmax() if nan.any() else rel.argmax() if dev > tol else violated.argmax()))
         if violated.any():
-            worst = max(worst, float((rhs_ineq - lhs).max()))
+            worst = max(worst, float(np.fmax.reduce(rhs_ineq - lhs)))
             break
-    passed = worst <= tol and not violated.any()
+    passed = worst <= tol and not violated.any() and not nan_seen
     return CheckResult("traceless_outer_zero_divisor", passed, total, worst, tol, bad)
 
 
@@ -622,7 +621,7 @@ def _check_decoupling(rng, samples, seed):
         taus = rng.random(samples)
 
         def part(start, a, b, taus):
-            lhs, rhs = decoupling_bound_batch(a, b, taus)
+            lhs, rhs = decoupling_bound(a, b, taus)
             # the matrix route rounds relative to |alpha|^2 |beta|^2, not to rhs, which
             # is tau times that at n = 1 (where the inequality is an equality)
             norms = np.einsum("mi,mi->m", a.conj(), a).real * np.einsum("mi,mi->m", b.conj(), b).real
@@ -695,11 +694,11 @@ def _split_chunk(rng, m: int, tol: float):
         f02_bad[which == 0, 0, 0] += bump[which == 0]  # violate exactly one split equation
         lam_bad[which == 1, 0, 0] += bump[which == 1]
         broken = batch_split_residuals(a, b, f02_bad, lam_bad, eta02, eta_lambda, tau)
-        # right verdicts: the solution satisfies both forms, the perturbation neither
+        # right verdicts: the solution satisfies both forms, the perturbation neither; a NaN is never right
         right = (good[0] < tol) & (good[1] < tol) & (good[2] < tol)
-        right &= ~(broken[0] < tol) & ~((broken[1] < tol) & (broken[2] < tol))
+        right &= (broken[0] >= tol) & ((broken[1] >= tol) | (broken[2] >= tol))
         wrong[idx] = ~right
-        worst = max(worst, float(good[0].max()))
+        worst = max(worst, float(np.fmax.reduce(good[0])))
 
     def counterexample(i):
         n, tau, _, which, _ = draws[i]

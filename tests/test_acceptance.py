@@ -44,6 +44,7 @@ from monopoles import (
     FourManifold,
     SpincStructure,
     chern_weil_c2_window,
+    decoupling_bound,
     enumerate_reductions,
     expected_dim_asd,
     expected_dim_un,
@@ -58,7 +59,6 @@ from monopoles.mu_kernel import mu
 from monopoles.mu_kernel import SpinorPair, random_sphere_search
 from monopoles.reductions import InconsistentCandidateError
 from monopoles.suites import (
-    decoupling_bound_batch,
     make_satisfying_field,
     mu_suite,
     zero_divisor_identity_batch,
@@ -299,7 +299,7 @@ def test_criterion_08_decoupling_inequality():
             a = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
             b = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
             taus = rng.random(m)
-            lhs, rhs = decoupling_bound_batch(a, b, taus)
+            lhs, rhs = decoupling_bound(a, b, taus)
             scale = np.maximum(np.abs(rhs), 1.0)
             violations += int(((rhs - lhs) / scale > 1e-12).sum())
             violations += int((rhs < -1e-15).sum())

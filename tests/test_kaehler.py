@@ -1,5 +1,7 @@
 """Kahler fiber algebra: brace, Clifford action, splitting, margins."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from monopoles.kaehler import (
     split_equation_rhs,
 )
 import monopoles.suites as suites
-from monopoles.suites import decoupling_bound_batch, kaehler_suite, make_satisfying_field
+from monopoles.suites import kaehler_suite, make_satisfying_field
 
 from conftest import make_rng, schur_margin_oracle
 
@@ -401,18 +403,38 @@ class TestBatchForms:
             batch_split_residuals(a, a, m, m, 0, 0, z(2))
 
 
-def test_decoupling_bound_scalar_matches_batch_route():
-    """The scalar (vdot) and batch (einsum) routes agree to rounding."""
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+@pytest.mark.parametrize("rows", [1, 2, 50, 4097])
+def test_decoupling_bound_rows_of_a_stack_are_single_calls(n, rows):
+    """Each row of a stack, tau per row or one scalar, is the single call on that row bit for bit."""
     rng = make_rng(27)
-    for n in (1, 2, 3, 4, 6):
-        a, b = _crandn(rng, 50, n), _crandn(rng, 50, n)
-        taus = rng.random(50)
-        lhs, rhs = decoupling_bound_batch(a, b, taus)
-        for i in range(50):
-            want_lhs, want_rhs = decoupling_bound(a[i], b[i], taus[i])
-            scale = np.linalg.norm(a[i]) ** 2 * np.linalg.norm(b[i]) ** 2
-            assert abs(lhs[i] - want_lhs) <= 1e-14 * scale
-            assert abs(rhs[i] - want_rhs) <= 1e-14 * scale
+    a, b = _crandn(rng, rows, n), _crandn(rng, rows, n)
+    taus = rng.random(rows)
+    taus[0] = 0.0  # both ends of the range
+    taus[-1] = 1.0
+    per_row = decoupling_bound(a, b, taus)
+    scalar = decoupling_bound(a, b, 0.375)
+    for lhs, rhs in (per_row, scalar):
+        assert lhs.shape == rhs.shape == (rows,)
+    for i in sorted({0, 1 % rows, rows // 2, rows - 1}):
+        single = decoupling_bound(a[i], b[i], taus[i])
+        assert all(type(x) is float for x in single)
+        assert single == (per_row[0][i], per_row[1][i])
+        assert decoupling_bound(a[i], b[i], 0.375) == (scalar[0][i], scalar[1][i])
+    grid = decoupling_bound(a.reshape(1, rows, n), b.reshape(1, rows, n), taus)  # tau broadcasts over (1, rows)
+    assert np.array_equal(grid[0][0], per_row[0]) and np.array_equal(grid[1][0], per_row[1])
+
+
+def test_decoupling_bound_refuses_a_tau_out_of_range_or_of_the_wrong_shape():
+    a = np.ones((3, 2), dtype=complex)
+    for tau in ([0.5, 1.5, 0.5], [0.5, -1e-300, 0.5], [0.5, np.nan, 0.5], -0.5, np.inf):
+        with pytest.raises(ValueError, match=r"^decoupling bound requires tau in \[0, 1\]$"):
+            decoupling_bound(a, a, tau)
+    for tau, shape in (([0.5, 0.5], "(2,)"), (np.full((3, 1), 0.5), "(3, 1)")):
+        with pytest.raises(ValueError, match=rf"^tau of shape {re.escape(shape)} does not broadcast over the leading axes \(3,\)$"):
+            decoupling_bound(a, a, tau)
+    with pytest.raises(ValueError, match=r"^tau of shape \(1,\) does not broadcast over the leading axes \(\)$"):
+        decoupling_bound(a[0], a[0], [0.5])
 
 
 @pytest.mark.parametrize("seed, samples", [(0, 4097), (3, 20_000), (5, 20_000)])
@@ -430,12 +452,12 @@ def test_decoupling_check_fails_when_the_brace_drops_its_one_over_n(monkeypatch)
     """A trace term of (1 - tau) tr instead of (1 - tau) tr / n breaks the inequality for n >= 2."""
 
     def without_one_over_n(alphas, betas, taus):
-        _, rhs = decoupling_bound_batch(alphas, betas, taus)
+        _, rhs = decoupling_bound(alphas, betas, taus)
         outers = betas[:, :, None] * alphas.conj()[:, None, :]
         braced = outers - ((1.0 - taus) * np.einsum("mii->m", outers))[:, None, None] * np.eye(alphas.shape[1])
         return np.einsum("mi,mij,mj->m", betas.conj(), braced, alphas).real, rhs
 
-    monkeypatch.setattr(suites, "decoupling_bound_batch", without_one_over_n)
+    monkeypatch.setattr(suites, "decoupling_bound", without_one_over_n)
     check = kaehler_suite("decoupling", samples=200, seed=7).checks[0]
     assert not check.passed and check.worst > 0.1 and check.counterexample["n"] >= 2
 

@@ -1,10 +1,14 @@
 """The grid-check harness shared by the property suites, the sliced grid
 checks against their per-sample predecessors, and the ``samples`` rule."""
 
+import json
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import monopoles.suites as suites
+from monopoles.cli import main
 from monopoles import PointwiseField, SpinorPair, brace, clifford_sd, mu, mu_kaehler
 from monopoles.kaehler import split_equation_rhs, verify_curvature_split
 from monopoles.mu_kernel import properness_value_grad
@@ -429,3 +433,105 @@ def test_every_check_rejects_samples_below_one(samples):
     for run, name in names + [(mu_suite, "all"), (kaehler_suite, "all")]:
         with pytest.raises(ValueError, match=f"^samples must be >= 1, got {samples}$"):
             run(name, samples=samples)
+
+
+def _strict_loads(text: str):
+    """``json.loads`` that refuses ``NaN`` and the infinities, as a strict JSON reader does."""
+    def refuse(token):
+        raise ValueError(f"non-strict JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_grid_check_fails_on_a_nan_deviation():
+    """A NaN is never within tolerance; ``worst`` stays the largest number, and the first NaN is the counterexample."""
+    nan = float("nan")
+    report = _grid_check("demo", 1e-12, [(np.array([0.0, nan]), lambda i: {"at": i, "lhs": nan})])
+    assert report.passed is False and report.worst == 0.0
+    assert report.counterexample == {"at": 1, "lhs": None}  # a strict report writes no NaN
+    cells = [
+        (np.array([1e-13, nan, 5e-13, nan]), "first NaN"),
+        (np.array([3e-12]), "above, but later"),
+        (nan, "scalar NaN"),
+    ]
+    report = _grid_check("demo", 1e-12, ((d, lambda i, tag=tag: {"cell": tag, "at": i}) for d, tag in cells))
+    assert report.passed is False and report.worst == 3e-12 and report.samples == 6
+    assert report.counterexample == {"cell": "first NaN", "at": 1}
+
+
+def _nan_margin(monkeypatch):
+    """``impossibility_margin`` as the margin check sees it, with a NaN estimate."""
+    monkeypatch.setattr(suites, "impossibility_margin", lambda *a, **k: SimpleNamespace(estimate=float("nan")))
+
+
+def test_a_nan_estimate_fails_the_margin_check(monkeypatch):
+    _nan_margin(monkeypatch)
+    check = kaehler_suite("margin", samples=1, seed=0).checks[0]
+    assert check.passed is False and check.worst == 0.0
+    assert check.counterexample == {"n": 2, "tau": 0.25, "lambda": [1.0, 0.0], "measured": None,
+                                    "expected": check.counterexample["expected"]}
+
+
+@pytest.mark.parametrize("suite", ["margin", "all"])
+def test_a_nan_estimate_exits_1_with_a_strict_report(monkeypatch, capsys, suite):
+    _nan_margin(monkeypatch)
+    code = main(["kaehler", "check", "--suite", suite, "--samples", "1"])
+    captured = capsys.readouterr()
+    assert code == 1, captured.err
+    result = _strict_loads(captured.out)["result"]
+    assert result["all_passed"] is False
+    [margin] = [c for c in result["checks"] if c["name"] == "margin_matches_closed_form"]
+    assert margin["passed"] is False and margin["worst"] == 0.0 and margin["counterexample"]["measured"] is None
+
+
+def test_a_nan_deviation_exits_1_with_a_strict_report(monkeypatch, capsys):
+    """A NaN lhs in one decoupling row fails ``kaehler check``; the report names that row's draws."""
+    bound = suites.decoupling_bound
+
+    def nan_in_row_3(alphas, betas, taus):
+        lhs, rhs = bound(alphas, betas, taus)
+        lhs[3] = np.nan
+        return lhs, rhs
+
+    monkeypatch.setattr(suites, "decoupling_bound", nan_in_row_3)
+    code = main(["kaehler", "check", "--suite", "decoupling", "--samples", "5"])
+    captured = capsys.readouterr()
+    assert code == 1, captured.err
+    [check] = _strict_loads(captured.out)["result"]["checks"]
+    assert check["passed"] is False and 0.0 <= check["worst"] < 1e-14
+    assert check["counterexample"]["n"] == 1 and check["samples"] == 25
+
+
+def test_a_nan_fails_the_zero_divisor_check(monkeypatch):
+    batch = suites.zero_divisor_identity_batch
+
+    def nan_at_n3(a, b):
+        lhs, rhs_identity, rhs_inequality = batch(a, b)
+        if a.shape[1] == 3:
+            lhs[1] = np.nan
+        return lhs, rhs_identity, rhs_inequality
+
+    passing = suites._check_zero_divisor_identity(7, ZERO_DIVISOR_INDEX, 40)
+    monkeypatch.setattr(suites, "zero_divisor_identity_batch", nan_at_n3)
+    report = suites._check_zero_divisor_identity(7, ZERO_DIVISOR_INDEX, 40)
+    assert not report.passed and report.worst == passing.worst and report.samples == 5 * 40
+    assert report.counterexample["n"] == 3
+
+
+def test_a_nan_residual_of_the_perturbed_field_is_a_wrong_verdict(monkeypatch):
+    """``~(nan < tol)`` read a NaN residual of the perturbed field as a right verdict."""
+    residuals = suites.batch_split_residuals
+    calls = []
+
+    def nan_when_perturbed(*args):
+        out = residuals(*args)
+        calls.append(None)
+        if len(calls) % 2 == 0:  # the second call of each n is the perturbed field's
+            out[0][:] = np.nan
+        return out
+
+    passing = suites._check_curvature_split(7, SPLIT_INDEX, 40)
+    monkeypatch.setattr(suites, "batch_split_residuals", nan_when_perturbed)
+    report = suites._check_curvature_split(7, SPLIT_INDEX, 40)
+    assert not report.passed and report.worst == passing.worst
+    assert report.counterexample["false_verdicts"] == 40
