@@ -249,13 +249,10 @@ def _problem_warnings(problem: Problem) -> list[str]:
 
 
 def _flatten(obj, prefix=""):
-    """``(dotted path, leaf)`` for each leaf of a parsed JSON document, in document order."""
-    if isinstance(obj, dict):
-        for k, v in obj.items():
+    """``(dotted path, leaf)`` for each leaf of a parsed JSON document, in document order; ``[]``/``{}`` are leaves."""
+    if isinstance(obj, (dict, list)) and obj:
+        for k, v in obj.items() if isinstance(obj, dict) else enumerate(obj):
             yield from _flatten(v, f"{prefix}{k}.")
-    elif isinstance(obj, list):
-        for i, v in enumerate(obj):
-            yield from _flatten(v, f"{prefix}{i}.")
     else:
         yield prefix[:-1], obj
 

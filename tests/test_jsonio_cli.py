@@ -242,10 +242,10 @@ def oracle_dumps(obj) -> str:
 
 
 def leaf_rows(obj, path=()):
-    """``(dotted path, value)`` for every leaf of a parsed JSON document, keys sorted."""
-    if isinstance(obj, dict):
+    """``(dotted path, value)`` for every leaf of a parsed JSON document, keys sorted; ``[]`` and ``{}`` are leaves."""
+    if isinstance(obj, dict) and obj:
         return [row for k in sorted(obj) for row in leaf_rows(obj[k], path + (k,))]
-    if isinstance(obj, list):
+    if isinstance(obj, list) and obj:
         return [row for i, v in enumerate(obj) for row in leaf_rows(v, path + (str(i),))]
     return [(".".join(path), obj)]
 
@@ -367,6 +367,23 @@ class TestSerializerOracle:
         width = max(len(k) for k, _ in leaves)
         tokens = [(k, v if isinstance(v, str) else json.dumps(v)) for k, v in leaves]
         assert table == "".join(f"{k.ljust(width)}  {v}\n" for k, v in tokens)
+
+    def test_an_empty_list_or_object_is_a_table_row(self, tmp_path, capsys):
+        """A b2 = 0 census keeps no candidate: its empty classes, candidates and warnings each print one row."""
+        path = tmp_path / "s4.json"
+        path.write_text(json.dumps({
+            "manifold": {"name": "S4", "b1": 0, "intersection_form": []},
+            "spinc": {"c1": []},
+            "bundle": {"rank": 2, "c1": [], "c2": 1},
+        }))
+        code, table = run_cli(["reductions", "enumerate", "--input", str(path), "--c-trace", "0.1", "--format", "table"],
+                              capsys)
+        assert code == 0
+        rows = dict(line.split(None, 1) for line in table.splitlines())
+        for key in ("input.bundle.c1", "input.manifold.intersection_form", "input.spinc.c1", "result.candidates",
+                    "warnings"):
+            assert rows[key] == "[]"
+        assert list(cli._flatten({"a": {}, "b": [[], {"c": {}}]})) == [("a", {}), ("b.0", []), ("b.1.c", {})]
 
 
 # --- the layout against the stdlib's C encoder ---
