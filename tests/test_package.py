@@ -1,6 +1,7 @@
 """The package surface: lazy exports, and numpy kept off the exact paths."""
 
 import ast
+import hashlib
 import importlib
 import json
 import os
@@ -157,13 +158,33 @@ def test_benchmark_self_tests_pass():
 _DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
+def _run_demo(demo: str) -> subprocess.CompletedProcess:
+    src = str(Path(monopoles.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, str(_DEMOS / demo)], capture_output=True, text=True, env=env, check=False,
+    )
+
+
 @pytest.mark.parametrize("demo", sorted(p.name for p in _DEMOS.glob("*.py")))
 def test_demo_runs_cleanly(demo):
     """Each demo script exits 0 and writes nothing to stderr."""
-    src = str(Path(monopoles.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, str(_DEMOS / demo)], capture_output=True, text=True, env=env, check=False,
-    )
+    proc = _run_demo(demo)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+# The exact demos' stdout, by sha256; the two floating-point demos are left out, as
+# their bytes depend on the BLAS build.
+_DEMO_DIGESTS = {
+    "expected_dimensions.py": "a98ac3c21d3e86d51699992cecf2b04a958209d00ced3c8fffd7fc17adf84559",
+    "reduction_census.py": "24292dc8877928431ebf3780ce1d9c97e91270b525525618537f43ba1ca6a54d",
+}
+
+
+@pytest.mark.parametrize("demo", sorted(_DEMO_DIGESTS))
+def test_exact_demo_prints_pinned_bytes(demo):
+    """Covers ``pun_dimension_report``, ``uhlenbeck_strata`` and ``ReductionCandidate.F``, which no report pin reaches."""
+    proc = _run_demo(demo)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == _DEMO_DIGESTS[demo]
