@@ -401,7 +401,8 @@ def _monopole_report(bundle, s, manifold, dirac_multiplicity, projective: bool) 
     args = _dirac_args(bundle, s, manifold)
     rank, c1_sq, _, c2, _ = args
     term_name, group_dim = ("instanton_term", n * n - 1) if projective else ("curvature_term", n * n)
-    term, dirac = _asd_dim(group_dim, rank, c1_sq, c2, _chi(manifold)), _dirac_index(*args)
+    term = _asd_dim(group_dim, rank, c1_sq, c2, _chi(manifold))
+    dirac = _dirac_index(*args)
     return {
         "p1_su": _p1_su(rank, c1_sq, c2),
         "dirac_index": dirac,
@@ -457,14 +458,20 @@ def expected_dim_asd(bundle: BundleData, manifold: FourManifold) -> int:
 
 
 def pun_dimension_report(
-    bundle: BundleData, s: SpincStructure, manifold: FourManifold, dirac_multiplicity: int = 2
+    bundle: BundleData,
+    s: SpincStructure,
+    manifold: FourManifold,
+    dirac_multiplicity: int = 2,
 ) -> dict:
     """Full term-by-term breakdown of :func:`expected_dim_pun`: ``instanton_term + dirac_term``."""
     return _monopole_report(bundle, s, manifold, dirac_multiplicity, True)
 
 
 def un_dimension_report(
-    bundle: BundleData, s: SpincStructure, manifold: FourManifold, dirac_multiplicity: int = 2
+    bundle: BundleData,
+    s: SpincStructure,
+    manifold: FourManifold,
+    dirac_multiplicity: int = 2,
 ) -> dict:
     """Full term-by-term breakdown of :func:`expected_dim_un`: ``curvature_term + dirac_term``."""
     return _monopole_report(bundle, s, manifold, dirac_multiplicity, False)

@@ -107,16 +107,16 @@ def _grid_check(
     cell: an array (or scalar) of per-sample deviations and a builder of the
     report entry for the sample at a flat index.  The counterexample comes
     from the first cell that has a NaN deviation, at its first NaN, or whose
-    maximum raises the running worst above ``tol``, at that maximum.  A NaN
-    fails the check; ``worst`` is the largest deviation that is a number.
-    The builder is called before ``cells`` advances, so it may read the
-    generator's current locals.
+    maximum raises the running worst above ``tol``, at that maximum, and the
+    check passes when there is none.  ``worst`` is the largest deviation
+    that is a number.  The builder is called before ``cells`` advances, so
+    it may read the generator's current locals.
     """
-    worst, bad, total, nan_seen = 0.0, None, 0, False
+    worst, bad, total = 0.0, None, 0
     for devs, counterexample in cells:
         devs = np.asarray(devs)
         nan = np.isnan(devs)
-        total, nan_seen = total + devs.size, nan_seen or bool(nan.any())
+        total += devs.size
         if bad is None and nan.any():
             bad = _strict(counterexample(int(nan.argmax())))
         dev = float(np.fmax.reduce(devs, axis=None))
@@ -125,7 +125,7 @@ def _grid_check(
             if dev > tol and bad is None:
                 bad = _strict(counterexample(int(devs.argmax())))
         del devs, counterexample  # drop the cell before the next one is drawn
-    return CheckResult(name, worst <= tol and not nan_seen, total, worst, tol, bad)
+    return CheckResult(name, bad is None, total, worst, tol, bad)
 
 
 def _strict(entry: dict) -> dict:
@@ -375,7 +375,7 @@ def _check_zero_divisor_identity(seed, index, samples):
     reducer is the check's own, because a violated inequality counts with
     no slack and ends the loop.
     """
-    worst, bad, total, nan_seen = 0.0, None, 0, False
+    worst, bad, total = 0.0, None, 0
     tol = 1e-10
     rng = _rng(seed, index)
     for n in (2, 3, 4, 5, 6):
@@ -392,7 +392,6 @@ def _check_zero_divisor_identity(seed, index, samples):
         rel, lhs, rhs_ineq = cols.T
         violated = lhs < rhs_ineq  # inequality is exact; no tolerance slack
         nan = np.isnan(cols).any(axis=1)  # a NaN fails the check, and worst skips it
-        nan_seen = nan_seen or bool(nan.any())
         dev = float(np.fmax.reduce(rel))
         worst, total = max(worst, dev), total + samples
         if bad is None and (nan.any() or dev > tol or violated.any()):
@@ -400,8 +399,7 @@ def _check_zero_divisor_identity(seed, index, samples):
         if violated.any():
             worst = max(worst, float(np.fmax.reduce(rhs_ineq - lhs)))
             break
-    passed = worst <= tol and not violated.any() and not nan_seen
-    return CheckResult("traceless_outer_zero_divisor", passed, total, worst, tol, bad)
+    return CheckResult("traceless_outer_zero_divisor", bad is None, total, worst, tol, bad)
 
 
 @_grid("properness_inequality", 0.0)
