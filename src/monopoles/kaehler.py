@@ -366,8 +366,9 @@ def decoupling_bound(alpha, beta, tau):
         rhs = (1 - (1-tau)/n) |alpha|^2 |beta|^2
 
     and contract ``lhs >= rhs >= 0`` for ``tau`` in [0, 1] (Cauchy-Schwarz
-    on the trace term).  ``alpha``/``beta`` have shape ``(..., n)``; ``tau``, each value
-    in [0, 1], is a scalar or broadcasts over the leading axes.  A single pair gives floats.
+    on the trace term).  ``alpha``/``beta`` have shape ``(..., n)``;
+    ``tau`` is a scalar or broadcasts over the leading axes, and every value
+    lies in [0, 1].  A single pair gives floats.
     """
     a, b = _spinor_rows(alpha, beta)
     _check_leading("tau", tau, a.shape[:-1])
