@@ -10,7 +10,7 @@ import pytest
 import monopoles.suites as suites
 from monopoles.cli import main
 from monopoles import PointwiseField, SpinorPair, brace, clifford_sd, mu, mu_kaehler
-from monopoles.kaehler import split_equation_rhs, verify_curvature_split
+from monopoles.kaehler import impossibility_margin_closed_form, split_equation_rhs, verify_curvature_split
 from monopoles.mu_kernel import properness_value_grad
 from monopoles.suites import CheckResult, _complex_rows, _grid_check, _rng, kaehler_suite, mu_suite
 
@@ -469,7 +469,7 @@ def test_a_nan_estimate_fails_the_margin_check(monkeypatch):
     check = kaehler_suite("margin", samples=1, seed=0).checks[0]
     assert check.passed is False and check.worst == 0.0
     assert check.counterexample == {"n": 2, "tau": 0.25, "lambda": [1.0, 0.0], "measured": None,
-                                    "expected": check.counterexample["expected"]}
+                                    "expected": impossibility_margin_closed_form(2, 0.25, 1.0)}
 
 
 @pytest.mark.parametrize("suite", ["margin", "all"])
